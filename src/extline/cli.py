@@ -3,18 +3,15 @@ serialized as JSON, aligned text, or LaTeX.
 
 Subcommands: ext-table, poincare, resolve, verify, gamma-dims,
 yoneda-product.  Exit codes: 0 all checks pass, 1 verification failure,
-2 usage error.  EXTLINE_THREADS caps the worker count for the
-embarrassingly parallel pieces; output ordering is canonical regardless.
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import path_algebra, reps, strings, yoneda
 from .ext_table import (
@@ -25,23 +22,12 @@ from .ext_table import (
 )
 from .fields import field_for_characteristic
 from .homs import LineAlgebra
-from .resolutions import build_resolution, corrupted_resolution, verify_resolution
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("EXTLINE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    workers = worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+from .resolutions import (
+    CheckResult,
+    build_resolution,
+    corrupted_resolution,
+    verify_resolution,
+)
 
 
 def poly_str(coeffs) -> str:
@@ -167,7 +153,7 @@ def checks_payload(checks) -> list:
             {
                 "name": c.name,
                 "status": "pass" if c.ok else "fail",
-                "detail": getattr(c, "detail", "") or "",
+                "detail": c.detail,
             }
         )
     return out
@@ -258,16 +244,14 @@ def _suite_syzygy(alg, seed):
     checks = []
     labels = strings.canonical_labels(n)
 
-    def one(label):
-        realized = strings.realize_x(n, F, label)
-        omega = reps.syzygy(realized)
+    bad = []
+    for label in labels:
+        omega = reps.syzygy(strings.realize_x(n, F, label))
         expected = strings.realize_x(n, F, strings.syzygy_label(n, label))
-        return reps.is_isomorphic(omega, expected, seed=seed)
-
-    results = _pmap(one, labels)
-    bad = [str(lab) for lab, ok in zip(labels, results) if not ok]
+        if not reps.is_isomorphic(omega, expected, seed=seed):
+            bad.append(str(label))
     checks.append(
-        ResultCheck("syzygies of all canonical strings match their labels",
+        CheckResult("syzygies of all canonical strings match their labels",
                     not bad, ", ".join(bad)))
     bad = []
     for i in range(1, n + 1):
@@ -277,15 +261,8 @@ def _suite_syzygy(alg, seed):
         m2 = reps.syzygy_power(m, n)
         if not reps.is_isomorphic(m2, reps.simple_rep(n, F, i), seed=seed):
             bad.append(f"full period at S_{i}")
-    checks.append(ResultCheck("syzygy periodicity", not bad, ", ".join(bad)))
+    checks.append(CheckResult("syzygy periodicity", not bad, ", ".join(bad)))
     return checks
-
-
-class ResultCheck:
-    def __init__(self, name, ok, detail=""):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
 
 
 def cmd_verify(args) -> int:
@@ -299,16 +276,16 @@ def cmd_verify(args) -> int:
             for i in range(1, args.n + 1):
                 report = verify_resolution(build_resolution(alg, i, args.max_deg), i)
                 for c in report.checks:
-                    checks.append(ResultCheck(f"R_{i}: {c.name}", c.ok, c.detail))
+                    checks.append(CheckResult(f"R_{i}: {c.name}", c.ok, c.detail))
         elif suite == "relations":
             report = yoneda.verify_chain_relations(alg)
             for c in report.checks:
-                checks.append(ResultCheck(f"relation: {c.name}", c.ok, c.detail))
+                checks.append(CheckResult(f"relation: {c.name}", c.ok, c.detail))
         elif suite == "gamma":
             K = args.max_deg if args.max_deg is not None else 2 * args.n + 2
             report = path_algebra.verify_presentation(alg, K)
             for c in report.checks:
-                checks.append(ResultCheck(f"presentation: {c.name}", c.ok, c.detail))
+                checks.append(CheckResult(f"presentation: {c.name}", c.ok, c.detail))
     ok = all(c.ok for c in checks)
     payload = {
         "n": args.n,
@@ -367,6 +344,10 @@ def parse_word(n: int, text: str):
         kind, idx, star = m.group(1), int(m.group(2)), m.group(3)
         if kind == "y" and star:
             raise ValueError("turnaround arrows have no starred version")
+        top = n if kind == "y" else n - 1
+        if not 1 <= idx <= top:
+            raise ValueError(f"arrow {tok!r} does not exist for N={n} "
+                             f"(x and x* take 1..{n - 1}, y takes 1..{n})")
         arrows.append(("xstar" if star else kind, idx))
     return path_algebra.PathWord(n, tuple(arrows))
 
@@ -453,8 +434,10 @@ def validate(parser, args):
     if args.n < 1:
         parser.error("--n must be at least 1")
     if args.char != 0:
-        from .fields import _is_prime
+        from .fields import PRIME_TEST_LIMIT, _is_prime
 
+        if args.char >= PRIME_TEST_LIMIT:
+            parser.error(f"--char must be below {PRIME_TEST_LIMIT}")
         if not _is_prime(args.char):
             parser.error("--char must be 0 or a prime")
     if args.max_deg is None:

@@ -11,14 +11,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin on the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015; OEIS A014233).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality for p < PRIME_TEST_LIMIT; raises above it."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= PRIME_TEST_LIMIT:
+        raise ValueError(f"primality of {p} is not decided (limit {PRIME_TEST_LIMIT})")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -66,9 +86,6 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def elements(self):
-        return range(self.p)
 
 
 @dataclass(frozen=True)

@@ -268,19 +268,3 @@ class LineAlgebra:
         for gen, c in h.coeffs.items():
             phi = phi.add(self.realize_generator(gen).scale(c))
         return phi
-
-
-def compose_hom(alg: LineAlgebra, g: HomElement, h: HomElement) -> HomElement:
-    return alg.compose(g, h)
-
-
-def hom_dimension(alg: LineAlgebra, i: int, j: int) -> int:
-    return alg.hom_dimension(i, j)
-
-
-def projective_as_rep(alg: LineAlgebra, i: int) -> reps.QuiverRep:
-    return alg.projective(i)
-
-
-def realize_hom(alg: LineAlgebra, h: HomElement) -> reps.RepMorphism:
-    return alg.realize(h)

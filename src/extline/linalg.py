@@ -25,10 +25,6 @@ def mat_copy(M):
     return [row[:] for row in M]
 
 
-def mat_shape(M):
-    return len(M), len(M[0]) if M else 0
-
-
 def mat_mul(field, A, B, out_cols: int | None = None):
     """A @ B.  When B has no rows its column count is unrecoverable from
     the nested-list encoding, so pass out_cols explicitly in that case."""
@@ -57,10 +53,6 @@ def mat_add(field, A, B):
     return [[field.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_sub(field, A, B):
-    return [[field.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_scale(field, c, A):
     return [[field.mul(c, a) for a in row] for row in A]
 
@@ -79,12 +71,6 @@ def mat_eq(field, A, B) -> bool:
 
 def is_zero_mat(field, A) -> bool:
     return all(field.is_zero(a) for row in A for a in row)
-
-
-def transpose(M, ncols: int | None = None):
-    if not M:
-        return [[] for _ in range(ncols)] if ncols else []
-    return [list(col) for col in zip(*M)]
 
 
 def rref(field, M):
@@ -252,9 +238,6 @@ class LinearSystem:
             x[pc] = acc
         return x
 
-    def nullspace_dimension(self) -> int:
-        return self.nvars - len(self.pivot_rows)
-
     def nullspace_basis(self):
         F = self.field
         free = [c for c in range(self.nvars) if c not in self.pivot_rows]
@@ -271,42 +254,3 @@ class LinearSystem:
                 x[pc] = acc
             basis.append(x)
         return basis
-
-
-class SpanBuilder:
-    """Incremental row-echelon span of sparse vectors (dict form)."""
-
-    def __init__(self, field):
-        self.field = field
-        self.pivot_rows = {}
-
-    def add(self, vec: dict) -> bool:
-        """Reduce vec against the span; returns True if it enlarged it."""
-        F = self.field
-        row = {c: v for c, v in vec.items() if not F.is_zero(v)}
-        while True:
-            hit = None
-            for c in row:
-                if c in self.pivot_rows:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            prow = self.pivot_rows[hit]
-            f = row[hit]
-            for c, v in prow.items():
-                nv = F.sub(row.get(c, F.zero), F.mul(f, v))
-                if F.is_zero(nv):
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-        if not row:
-            return False
-        pc = min(row)
-        iv = F.inv(row[pc])
-        self.pivot_rows[pc] = {c: F.mul(iv, v) for c, v in row.items()}
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivot_rows)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from . import linalg
 from .ext_table import ext_dim_via_x
 from .homs import LineAlgebra
+from .resolutions import CheckReport, CheckResult
 from .yoneda import (
     ExtClass,
     cached_generator,
@@ -336,28 +337,7 @@ def evaluate_relator(alg: LineAlgebra, rel: Relator):
     return total
 
 
-@dataclass
-class PresentationCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class PresentationReport:
-    n: int
-    max_degree: int
-    checks: list
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
-
-
-def verify_presentation(alg: LineAlgebra, max_degree: int) -> PresentationReport:
+def verify_presentation(alg: LineAlgebra, max_degree: int) -> CheckReport:
     """Certify that the presented algebra matches the Ext computation:
     graded dimensions agree entrywise, relators die at chain level, and
     every normal-form word evaluates to a certified nonzero class."""
@@ -374,7 +354,7 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> PresentationReport
                 if gd.dim(i, j, k) != table.entry(i, j, k):
                     bad.append((i, j, k))
     checks.append(
-        PresentationCheck(
+        CheckResult(
             "graded dimensions match the Ext table",
             not bad,
             f"mismatches at {bad}" if bad else "",
@@ -385,7 +365,7 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> PresentationReport
         chain = evaluate_relator(alg, rel)
         h = null_homotopy(chain)
         ok = h is not None and verify_homotopy(chain, h)
-        checks.append(PresentationCheck(f"relator {rel.name} vanishes", ok))
+        checks.append(CheckResult(f"relator {rel.name} vanishes", ok))
 
     bad = []
     for i in range(1, n + 1):
@@ -398,10 +378,10 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> PresentationReport
                 if not cls.nonzero:
                     bad.append((i, j, k))
     checks.append(
-        PresentationCheck(
+        CheckResult(
             "normal-form words are nonzero classes",
             not bad,
             f"zero classes at {bad}" if bad else "",
         )
     )
-    return PresentationReport(n, max_degree, checks)
+    return CheckReport(checks)

@@ -99,13 +99,6 @@ def hom_matrix_equal(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> bool:
     )
 
 
-def identity_hom_matrix(alg: LineAlgebra, psum: PSum) -> HomMatrix:
-    out = zero_hom_matrix(alg, psum, psum)
-    for r, idx in enumerate(psum.indices):
-        out.entries[r][r] = alg.identity_hom(idx)
-    return out
-
-
 def common_factor_matrix(alg: LineAlgebra, source: PSum, target: PSum) -> HomMatrix:
     """Identity on the summands the two canonical sums share, zero elsewhere."""
     out = zero_hom_matrix(alg, source, target)
@@ -253,9 +246,8 @@ class CheckResult:
 
 
 @dataclass
-class ResolutionReport:
-    vertex: int
-    checks: list
+class CheckReport:
+    checks: list  # CheckResult
 
     @property
     def ok(self) -> bool:
@@ -265,7 +257,7 @@ class ResolutionReport:
         return [c for c in self.checks if not c.ok]
 
 
-def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = None) -> ResolutionReport:
+def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = None) -> CheckReport:
     """Certify the resolution: d o d = 0, minimality, oracle exactness and
     the identification of each image with the expected string module."""
     alg = cx.alg
@@ -346,7 +338,7 @@ def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = No
     checks.append(CheckResult("images are the expected string modules", not bad,
                               f"degrees {bad}" if bad else ""))
 
-    return ResolutionReport(i, checks)
+    return CheckReport(checks)
 
 
 def _column_vectors(field, block):

@@ -36,9 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homs import HomElement, LineAlgebra
-from .linalg import LinearSystem, SpanBuilder
+from .homs import HomElement, HomGenerator, LineAlgebra
+from .linalg import LinearSystem
 from .resolutions import (
+    CheckReport,
+    CheckResult,
     HomMatrix,
     PeriodicComplex,
     build_resolution,
@@ -46,7 +48,6 @@ from .resolutions import (
     hom_matrix_add,
     hom_matrix_compose,
     hom_matrix_equal,
-    hom_matrix_is_zero,
     hom_matrix_scale,
     zero_hom_matrix,
 )
@@ -112,60 +113,39 @@ def _assemble(source, target, shift, periodic_start, maker) -> ChainMap:
     return ChainMap(source, target, shift, periodic_start, comps)
 
 
-def generator_x(alg: LineAlgebra, i: int) -> ChainMap:
-    """The shift-1 map R_i -> R_{i+1} representing the step class."""
+def _step_generator(alg, i, name, src, tgt, half_turn_hom, full_turn_hom) -> ChainMap:
+    """Identity on common summands, with the signed special components
+    half_turn_hom(N-i) at degrees N mod 2N and full_turn_hom(i) at 0 mod 2N."""
     if not 1 <= i <= alg.n - 1:
-        raise ValueError(f"no step generator at {i}")
+        raise ValueError(f"no {name} generator at {i}")
     n = alg.n
-    source = build_resolution(alg, i)
-    target = build_resolution(alg, i + 1)
+    source = build_resolution(alg, src)
+    target = build_resolution(alg, tgt)
     F = alg.field
 
     def maker(k):
-        src = source.term(k)
-        tgt = target.term(k - 1)
         m = k % (2 * n)
-        if k >= 1 and m == n % (2 * n):
-            out = zero_hom_matrix(alg, src, tgt)
-            sign = F.from_int(-1 if (n - i) % 2 else 1)
-            out.entries[0][0] = alg.scale(sign, alg.fstar_hom(n - i))
-            return out
-        if k >= 1 and m == 0:
-            out = zero_hom_matrix(alg, src, tgt)
-            sign = F.from_int(-1 if i % 2 else 1)
-            out.entries[0][0] = alg.scale(sign, alg.f_hom(i))
-            return out
-        return common_factor_matrix(alg, src, tgt)
+        if m == n % (2 * n):
+            e, hom = n - i, half_turn_hom
+        elif m == 0:
+            e, hom = i, full_turn_hom
+        else:
+            return common_factor_matrix(alg, source.term(k), target.term(k - 1))
+        out = zero_hom_matrix(alg, source.term(k), target.term(k - 1))
+        out.entries[0][0] = alg.scale(F.from_int(-1 if e % 2 else 1), hom(e))
+        return out
 
     return _assemble(source, target, 1, 1, maker).verify()
+
+
+def generator_x(alg: LineAlgebra, i: int) -> ChainMap:
+    """The shift-1 map R_i -> R_{i+1} representing the step class."""
+    return _step_generator(alg, i, "step", i, i + 1, alg.fstar_hom, alg.f_hom)
 
 
 def generator_xstar(alg: LineAlgebra, i: int) -> ChainMap:
     """The shift-1 map R_{i+1} -> R_i: the step map with f and f* swapped."""
-    if not 1 <= i <= alg.n - 1:
-        raise ValueError(f"no co-step generator at {i}")
-    n = alg.n
-    source = build_resolution(alg, i + 1)
-    target = build_resolution(alg, i)
-    F = alg.field
-
-    def maker(k):
-        src = source.term(k)
-        tgt = target.term(k - 1)
-        m = k % (2 * n)
-        if k >= 1 and m == n % (2 * n):
-            out = zero_hom_matrix(alg, src, tgt)
-            sign = F.from_int(-1 if (n - i) % 2 else 1)
-            out.entries[0][0] = alg.scale(sign, alg.f_hom(n - i))
-            return out
-        if k >= 1 and m == 0:
-            out = zero_hom_matrix(alg, src, tgt)
-            sign = F.from_int(-1 if i % 2 else 1)
-            out.entries[0][0] = alg.scale(sign, alg.fstar_hom(i))
-            return out
-        return common_factor_matrix(alg, src, tgt)
-
-    return _assemble(source, target, 1, 1, maker).verify()
+    return _step_generator(alg, i, "co-step", i + 1, i, alg.f_hom, alg.fstar_hom)
 
 
 def generator_y(alg: LineAlgebra, i: int) -> ChainMap:
@@ -261,14 +241,6 @@ def chain_equal_strict(f: ChainMap, g: ChainMap) -> bool:
     return True
 
 
-def chain_is_zero_strict(f: ChainMap) -> bool:
-    alg = f.source.alg
-    hi = f.periodic_start + f.period
-    return all(
-        hom_matrix_is_zero(alg, f.component(k)) for k in range(f.shift, hi + 1)
-    )
-
-
 # ------------------------------------------------------------- homotopies
 
 
@@ -296,128 +268,91 @@ class Homotopy:
         return self.maps[k - self.lo]
 
 
-class _VarTable:
-    """Register one scalar unknown per (slot, generator)."""
+def _solve_family(source, target, shift, lo, hi, period, eq_lo, eq_hi, sign,
+                  rhs=None, pins=()):
+    """The linear system for an eventually periodic family of morphism
+    matrices u_m : term_m(source) -> term_{m-shift}(target), stored for
+    lo <= m <= hi and read back as u_m = u_{m-period} beyond hi, with
 
-    def __init__(self):
-        self.index = {}
+        d o u_m + sign * u_{m-1} o d = rhs(m)        (eq_lo <= m <= eq_hi)
 
-    def var(self, key):
-        if key not in self.index:
-            self.index[key] = len(self.index)
-        return self.index[key]
+    (a term is absent where its u or its differential is; rhs None means
+    zero) and pins, pairs ((m, row, col, generator), value) fixing single
+    coefficients.
 
-    @property
-    def count(self):
-        return len(self.index)
-
-
-def _sym_matrix_for(alg, table, slot, src_psum, tgt_psum):
-    """Symbolic morphism matrix: each entry a dict gen -> {var: 1}."""
-    out = []
-    for r, t in enumerate(tgt_psum.indices):
-        row = []
-        for c, s in enumerate(src_psum.indices):
-            entry = {}
-            for gen in alg.generators(s, t):
-                entry[gen] = {table.var((slot, r, c, gen)): alg.field.one}
-            row.append(entry)
-        out.append(row)
-    return out
-
-
-def _sym_compose_fixed_sym(alg, fixed: HomElement, sym: dict) -> dict:
+    There is one scalar unknown per basis morphism of each stored entry,
+    numbered by slot, row, column, then ``alg.generators``.  An unknown's
+    column is its basis morphism pushed through the nonzero entries of one
+    differential column (d o u) and one differential row (u o d).  Returns
+    (system, index, read): index maps (m, row, col, generator) to the
+    unknown, read(solution, m) assembles u_m.
+    """
+    alg = source.alg
     F = alg.field
-    out = {}
-    for gf, cf in fixed.coeffs.items():
-        for gs, form in sym.items():
-            hit = alg._compose_generators(gf, gs)
-            if hit is None:
-                continue
-            sign, gout = hit
-            factor = F.mul(cf, F.from_int(sign))
-            dst = out.setdefault(gout, {})
-            for var, cv in form.items():
-                dst[var] = F.add(dst.get(var, F.zero), F.mul(factor, cv))
-    return out
+    sgn = F.from_int(sign)
 
+    def slot(m):
+        while m > hi:
+            m -= period
+        return m
 
-def _sym_compose_sym_fixed(alg, sym: dict, fixed: HomElement) -> dict:
-    F = alg.field
-    out = {}
-    for gs, form in sym.items():
-        for gf, cf in fixed.coeffs.items():
-            hit = alg._compose_generators(gs, gf)
-            if hit is None:
-                continue
-            sign, gout = hit
-            factor = F.mul(cf, F.from_int(sign))
-            dst = out.setdefault(gout, {})
-            for var, cv in form.items():
-                dst[var] = F.add(dst.get(var, F.zero), F.mul(factor, cv))
-    return out
+    index = {}
+    unknowns = {}  # slot -> [(row, col, basis morphism, unknown)]
+    for m in range(lo, hi + 1):
+        cells = unknowns[m] = []
+        for r, t in enumerate(target.term(m - shift).indices):
+            for c, s in enumerate(source.term(m).indices):
+                for gen in alg.generators(s, t):
+                    index[(m, r, c, gen)] = len(index)
+                    cells.append((r, c, HomElement(s, t, {gen: F.one}), len(index) - 1))
 
+    system = LinearSystem(F, len(index))
+    for m in range(eq_lo, eq_hi + 1):
+        rows = {}  # (row, col, generator) -> {unknown: coefficient}
 
-def _sym_add(alg, a: dict, b: dict) -> dict:
-    F = alg.field
-    out = {g: dict(f) for g, f in a.items()}
-    for g, form in b.items():
-        dst = out.setdefault(g, {})
-        for var, cv in form.items():
-            dst[var] = F.add(dst.get(var, F.zero), cv)
-    return out
+        def put(r, c, elem, v, scale):
+            for gen, cv in elem.coeffs.items():
+                row = rows.setdefault((r, c, gen), {})
+                row[v] = F.add(row.get(v, F.zero), F.mul(scale, cv))
 
+        if m >= lo and m - shift >= 1:
+            d = target.diff(m - shift).entries
+            columns = [[(r2, d[r2][a]) for r2 in range(len(d)) if d[r2][a].coeffs]
+                       for a in range(len(d[0]) if d else 0)]
+            for r, c, elem, v in unknowns[slot(m)]:
+                for r2, entry in columns[r]:
+                    put(r2, c, alg.compose(entry, elem), v, F.one)
+        if m - 1 >= lo and m >= 1:
+            nonzero_rows = [[(c2, e) for c2, e in enumerate(row) if e.coeffs]
+                            for row in source.diff(m).entries]
+            for r, c, elem, v in unknowns[slot(m - 1)]:
+                for c2, entry in nonzero_rows[c]:
+                    put(r, c2, alg.compose(elem, entry), v, sgn)
+        b = rhs(m) if rhs is not None else None
+        if b is not None:
+            for r, row in enumerate(b.entries):
+                for c, entry in enumerate(row):
+                    for gen in entry.coeffs:
+                        rows.setdefault((r, c, gen), {})
+        for r, c, gen in sorted(rows, key=lambda t: (t[0], t[1], t[2].sort_key())):
+            value = b.entries[r][c].coeffs.get(gen, F.zero) if b is not None else F.zero
+            system.add_equation(rows[(r, c, gen)], value)
+    for key, value in pins:
+        system.add_equation({index[key]: F.one}, value)
 
-def _sym_mat_fixed_after_sym(alg, A: HomMatrix, S):
-    """A o S where A is a fixed matrix and S a symbolic one."""
-    rows = len(A.target.indices)
-    mids = len(A.source.indices)
-    cols = len(S[0]) if S else 0
-    out = [[{} for _ in range(cols)] for _ in range(rows)]
-    for r in range(rows):
-        for c in range(cols):
-            acc = {}
-            for m in range(mids):
-                acc = _sym_add(alg, acc, _sym_compose_fixed_sym(alg, A.entries[r][m], S[m][c]))
-            out[r][c] = acc
-    return out
+    def read(sol, m):
+        m = slot(m)
+        src, tgt = source.term(m), target.term(m - shift)
+        return HomMatrix(src, tgt, [
+            [
+                alg.hom_from(s, t, [(gen, sol[index[(m, r, c, gen)]])
+                                    for gen in alg.generators(s, t)])
+                for c, s in enumerate(src.indices)
+            ]
+            for r, t in enumerate(tgt.indices)
+        ])
 
-
-def _sym_mat_sym_after_fixed(alg, S, A: HomMatrix):
-    """S o A where S is symbolic and A fixed."""
-    rows = len(S)
-    mids = len(A.target.indices)
-    cols = len(A.source.indices)
-    out = [[{} for _ in range(cols)] for _ in range(rows)]
-    for r in range(rows):
-        for c in range(cols):
-            acc = {}
-            for m in range(mids):
-                acc = _sym_add(alg, acc, _sym_compose_sym_fixed(alg, S[r][m], A.entries[m][c]))
-            out[r][c] = acc
-    return out
-
-
-def _sym_mat_add(alg, A, B):
-    if A is None:
-        return B
-    if B is None:
-        return A
-    return [
-        [_sym_add(alg, A[r][c], B[r][c]) for c in range(len(A[0]))]
-        for r in range(len(A))
-    ]
-
-
-def _emit_equations(system, alg, sym_mat, rhs: HomMatrix | None, tgt_psum, src_psum):
-    F = alg.field
-    for r, t in enumerate(tgt_psum.indices):
-        for c, s in enumerate(src_psum.indices):
-            lhs = sym_mat[r][c] if sym_mat is not None else {}
-            rhs_entry = rhs.entries[r][c].coeffs if rhs is not None else {}
-            gens = set(lhs) | set(rhs_entry)
-            for g in gens:
-                system.add_equation(lhs.get(g, {}), rhs_entry.get(g, F.zero))
+    return system, index, read
 
 
 def chain_head_class(f: ChainMap):
@@ -428,22 +363,15 @@ def chain_head_class(f: ChainMap):
     the resolutions: differentials land in radicals, so precomposition
     and postcomposition with them die in the head).
     """
-    alg = f.source.alg
-    F = alg.field
+    F = f.source.alg.field
     j = f.target.base_vertex
     bottom = f.component(f.shift)
-    out = []
-    id_gen = None
-    for c, s in enumerate(bottom.source.indices):
-        if s != j:
-            continue
-        entry = bottom.entries[0][c]
-        if id_gen is None:
-            from .homs import HomGenerator
-
-            id_gen = HomGenerator("id", j)
-        out.append(entry.coeffs.get(id_gen, F.zero))
-    return out
+    id_gen = HomGenerator("id", j)
+    return [
+        bottom.entries[0][c].coeffs.get(id_gen, F.zero)
+        for c, s in enumerate(bottom.source.indices)
+        if s == j
+    ]
 
 
 def class_is_zero(f: ChainMap) -> bool:
@@ -453,57 +381,19 @@ def class_is_zero(f: ChainMap) -> bool:
 
 def _periodic_homotopy(f: ChainMap, period_multiple: int):
     """Solve for a homotopy with eventual period 2N * period_multiple."""
-    alg = f.source.alg
-    n = alg.n
-    plen = 2 * n * period_multiple
+    plen = 2 * f.source.alg.n * period_multiple
     r = f.shift
     s_lo = max(r - 1, 0)
     s0 = max(f.periodic_start, s_lo, 1)
     s_hi = s0 + plen - 1
-    table = _VarTable()
-
-    sym = {}
-    for k in range(s_lo, s_hi + 1):
-        sym[k] = _sym_matrix_for(alg, table, k, f.source.term(k), f.target.term(k - r + 1))
-
-    def s_at(k):
-        if k < s_lo:
-            return None
-        kk = k
-        while kk > s_hi:
-            kk -= plen
-        return sym[kk]
-
-    system = LinearSystem(alg.field, 0)
     eq_hi = s0 + 2 * plen + 2
-    rows = []
-    for k in range(r, eq_hi + 1):
-        total = None
-        sk = s_at(k)
-        if sk is not None and k - r + 1 >= 1:
-            total = _sym_mat_add(alg, total, _sym_mat_fixed_after_sym(alg, f.target.diff(k - r + 1), sk))
-        sk1 = s_at(k - 1)
-        if sk1 is not None and k >= 1:
-            total = _sym_mat_add(alg, total, _sym_mat_sym_after_fixed(alg, sk1, f.source.diff(k)))
-        rows.append((total, f.component(k), f.target.term(k - r), f.source.term(k)))
-    system.nvars = table.count
-    for total, rhs, tgt, src in rows:
-        _emit_equations(system, alg, total, rhs, tgt, src)
+    system, _, read = _solve_family(
+        f.source, f.target, r - 1, s_lo, s_hi, plen, r, eq_hi, 1, rhs=f.component
+    )
     sol = system.solution()
     if sol is None:
         return None
-    maps = []
-    for k in range(s_lo, s_hi + 1):
-        M = zero_hom_matrix(alg, f.source.term(k), f.target.term(k - r + 1))
-        for rr, t in enumerate(M.target.indices):
-            for cc, s in enumerate(M.source.indices):
-                items = []
-                for gen in alg.generators(s, t):
-                    v = table.index.get((k, rr, cc, gen))
-                    if v is not None:
-                        items.append((gen, sol[v]))
-                M.entries[rr][cc] = alg.hom_from(s, t, items)
-        maps.append(M)
+    maps = [read(sol, k) for k in range(s_lo, s_hi + 1)]
     htpy = Homotopy(f.source, f.target, r, s_lo, maps, s0, plen)
     if not verify_homotopy(f, htpy, window=eq_hi):
         raise ChainMapError("homotopy certificate failed re-verification")
@@ -546,10 +436,6 @@ def verify_homotopy(f: ChainMap, htpy: Homotopy, window: int | None = None) -> b
         if not hom_matrix_equal(alg, acc, f.component(k)):
             return False
     return True
-
-
-def is_null_homotopic(f: ChainMap) -> bool:
-    return class_is_zero(f)
 
 
 def class_difference_scalar(f: ChainMap, g: ChainMap):
@@ -628,67 +514,19 @@ def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
         cls = identity_chain_map(alg, i)
         return ExtClass(i, j, 0, cls, True)
 
+    # chain-map squares d o phi_m = phi_{m-1} o d, and the head pin: the
+    # unique P_j summand of term_k maps by the identity onto term_0(R_j) = P_j
     p0 = k + 1
-    phi_hi = p0 + 2 * n - 1
-    table = _VarTable()
-    sym = {}
-    for m in range(k, phi_hi + 1):
-        sym[m] = _sym_matrix_for(alg, table, m, source.term(m), target.term(m - k))
-
-    def phi_at(m):
-        if m < k:
-            return None
-        mm = m
-        while mm > phi_hi:
-            mm -= 2 * n
-        return sym[mm]
-
-    system = LinearSystem(alg.field, 0)
-    rows = []
-    # chain-map squares
-    for m in range(k + 1, p0 + 4 * n + 3):
-        lhs = None
-        pm1 = phi_at(m - 1)
-        if pm1 is not None:
-            lhs = _sym_mat_add(alg, lhs, _sym_mat_sym_after_fixed(alg, pm1, source.diff(m)))
-        rhs_sym = _sym_mat_fixed_after_sym(alg, target.diff(m - k), phi_at(m))
-        neg = [
-            [{g: {v: alg.field.neg(cv) for v, cv in form.items()} for g, form in e.items()}
-             for e in row]
-        for row in rhs_sym]
-        lhs = _sym_mat_add(alg, lhs, neg)
-        rows.append((lhs, None, target.term(m - k - 1), source.term(m)))
-    system.nvars = table.count
-    for lhs, rhs, tgt, src in rows:
-        _emit_equations(system, alg, lhs, rhs, tgt, src)
-    # pin the head coefficient: the unique P_j summand of term_k maps by
-    # the identity onto term_0(R_j) = P_j
-    col = source.term(k).indices.index(j)
-    id_gen = alg.identity_hom(j).coeffs
-    (id_gen_obj,) = id_gen
-    system.add_equation({table.var((k, 0, col, id_gen_obj)): alg.field.one}, alg.field.one)
+    pin = ((k, 0, source.term(k).indices.index(j), HomGenerator("id", j)), alg.field.one)
+    system, _, read = _solve_family(
+        source, target, k, k, p0 + 2 * n - 1, 2 * n, k + 1, p0 + 4 * n + 2, -1, pins=[pin]
+    )
     sol = system.solution()
     if sol is None:
         raise ChainMapError(
             f"no eventually periodic lift found for Ext^{k}(S_{i}, S_{j})"
         )
-
-    def maker(m):
-        M = zero_hom_matrix(alg, source.term(m), target.term(m - k))
-        mm = m
-        while mm > phi_hi:
-            mm -= 2 * n
-        for rr, t in enumerate(M.target.indices):
-            for cc, s in enumerate(M.source.indices):
-                items = []
-                for gen in alg.generators(s, t):
-                    v = table.index.get((mm, rr, cc, gen))
-                    if v is not None:
-                        items.append((gen, sol[v]))
-                M.entries[rr][cc] = alg.hom_from(s, t, items)
-        return M
-
-    chain = _assemble(source, target, k, p0, maker).verify()
+    chain = _assemble(source, target, k, p0, lambda m: read(sol, m)).verify()
     chain = normalize_class(chain)
     if null_homotopy(chain) is not None:
         raise ChainMapError("lifted representative is null-homotopic")
@@ -708,78 +546,24 @@ def ext_class_dimension(alg: LineAlgebra, i: int, j: int, k: int) -> int:
     n = alg.n
     source = build_resolution(alg, i)
     target = build_resolution(alg, j)
-    phi_hi = k + 2 * n  # ansatz: components repeat from k+1 on
-    eq_hi = k + 6 * n + 3
-    table = _VarTable()
-    phi_sym = {}
-    for m in range(k, phi_hi + 1):
-        phi_sym[m] = _sym_matrix_for(alg, table, ("phi", m), source.term(m), target.term(m - k))
-
-    def phi_at(m):
-        if m < k:
-            return None
-        mm = m
-        while mm > phi_hi:
-            mm -= 2 * n
-        return phi_sym[mm]
-
-    system = LinearSystem(alg.field, 0)
-    for m in range(k + 1, eq_hi + 1):
-        lhs = _sym_mat_sym_after_fixed(alg, phi_at(m - 1), source.diff(m))
-        rhs_sym = _sym_mat_fixed_after_sym(alg, target.diff(m - k), phi_at(m))
-        lhs = _sym_mat_add(alg, lhs, _sym_neg(alg, rhs_sym))
-        _emit_equations(system, alg, lhs, None, target.term(m - k - 1), source.term(m))
-    system.nvars = table.count
-
-    from .homs import HomGenerator
-
-    head_vars = []
-    bottom_src = source.term(k)
-    for c, s in enumerate(bottom_src.indices):
-        if s == j:
-            head_vars.append(table.index.get((("phi", k), 0, c, HomGenerator("id", j))))
-
-    F = alg.field
-    span = SpanBuilder(F)
-    for vec in system.nullspace_basis():
-        coords = {
-            pos: vec[v]
-            for pos, v in enumerate(head_vars)
-            if v is not None and not F.is_zero(vec[v])
-        }
-        span.add(coords)
-    return span.dim
-
-
-def _sym_neg(alg, S):
-    F = alg.field
-    return [
-        [{g: {v: F.neg(cv) for v, cv in form.items()} for g, form in e.items()} for e in row]
-        for row in S
+    # ansatz: components repeat from k+1 on
+    system, index, _ = _solve_family(source, target, k, k, k + 2 * n, 2 * n,
+                                     k + 1, k + 6 * n + 3, -1)
+    head_vars = [
+        index[(k, 0, c, HomGenerator("id", j))]
+        for c, s in enumerate(source.term(k).indices)
+        if s == j
     ]
+    readout = LinearSystem(alg.field, len(head_vars))
+    for vec in system.nullspace_basis():
+        readout.add_equation({pos: vec[v] for pos, v in enumerate(head_vars)}, alg.field.zero)
+    return readout.rank
 
 
 # -------------------------------------------------------------- relations
 
 
-@dataclass
-class RelationCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class RelationsReport:
-    n: int
-    checks: list
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_chain_relations(alg: LineAlgebra) -> RelationsReport:
+def verify_chain_relations(alg: LineAlgebra) -> CheckReport:
     """Machine check of the generator relations.
 
     The mixed degree-(N+1) relations hold strictly at chain level; the
@@ -788,8 +572,8 @@ def verify_chain_relations(alg: LineAlgebra) -> RelationsReport:
     n = alg.n
     checks = []
     if n == 1:
-        checks.append(RelationCheck("no degree-1 generators", True, "vacuous"))
-        return RelationsReport(n, checks)
+        checks.append(CheckResult("no degree-1 generators", True, "vacuous"))
+        return CheckReport(checks)
 
     x = {i: cached_generator(alg, "x", i) for i in range(1, n)}
     xs = {i: cached_generator(alg, "xstar", i) for i in range(1, n)}
@@ -800,10 +584,10 @@ def verify_chain_relations(alg: LineAlgebra) -> RelationsReport:
         return h is not None and verify_homotopy(f, h)
 
     checks.append(
-        RelationCheck("xstar_1 o x_1 = 0", homotopic_zero(compose(xs[1], x[1])))
+        CheckResult("xstar_1 o x_1 = 0", homotopic_zero(compose(xs[1], x[1])))
     )
     checks.append(
-        RelationCheck(
+        CheckResult(
             f"x_{n-1} o xstar_{n-1} = 0",
             homotopic_zero(compose(x[n - 1], xs[n - 1])),
         )
@@ -811,7 +595,7 @@ def verify_chain_relations(alg: LineAlgebra) -> RelationsReport:
     for i in range(1, n - 1):
         diff = chain_sub(compose(x[i], xs[i]), compose(xs[i + 1], x[i + 1]))
         checks.append(
-            RelationCheck(
+            CheckResult(
                 f"x_{i} o xstar_{i} = xstar_{i+1} o x_{i+1}", homotopic_zero(diff)
             )
         )
@@ -819,7 +603,7 @@ def verify_chain_relations(alg: LineAlgebra) -> RelationsReport:
         lhs = compose(y[i + 1], x[i])
         rhs = compose(xs[n - i], y[i])
         checks.append(
-            RelationCheck(
+            CheckResult(
                 f"y_{i+1} o x_{i} = xstar_{n-i} o y_{i} (strict)",
                 chain_equal_strict(lhs, rhs),
             )
@@ -827,9 +611,9 @@ def verify_chain_relations(alg: LineAlgebra) -> RelationsReport:
         lhs = compose(y[i], xs[i])
         rhs = compose(x[n - i], y[i + 1])
         checks.append(
-            RelationCheck(
+            CheckResult(
                 f"y_{i} o xstar_{i} = x_{n-i} o y_{i+1} (strict)",
                 chain_equal_strict(lhs, rhs),
             )
         )
-    return RelationsReport(n, checks)
+    return CheckReport(checks)

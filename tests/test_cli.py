@@ -1,7 +1,6 @@
 """Command-line surface: schemas, formats, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -133,6 +132,22 @@ def test_usage_errors_exit_two():
     assert run_cli(["ext-table", "--n", "2", "--char", "6"]).returncode == 2
     assert run_cli(["poincare", "--n", "2", "--i", "3", "--j", "1"]).returncode == 2
     assert run_cli(["resolve", "--n", "2"]).returncode == 2
+    for word in ("x5", "x3", "x3*", "x0", "y0", "y4"):
+        r = run_cli(["yoneda-product", "--n", "3", "--word", word])
+        assert r.returncode == 2, word
+        assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    # (2^31 - 1)^2 is composite with no small factor; 2^89 - 1 is a prime
+    # above the range where primality is decided exactly
+    for char in ((2**31 - 1) ** 2, 2**89 - 1):
+        r = run_cli(["ext-table", "--n", "2", "--char", str(char)], timeout=30)
+        assert r.returncode == 2, char
+
+
+def test_large_prime_characteristic_accepted():
+    r = run_cli(["yoneda-product", "--n", "2", "--word", "x1",
+                 "--char", str(2**61 - 1)], timeout=30)
+    assert r.returncode == 0
+    assert "class is nonzero" in r.stdout
 
 
 def test_latex_output():
@@ -140,11 +155,3 @@ def test_latex_output():
     assert r.returncode == 0
     assert r.stdout.startswith("\\begin{tabular}")
     assert "\\end{tabular}" in r.stdout
-
-
-def test_thread_env_does_not_change_output():
-    env = dict(os.environ, EXTLINE_THREADS="4")
-    a = run_cli(["verify", "--suite", "syzygy", "--n", "3", "--format", "json"], env=env)
-    b = run_cli(["verify", "--suite", "syzygy", "--n", "3", "--format", "json"])
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout

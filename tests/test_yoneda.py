@@ -117,7 +117,7 @@ def test_identity_is_not_null_homotopic():
     assert null_homotopy(identity_chain_map(alg, 1)) is None
 
 
-@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("char", [0, 2, 3])
 @pytest.mark.parametrize("n,i", [(3, 1), (4, 1), (4, 2), (5, 2)])
 def test_explicit_homotopy_formula(n, i, char):
     # the stated degreewise witness for the middle commutation: identity
@@ -162,7 +162,7 @@ def test_lift_identity_class():
     assert chain_equal_strict(cls.chain_map, identity_chain_map(alg, 2))
 
 
-@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("char", [0, 2, 3])
 def test_lift_matches_generators(char):
     alg = algebra(3, char)
     for i in (1, 2):
@@ -190,7 +190,7 @@ def test_lifts_verify_and_normalize():
     assert lead == alg.field.one
 
 
-@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("char", [0, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hom_modulo_homotopy_dimensions(n, char):
     from extline.ext_table import ext_table
