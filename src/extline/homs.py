@@ -102,7 +102,7 @@ class LineAlgebra:
         self.field = field
         self._projectives = {}
         self._psum_reps = {}
-        self._resolutions = {}
+        self._resolutions = {}  # vertex -> (terms, {degree: differential}), see resolutions
         self._generator_cache = {}
 
     # ---------------------------------------------------------- structure

@@ -137,13 +137,18 @@ def closed_form_differential(alg: LineAlgebra, i: int, j: int) -> HomMatrix:
 @dataclass
 class PeriodicComplex:
     """A non-negatively graded complex of projective sums, eventually
-    2N-periodic; terms repeat from degree 0, differentials from degree 1."""
+    2N-periodic; terms repeat from degree 0, differentials from degree 1.
+
+    Terms are listed eagerly.  Differentials are built on first request
+    and memoized in ``memo`` (degree -> HomMatrix).  The complexes of one
+    vertex share their term objects and one memo, since the closed forms
+    depend on the degree alone."""
 
     alg: LineAlgebra
     base_vertex: int
     depth: int
     terms: list  # PSum, degrees 0..depth
-    diffs: list  # diffs[k] : term k -> term k-1, for 1 <= k <= depth
+    memo: dict
 
     @property
     def period(self) -> int:
@@ -157,29 +162,29 @@ class PeriodicComplex:
         return self.terms[k]
 
     def diff(self, k: int) -> HomMatrix:
+        """d_k : term k -> term k-1."""
         if k < 1:
             raise IndexError("differentials start in degree 1")
         while k > self.depth:
             k -= self.period
-        return self.diffs[k - 1]
+        d = self.memo.get(k)
+        if d is None:
+            i = self.base_vertex
+            d = self.memo[k] = closed_form_differential(self.alg, i - k, i + k)
+        return d
 
 
 def build_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> PeriodicComplex:
-    """Minimal projective resolution of S_i to the given depth (>= 2N)."""
+    """Minimal projective resolution of S_i to the given depth (>= 2N+2)."""
     alg._check_vertex(i)
     n = alg.n
     if depth is None:
         depth = 4 * n
     depth = max(depth, 2 * n + 2)
-    key = (i, depth)
-    cached = alg._resolutions.get(key)
-    if cached is not None:
-        return cached
-    terms = [strings.normalize_p(n, i - k, i + k) for k in range(depth + 1)]
-    diffs = [closed_form_differential(alg, i - k, i + k) for k in range(1, depth + 1)]
-    cx = PeriodicComplex(alg, i, depth, terms, diffs)
-    alg._resolutions[key] = cx
-    return cx
+    terms, memo = alg._resolutions.setdefault(i, ([], {}))
+    for k in range(len(terms), depth + 1):
+        terms.append(strings.normalize_p(n, i - k, i + k))
+    return PeriodicComplex(alg, i, depth, terms[:depth + 1], memo)
 
 
 # ----------------------------------------------------------- realization
@@ -266,10 +271,7 @@ def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = No
     checks = []
     depth = cx.depth if oracle_depth is None else min(oracle_depth, cx.depth)
 
-    bad = []
-    for k in range(2, depth + 1):
-        if not hom_matrix_is_zero(alg, hom_matrix_compose(alg, cx.diff(k - 1), cx.diff(k))):
-            bad.append(k)
+    bad = _square_zero_failures(cx, depth)
     checks.append(
         CheckResult("d o d = 0", not bad, f"failing at degrees {bad}" if bad else "")
     )
@@ -341,6 +343,13 @@ def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = No
     return CheckReport(checks)
 
 
+def _square_zero_failures(cx: PeriodicComplex, depth: int):
+    """The degrees 2 <= k <= depth where d_{k-1} o d_k is not zero."""
+    alg = cx.alg
+    return [k for k in range(2, depth + 1)
+            if not hom_matrix_is_zero(alg, hom_matrix_compose(alg, cx.diff(k - 1), cx.diff(k)))]
+
+
 def _column_vectors(field, block):
     cols = []
     nrows = len(block)
@@ -368,23 +377,13 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
     F = alg.field
 
     def with_entry(k, r, c, new_entry):
-        diffs = list(cx.diffs)
-        A = diffs[k - 1]
-        B = zero_hom_matrix(alg, A.source, A.target)
-        for rr in range(len(A.target.indices)):
-            for cc in range(len(A.source.indices)):
-                B.entries[rr][cc] = A.entries[rr][cc]
-        B.entries[r][c] = new_entry
-        diffs[k - 1] = B
-        return PeriodicComplex(alg, i, cx.depth, list(cx.terms), diffs)
-
-    def breaks_dd(cand):
-        for k in range(2, cand.depth + 1):
-            if not hom_matrix_is_zero(
-                alg, hom_matrix_compose(alg, cand.diff(k - 1), cand.diff(k))
-            ):
-                return True
-        return False
+        # a private memo: the shared one of build_resolution stays intact
+        A = cx.diff(k)
+        entries = [row[:] for row in A.entries]
+        entries[r][c] = new_entry
+        memo = dict(cx.memo)
+        memo[k] = HomMatrix(A.source, A.target, entries)
+        return PeriodicComplex(alg, i, cx.depth, cx.terms, memo)
 
     for k in range(1, cx.depth + 1):
         A = cx.diff(k)
@@ -402,7 +401,7 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
                     cand = with_entry(k, r, c, alg.zero_hom(e.source, e.target))
                 else:
                     cand = with_entry(k, r, c, alg.scale(F.from_int(-1), e))
-                if breaks_dd(cand):
+                if _square_zero_failures(cand, cand.depth):
                     return cand
 
     # fallback for the tiny cases: kill a plateau loop (exactness failure)

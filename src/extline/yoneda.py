@@ -580,8 +580,8 @@ def verify_chain_relations(alg: LineAlgebra) -> CheckReport:
     y = {i: cached_generator(alg, "y", i) for i in range(1, n + 1)}
 
     def homotopic_zero(f):
-        h = null_homotopy(f)
-        return h is not None and verify_homotopy(f, h)
+        # null_homotopy re-verifies every certificate it returns
+        return null_homotopy(f) is not None
 
     checks.append(
         CheckResult("xstar_1 o x_1 = 0", homotopic_zero(compose(xs[1], x[1])))

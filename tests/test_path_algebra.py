@@ -65,6 +65,29 @@ def test_dropping_a_boundary_relator_inflates_dimensions():
     assert strictly_bigger
 
 
+@pytest.mark.parametrize("char", [2, 3, 0])
+def test_dropping_any_relator_inflates_dimensions(char):
+    F = field_for_characteristic(char)
+    K = 10
+    rels = pa.standard_relators(4)
+    full = pa.graded_dimension(4, K, F)
+    cells = [(i, j, k) for i in range(1, 5) for j in range(1, 5) for k in range(K + 1)]
+    for rel in rels:
+        partial = pa.graded_dimension(4, K, F, relators=[r for r in rels if r is not rel])
+        assert all(partial.dim(*c) >= full.dim(*c) for c in cells), rel.name
+        assert any(partial.dim(*c) > full.dim(*c) for c in cells), rel.name
+
+
+@pytest.mark.parametrize("terms", [
+    ((1, (("x", 1), ("x", 2))), (1, (("xstar", 2), ("x", 2)))),  # sources 1, 3
+    ((1, (("x", 1), ("xstar", 1))), (1, (("x", 1), ("x", 2)))),  # targets 1, 3
+    ((1, (("x", 1), ("xstar", 1))), (1, (("y", 1), ("y", 3)))),  # degrees 2, 6
+])
+def test_non_homogeneous_relator_rejected(terms):
+    with pytest.raises(ValueError, match="not homogeneous"):
+        pa.graded_dimension(3, 4, field_for_characteristic(2), relators=[pa.Relator("bad", terms)])
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         pa.PathWord(3, (("x", 1), ("x", 1)))  # endpoints do not chain

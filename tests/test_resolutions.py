@@ -4,12 +4,14 @@ import pytest
 
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
-from extline import reps, strings
+from extline import reps, resolutions, strings
+from extline.ext_table import ext_table
 from extline.resolutions import (
     build_resolution,
     closed_form_differential,
     corrupted_resolution,
     hom_matrix_compose,
+    hom_matrix_equal,
     hom_matrix_is_zero,
     realize_hom_matrix,
     verify_resolution,
@@ -124,3 +126,45 @@ def test_square_zero_symbolically_two_periods():
                 assert hom_matrix_is_zero(
                     alg, hom_matrix_compose(alg, cx.diff(k - 1), cx.diff(k))
                 )
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_lazy_differentials_equal_closed_form(char):
+    # complexes of one vertex share their memo whatever their depth, and
+    # reads past the depth fold back by the period
+    for n in range(1, 7):
+        alg = algebra(n, char)
+        for i in range(1, n + 1):
+            shallow = build_resolution(alg, i, 2 * n + 2)
+            deep = build_resolution(alg, i, 4 * n)
+            assert shallow.memo is deep.memo
+            for cx in (shallow, deep):
+                for k in range(1, cx.depth + 4 * n + 1):
+                    assert hom_matrix_equal(
+                        alg, cx.diff(k), closed_form_differential(alg, i - k, i + k)
+                    ), (n, i, k, cx.depth)
+
+
+def test_ext_table_builds_no_differentials(monkeypatch):
+    built = []
+    original = resolutions.closed_form_differential
+
+    def counting(alg, i, j):
+        built.append((i, j))
+        return original(alg, i, j)
+
+    monkeypatch.setattr(resolutions, "closed_form_differential", counting)
+    ext_table(10)
+    assert built == []
+    # the guard is live: reading a differential does reach the counter
+    build_resolution(algebra(3), 1).diff(1)
+    assert built == [(0, 2)]
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_corruption_does_not_poison_the_shared_memo(char):
+    alg = algebra(3, char)
+    for i in range(1, 4):
+        assert not verify_resolution(corrupted_resolution(alg, i, 12), i).ok
+        report = verify_resolution(build_resolution(alg, i, 12), i)
+        assert report.ok, [(c.name, c.detail) for c in report.failures()]

@@ -112,6 +112,24 @@ def test_boundary_relation_composites_vanish(char):
     assert h is not None and verify_homotopy(g, h)
 
 
+@pytest.mark.parametrize("char", [0, 3])
+def test_changed_homotopy_component_fails_verification(char):
+    alg = algebra(3, char)
+    f = compose(cached_generator(alg, "xstar", 1), cached_generator(alg, "x", 1))
+    h = null_homotopy(f)
+    assert h is not None and verify_homotopy(f, h)
+    changed = 0
+    for pos, M in enumerate(h.maps):
+        if all(e.is_zero(alg.field) for row in M.entries for e in row):
+            continue
+        maps = list(h.maps)
+        maps[pos] = zero_hom_matrix(alg, M.source, M.target)
+        bad = Homotopy(h.source, h.target, h.shift, h.lo, maps, h.periodic_start, h.period_len)
+        assert not verify_homotopy(f, bad), h.lo + pos
+        changed += 1
+    assert changed
+
+
 def test_identity_is_not_null_homotopic():
     alg = algebra(3)
     assert null_homotopy(identity_chain_map(alg, 1)) is None
