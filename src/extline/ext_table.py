@@ -68,14 +68,18 @@ def poincare_series(n: int, i: int, j: int, max_degree: int):
     return out
 
 
-def ext_dim_via_x(n: int, i: int, j: int, k: int) -> int:
-    """Head criterion: 1 iff S_j is a head constituent of the k-th syzygy."""
-    _check_range(n, i, j)
+def _syzygy_head(n: int, i: int, k: int) -> dict:
+    """Head constituents of the k-th syzygy of S_i, read off its string."""
     if k < 0:
         raise ValueError("negative degree")
     label = strings.normalize_x(n, strings.upper_label(i - k, i + k))
-    head, _, _ = strings.structure_of(n, label)
-    return 1 if j in head else 0
+    return strings.structure_of(n, label)[0]
+
+
+def ext_dim_via_x(n: int, i: int, j: int, k: int) -> int:
+    """Head criterion: 1 iff S_j is a head constituent of the k-th syzygy."""
+    _check_range(n, i, j)
+    return 1 if j in _syzygy_head(n, i, k) else 0
 
 
 def ext_dim_via_resolution(alg: LineAlgebra, i: int, j: int, k: int) -> int:
@@ -115,11 +119,12 @@ def ext_table(n: int, max_degree: int | None = None) -> ExtTable:
     for i in range(1, n + 1):
         # one complex per vertex; only its terms are read
         cx = build_resolution(alg, i, depth=max_degree)
+        heads = [_syzygy_head(n, i, k) for k in range(max_degree + 1)]
         for j in range(1, n + 1):
             series = poincare_series(n, i, j, max_degree)
             row = []
             for k in range(max_degree + 1):
-                via_x = ext_dim_via_x(n, i, j, k)
+                via_x = 1 if j in heads[k] else 0
                 via_res = cx.term(k).multiplicity(j)
                 via_series = series[k]
                 if not (via_x == via_res == via_series):

@@ -155,9 +155,6 @@ class LineAlgebra:
             raise ValueError(f"no co-step map at {i}")
         return HomElement(i + 1, i, {HomGenerator("fstar", i): self.field.one})
 
-    def hom_from(self, source, target, items) -> HomElement:
-        return HomElement(source, target, dict(items)).normalized(self.field)
-
     def _compose_generators(self, g: HomGenerator, h: HomGenerator):
         """g after h on basis morphisms; returns (int coefficient, gen) or None."""
         if g.kind == "id":

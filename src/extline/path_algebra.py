@@ -188,7 +188,10 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedDim
     arrows = all_arrows(n)
     # basis elements at each degree are (src, tgt) tags
     tags = {0: [(v, v) for v in range(1, n + 1)]}
-    # rmul[(k, arrow)]: per basis index at degree k, expansion at k + deg(arrow)
+    # ending[k]: vertex -> indices of the degree-k basis elements ending there, increasing
+    ending = {0: {v: [v - 1] for v in range(1, n + 1)}}
+    # rmul[(k, arrow)]: basis index at degree k ending at the arrow's source
+    # -> its product with the arrow, expanded at degree k + deg(arrow)
     rmul = {}
     dims = {(v, v, 0): 1 for v in range(1, n + 1)}
 
@@ -215,19 +218,19 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedDim
             d = arrow_degree(n, arrow)
             if k - d < 0:
                 continue
-            for bidx, (src, tgt) in enumerate(tags[k - d]):
-                if arrow_source(n, arrow) == tgt:
-                    cid = cand_index[(bidx, arrow)] = len(cands)
-                    cands.append((bidx, arrow, src, arrow_target(n, arrow)))
-                    blocks.setdefault((src, arrow_target(n, arrow)), []).append(cid)
+            tgt = arrow_target(n, arrow)
+            for bidx in ending[k - d].get(arrow_source(n, arrow), ()):
+                src = tags[k - d][bidx][0]
+                cid = cand_index[(bidx, arrow)] = len(cands)
+                cands.append((src, tgt))
+                blocks.setdefault((src, tgt), []).append(cid)
 
         wrows = {}  # (src, tgt) -> relator rows {candidate id: coefficient}
         for rel, rsrc, rtgt, d in shapes:
             if d > k:
                 continue
-            for bidx, (src, tgt) in enumerate(tags[k - d]):
-                if tgt != rsrc:
-                    continue
+            for bidx in ending[k - d].get(rsrc, ()):
+                src = tags[k - d][bidx][0]
                 vec = {}
                 for coeff, word in rel.terms:
                     cur = multiply_through(k - d, {bidx: field.one}, word)
@@ -257,19 +260,16 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedDim
             return {pos[c2]: field.neg(v) for c2, v in zip(block, row)
                     if c2 in pos and not field.is_zero(v)}
 
-        tags[k] = [(cands[c][2], cands[c][3]) for c in keep]
+        tags[k] = [cands[c] for c in keep]
         for arrow in arrows:
             d = arrow_degree(n, arrow)
             if k - d < 0:
                 continue
-            table = []
-            for bidx, (src, tgt) in enumerate(tags[k - d]):
-                if arrow_source(n, arrow) != tgt:
-                    table.append({})
-                else:
-                    table.append(project(cand_index[(bidx, arrow)]))
-            rmul[(k - d, arrow)] = table
-        for src, tgt in tags[k]:
+            rmul[(k - d, arrow)] = {bidx: project(cand_index[(bidx, arrow)])
+                                    for bidx in ending[k - d].get(arrow_source(n, arrow), ())}
+        ending[k] = {}
+        for q, (src, tgt) in enumerate(tags[k]):
+            ending[k].setdefault(tgt, []).append(q)
             dims[(src, tgt, k)] = dims.get((src, tgt, k), 0) + 1
     return GradedDims(n, max_degree, dims)
 

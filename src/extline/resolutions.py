@@ -32,81 +32,87 @@ from .strings import PSum
 
 @dataclass
 class HomMatrix:
-    """Matrix of morphisms between sums of projectives.
+    """Matrix of morphisms between sums of projectives, stored sparsely.
 
-    entries[r][c] : P_{source.indices[c]} -> P_{target.indices[r]}.
+    cells[(r, c)] : P_{source.indices[c]} -> P_{target.indices[r]} holds
+    only nonzero entries (the constructor drops zero ones); an absent cell
+    is zero.
     """
 
     source: PSum
     target: PSum
-    entries: list
+    cells: dict  # (row, col) -> nonzero HomElement
+
+    def __post_init__(self):
+        self.cells = {rc: e for rc, e in self.cells.items() if any(e.coeffs.values())}
 
     def entry(self, r: int, c: int) -> HomElement:
-        return self.entries[r][c]
+        e = self.cells.get((r, c))
+        return e if e is not None else HomElement(self.source.indices[c], self.target.indices[r])
+
+    @property
+    def entries(self):
+        """Read-only dense view: a tuple of rows of HomElements."""
+        return tuple(tuple(self.entry(r, c) for c in range(len(self.source.indices)))
+                     for r in range(len(self.target.indices)))
 
     def __repr__(self):
         return f"HomMatrix({self.source} -> {self.target})"
 
 
 def zero_hom_matrix(alg: LineAlgebra, source: PSum, target: PSum) -> HomMatrix:
-    entries = [
-        [alg.zero_hom(s, t) for s in source.indices] for t in target.indices
-    ]
-    return HomMatrix(source, target, entries)
+    return HomMatrix(source, target, {})
+
+
+def _accumulate(alg: LineAlgebra, cells: dict, key, elem: HomElement) -> None:
+    """cells[key] += elem, reading an absent cell as zero."""
+    cells[key] = alg.add(cells[key], elem) if key in cells else elem
 
 
 def hom_matrix_compose(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
     if B.target.indices != A.source.indices:
         raise ValueError("shape mismatch composing morphism matrices")
-    out = zero_hom_matrix(alg, B.source, A.target)
-    for r in range(len(A.target.indices)):
-        for c in range(len(B.source.indices)):
-            acc = out.entries[r][c]
-            for m in range(len(A.source.indices)):
-                term = alg.compose(A.entries[r][m], B.entries[m][c])
-                acc = alg.add(acc, term)
-            out.entries[r][c] = acc
-    return out
+    b_rows = {}  # row of B -> [(col, cell)]
+    for (m, c), b in B.cells.items():
+        b_rows.setdefault(m, []).append((c, b))
+    cells = {}
+    for (r, m), a in A.cells.items():
+        for c, b in b_rows.get(m, ()):
+            _accumulate(alg, cells, (r, c), alg.compose(a, b))
+    return HomMatrix(B.source, A.target, cells)
 
 
 def hom_matrix_add(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
-    out = zero_hom_matrix(alg, A.source, A.target)
-    for r in range(len(A.target.indices)):
-        for c in range(len(A.source.indices)):
-            out.entries[r][c] = alg.add(A.entries[r][c], B.entries[r][c])
-    return out
+    cells = dict(A.cells)
+    for rc, b in B.cells.items():
+        _accumulate(alg, cells, rc, b)
+    return HomMatrix(A.source, A.target, cells)
 
 
 def hom_matrix_scale(alg: LineAlgebra, c, A: HomMatrix) -> HomMatrix:
-    out = zero_hom_matrix(alg, A.source, A.target)
-    for r in range(len(A.target.indices)):
-        for cidx in range(len(A.source.indices)):
-            out.entries[r][cidx] = alg.scale(c, A.entries[r][cidx])
-    return out
+    return HomMatrix(A.source, A.target, {rc: alg.scale(c, e) for rc, e in A.cells.items()})
 
 
 def hom_matrix_is_zero(alg: LineAlgebra, A: HomMatrix) -> bool:
-    return all(e.is_zero(alg.field) for row in A.entries for e in row)
+    return not A.cells
 
 
 def hom_matrix_equal(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> bool:
     if A.source.indices != B.source.indices or A.target.indices != B.target.indices:
         return False
-    return all(
-        alg.hom_equal(A.entries[r][c], B.entries[r][c])
-        for r in range(len(A.target.indices))
-        for c in range(len(A.source.indices))
+    return A.cells.keys() == B.cells.keys() and all(
+        alg.hom_equal(e, B.cells[rc]) for rc, e in A.cells.items()
     )
 
 
 def common_factor_matrix(alg: LineAlgebra, source: PSum, target: PSum) -> HomMatrix:
     """Identity on the summands the two canonical sums share, zero elsewhere."""
-    out = zero_hom_matrix(alg, source, target)
-    for r, t in enumerate(target.indices):
-        for c, s in enumerate(source.indices):
-            if s == t:
-                out.entries[r][c] = alg.identity_hom(s)
-    return out
+    return HomMatrix(source, target, {
+        (r, c): alg.identity_hom(s)
+        for r, t in enumerate(target.indices)
+        for c, s in enumerate(source.indices)
+        if s == t
+    })
 
 
 def plateau_loop(alg: LineAlgebra, j: int) -> HomElement:
@@ -121,17 +127,15 @@ def closed_form_differential(alg: LineAlgebra, i: int, j: int) -> HomMatrix:
     src = strings.normalize_p(n, i, j)
     tgt = strings.normalize_p(n, i + 1, j - 1)
     if src.indices == tgt.indices and len(src.indices) == 1:
-        out = zero_hom_matrix(alg, src, tgt)
-        out.entries[0][0] = plateau_loop(alg, src.indices[0])
-        return out
-    out = zero_hom_matrix(alg, src, tgt)
+        return HomMatrix(src, tgt, {(0, 0): plateau_loop(alg, src.indices[0])})
+    cells = {}
     for r, t in enumerate(tgt.indices):
         for c, s in enumerate(src.indices):
             if t == s + 1:
-                out.entries[r][c] = alg.f_hom(s)
+                cells[(r, c)] = alg.f_hom(s)
             elif t == s - 1:
-                out.entries[r][c] = alg.fstar_hom(t)
-    return out
+                cells[(r, c)] = alg.fstar_hom(t)
+    return HomMatrix(src, tgt, cells)
 
 
 @dataclass
@@ -220,23 +224,19 @@ def realize_hom_matrix(alg: LineAlgebra, A: HomMatrix) -> reps.RepMorphism:
     tgt_rep, tgt_off = psum_rep(alg, A.target)
     F = alg.field
     phi = reps.zero_morphism(src_rep, tgt_rep)
-    for r, t in enumerate(A.target.indices):
-        for c, s in enumerate(A.source.indices):
-            entry = A.entries[r][c]
-            if entry.is_zero(F):
-                continue
-            small = alg.realize(entry)
-            for v in range(1, alg.n + 1):
-                B = small.block(v)
-                ro = tgt_off[r][v - 1]
-                co = src_off[c][v - 1]
-                for rr in range(len(B)):
-                    for cc in range(len(B[0]) if B else 0):
-                        val = B[rr][cc]
-                        if not F.is_zero(val):
-                            phi.blocks[v][ro + rr][co + cc] = F.add(
-                                phi.blocks[v][ro + rr][co + cc], val
-                            )
+    for (r, c), entry in A.cells.items():
+        small = alg.realize(entry)
+        for v in range(1, alg.n + 1):
+            B = small.block(v)
+            ro = tgt_off[r][v - 1]
+            co = src_off[c][v - 1]
+            for rr in range(len(B)):
+                for cc in range(len(B[0]) if B else 0):
+                    val = B[rr][cc]
+                    if not F.is_zero(val):
+                        phi.blocks[v][ro + rr][co + cc] = F.add(
+                            phi.blocks[v][ro + rr][co + cc], val
+                        )
     return phi
 
 
@@ -278,10 +278,9 @@ def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = No
 
     bad = []
     for k in range(1, depth + 1):
-        for row in cx.diff(k).entries:
-            for e in row:
-                if any(g.kind == "id" and not F.is_zero(c) for g, c in e.coeffs.items()):
-                    bad.append(k)
+        for e in cx.diff(k).cells.values():
+            if any(g.kind == "id" and not F.is_zero(c) for g, c in e.coeffs.items()):
+                bad.append(k)
     checks.append(
         CheckResult("minimality", not bad, f"identity component at degrees {sorted(set(bad))}" if bad else "")
     )
@@ -376,40 +375,33 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
     cx = build_resolution(alg, i, depth)
     F = alg.field
 
-    def with_entry(k, r, c, new_entry):
+    def with_entry(k, rc, new_entry):
         # a private memo: the shared one of build_resolution stays intact
         A = cx.diff(k)
-        entries = [row[:] for row in A.entries]
-        entries[r][c] = new_entry
         memo = dict(cx.memo)
-        memo[k] = HomMatrix(A.source, A.target, entries)
+        memo[k] = HomMatrix(A.source, A.target, {**A.cells, rc: new_entry})
         return PeriodicComplex(alg, i, cx.depth, cx.terms, memo)
 
     for k in range(1, cx.depth + 1):
         A = cx.diff(k)
-        nonzero = sum(
-            1 for row in A.entries for e in row if not e.is_zero(F)
-        )
-        if nonzero < 2:
+        if len(A.cells) < 2:
             continue
-        for r in range(len(A.target.indices)):
-            for c in range(len(A.source.indices)):
-                e = A.entries[r][c]
-                if not any(g.kind == "fstar" for g in e.coeffs):
-                    continue
-                if F.characteristic == 2:
-                    cand = with_entry(k, r, c, alg.zero_hom(e.source, e.target))
-                else:
-                    cand = with_entry(k, r, c, alg.scale(F.from_int(-1), e))
-                if _square_zero_failures(cand, cand.depth):
-                    return cand
+        for rc in sorted(A.cells):
+            e = A.cells[rc]
+            if not any(g.kind == "fstar" for g in e.coeffs):
+                continue
+            if F.characteristic == 2:
+                cand = with_entry(k, rc, alg.zero_hom(e.source, e.target))
+            else:
+                cand = with_entry(k, rc, alg.scale(F.from_int(-1), e))
+            if _square_zero_failures(cand, cand.depth):
+                return cand
 
     # fallback for the tiny cases: kill a plateau loop (exactness failure)
     for k in range(1, cx.depth + 1):
         A = cx.diff(k)
-        for r in range(len(A.target.indices)):
-            for c in range(len(A.source.indices)):
-                e = A.entries[r][c]
-                if any(g.kind == "loop" for g in e.coeffs):
-                    return with_entry(k, r, c, alg.zero_hom(e.source, e.target))
+        for rc in sorted(A.cells):
+            e = A.cells[rc]
+            if any(g.kind == "loop" for g in e.coeffs):
+                return with_entry(k, rc, alg.zero_hom(e.source, e.target))
     raise RuntimeError("no entry found to corrupt")

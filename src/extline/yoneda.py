@@ -4,8 +4,9 @@ certificates, and the degree-1 and degree-N generator families.
 A shift-r chain map f assigns to each degree k >= r a morphism matrix
 term_k(source) -> term_{k-r}(target) commuting with the differentials
 (no auxiliary signs: squares commute on the nose).  All our complexes and
-maps are eventually 2N-periodic, so a map is stored on a finite window
-and read off periodically beyond it.
+maps are eventually 2N-periodic, so a map is given by a maker of its
+components: each is built on first read, memoized, and read off
+periodically past one full period beyond the periodic start.
 
 Null-homotopy is decided exactly, in two stages.  Because the
 resolutions are minimal (all differentials land in radicals), the
@@ -34,7 +35,8 @@ two resolutions being literally equal there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from .homs import HomElement, HomGenerator, LineAlgebra
 from .linalg import LinearSystem
@@ -43,6 +45,7 @@ from .resolutions import (
     CheckResult,
     HomMatrix,
     PeriodicComplex,
+    _accumulate,
     build_resolution,
     common_factor_matrix,
     hom_matrix_add,
@@ -64,27 +67,24 @@ class ChainMap:
     target: PeriodicComplex
     shift: int
     periodic_start: int
-    components: list  # index k in 0..stored_depth; None below shift
+    maker: Callable  # degree -> HomMatrix, called once per degree read
+    components: dict = field(default_factory=dict)  # degree -> HomMatrix built so far
 
     @property
     def period(self) -> int:
         return 2 * self.source.alg.n
 
-    @property
-    def stored_depth(self) -> int:
-        return len(self.components) - 1
-
     def component(self, k: int):
-        """The degree-k component (None when the target degree is < 0)."""
+        """The degree-k component (None when the target degree is < 0);
+        degrees past periodic_start + 2N fold back by whole periods."""
         if k < self.shift:
             return None
-        if k <= self.stored_depth:
-            return self.components[k]
-        while k > self.stored_depth:
+        while k > self.periodic_start + self.period:
             k -= self.period
-        if k < self.periodic_start:
-            raise ChainMapError("window too shallow for periodic read-back")
-        return self.components[k]
+        M = self.components.get(k)
+        if M is None:
+            M = self.components[k] = self.maker(k)
+        return M
 
     def verify(self, window: int | None = None):
         """Check the chain-map squares degreewise; raises on failure."""
@@ -100,17 +100,6 @@ class ChainMap:
                     f"(shift {self.shift}, source S_{self.source.base_vertex})"
                 )
         return self
-
-
-def _window_depth(alg, periodic_start):
-    return periodic_start + 2 * alg.n
-
-
-def _assemble(source, target, shift, periodic_start, maker) -> ChainMap:
-    alg = source.alg
-    depth = _window_depth(alg, periodic_start)
-    comps = [None] * shift + [maker(k) for k in range(shift, depth + 1)]
-    return ChainMap(source, target, shift, periodic_start, comps)
 
 
 def _step_generator(alg, i, name, src, tgt, half_turn_hom, full_turn_hom) -> ChainMap:
@@ -131,11 +120,10 @@ def _step_generator(alg, i, name, src, tgt, half_turn_hom, full_turn_hom) -> Cha
             e, hom = i, full_turn_hom
         else:
             return common_factor_matrix(alg, source.term(k), target.term(k - 1))
-        out = zero_hom_matrix(alg, source.term(k), target.term(k - 1))
-        out.entries[0][0] = alg.scale(F.from_int(-1 if e % 2 else 1), hom(e))
-        return out
+        sign = F.from_int(-1 if e % 2 else 1)
+        return HomMatrix(source.term(k), target.term(k - 1), {(0, 0): alg.scale(sign, hom(e))})
 
-    return _assemble(source, target, 1, 1, maker).verify()
+    return ChainMap(source, target, 1, 1, maker).verify()
 
 
 def generator_x(alg: LineAlgebra, i: int) -> ChainMap:
@@ -164,7 +152,7 @@ def generator_y(alg: LineAlgebra, i: int) -> ChainMap:
             )
         return common_factor_matrix(alg, src, tgt)
 
-    return _assemble(source, target, n, n, maker).verify()
+    return ChainMap(source, target, n, n, maker).verify()
 
 
 def cached_generator(alg: LineAlgebra, kind: str, i: int) -> ChainMap:
@@ -186,7 +174,7 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     def maker(k):
         return hom_matrix_compose(alg, f.component(k - g.shift), g.component(k))
 
-    return _assemble(g.source, f.target, shift, ps, maker)
+    return ChainMap(g.source, f.target, shift, ps, maker)
 
 
 def chain_add(f: ChainMap, g: ChainMap, c=None) -> ChainMap:
@@ -204,7 +192,7 @@ def chain_add(f: ChainMap, g: ChainMap, c=None) -> ChainMap:
             alg, f.component(k), hom_matrix_scale(alg, c, g.component(k))
         )
 
-    return _assemble(f.source, f.target, f.shift, ps, maker)
+    return ChainMap(f.source, f.target, f.shift, ps, maker)
 
 
 def chain_sub(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -217,7 +205,7 @@ def chain_scale(c, f: ChainMap) -> ChainMap:
     def maker(k):
         return hom_matrix_scale(alg, c, f.component(k))
 
-    return _assemble(f.source, f.target, f.shift, f.periodic_start, maker)
+    return ChainMap(f.source, f.target, f.shift, f.periodic_start, maker)
 
 
 def identity_chain_map(alg: LineAlgebra, i: int) -> ChainMap:
@@ -226,7 +214,7 @@ def identity_chain_map(alg: LineAlgebra, i: int) -> ChainMap:
     def maker(k):
         return common_factor_matrix(alg, source.term(k), source.term(k))
 
-    return _assemble(source, source, 0, 1, maker).verify()
+    return ChainMap(source, source, 0, 1, maker).verify()
 
 
 def chain_equal_strict(f: ChainMap, g: ChainMap) -> bool:
@@ -316,41 +304,36 @@ def _solve_family(source, target, shift, lo, hi, period, eq_lo, eq_hi, sign,
                 row[v] = F.add(row.get(v, F.zero), F.mul(scale, cv))
 
         if m >= lo and m - shift >= 1:
-            d = target.diff(m - shift).entries
-            columns = [[(r2, d[r2][a]) for r2 in range(len(d)) if d[r2][a].coeffs]
-                       for a in range(len(d[0]) if d else 0)]
+            columns = {}  # column of d -> [(row, cell)], rows increasing
+            for (r2, a), entry in sorted(target.diff(m - shift).cells.items()):
+                columns.setdefault(a, []).append((r2, entry))
             for r, c, elem, v in unknowns[slot(m)]:
-                for r2, entry in columns[r]:
+                for r2, entry in columns.get(r, ()):
                     put(r2, c, alg.compose(entry, elem), v, F.one)
         if m - 1 >= lo and m >= 1:
-            nonzero_rows = [[(c2, e) for c2, e in enumerate(row) if e.coeffs]
-                            for row in source.diff(m).entries]
+            nonzero_rows = {}  # row of d -> [(column, cell)], columns increasing
+            for (c, c2), entry in sorted(source.diff(m).cells.items()):
+                nonzero_rows.setdefault(c, []).append((c2, entry))
             for r, c, elem, v in unknowns[slot(m - 1)]:
-                for c2, entry in nonzero_rows[c]:
+                for c2, entry in nonzero_rows.get(c, ()):
                     put(r, c2, alg.compose(elem, entry), v, sgn)
         b = rhs(m) if rhs is not None else None
         if b is not None:
-            for r, row in enumerate(b.entries):
-                for c, entry in enumerate(row):
-                    for gen in entry.coeffs:
-                        rows.setdefault((r, c, gen), {})
+            for (r, c), entry in b.cells.items():
+                for gen in entry.coeffs:
+                    rows.setdefault((r, c, gen), {})
         for r, c, gen in sorted(rows, key=lambda t: (t[0], t[1], t[2].sort_key())):
-            value = b.entries[r][c].coeffs.get(gen, F.zero) if b is not None else F.zero
+            value = b.entry(r, c).coeffs.get(gen, F.zero) if b is not None else F.zero
             system.add_equation(rows[(r, c, gen)], value)
     for key, value in pins:
         system.add_equation({index[key]: F.one}, value)
 
     def read(sol, m):
         m = slot(m)
-        src, tgt = source.term(m), target.term(m - shift)
-        return HomMatrix(src, tgt, [
-            [
-                alg.hom_from(s, t, [(gen, sol[index[(m, r, c, gen)]])
-                                    for gen in alg.generators(s, t)])
-                for c, s in enumerate(src.indices)
-            ]
-            for r, t in enumerate(tgt.indices)
-        ])
+        cells = {}
+        for r, c, elem, v in unknowns[m]:
+            _accumulate(alg, cells, (r, c), alg.scale(sol[v], elem))
+        return HomMatrix(source.term(m), target.term(m - shift), cells)
 
     return system, index, read
 
@@ -368,7 +351,7 @@ def chain_head_class(f: ChainMap):
     bottom = f.component(f.shift)
     id_gen = HomGenerator("id", j)
     return [
-        bottom.entries[0][c].coeffs.get(id_gen, F.zero)
+        bottom.entry(0, c).coeffs.get(id_gen, F.zero)
         for c, s in enumerate(bottom.source.indices)
         if s == j
     ]
@@ -481,14 +464,12 @@ def _first_nonzero_coefficient(alg, f: ChainMap):
     F = alg.field
     hi = f.periodic_start + 2 * alg.n
     for k in range(f.shift, hi + 1):
-        M = f.component(k)
-        for r in range(len(M.target.indices)):
-            for c in range(len(M.source.indices)):
-                entry = M.entries[r][c]
-                for gen in sorted(entry.coeffs, key=lambda g: g.sort_key()):
-                    cv = entry.coeffs[gen]
-                    if not F.is_zero(cv):
-                        return cv
+        cells = f.component(k).cells
+        for rc in sorted(cells):
+            for gen in sorted(cells[rc].coeffs, key=lambda g: g.sort_key()):
+                cv = cells[rc].coeffs[gen]
+                if not F.is_zero(cv):
+                    return cv
     return None
 
 
@@ -526,7 +507,7 @@ def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
         raise ChainMapError(
             f"no eventually periodic lift found for Ext^{k}(S_{i}, S_{j})"
         )
-    chain = _assemble(source, target, k, p0, lambda m: read(sol, m)).verify()
+    chain = ChainMap(source, target, k, p0, lambda m: read(sol, m)).verify()
     chain = normalize_class(chain)
     if null_homotopy(chain) is not None:
         raise ChainMapError("lifted representative is null-homotopic")

@@ -4,7 +4,7 @@ import pytest
 
 from extline.fields import field_for_characteristic
 from extline.homs import HomGenerator, LineAlgebra
-from extline.resolutions import zero_hom_matrix
+from extline.resolutions import HomMatrix, zero_hom_matrix
 from extline import yoneda
 from extline.yoneda import (
     Homotopy,
@@ -152,14 +152,14 @@ def test_explicit_homotopy_formula(n, i, char):
     lo = 1
     hi = 2 * n
     for k in range(lo, hi + 1):
-        M = zero_hom_matrix(alg, cx.term(k), cx.term(k - 1))
+        cells = {}
         if k % (2 * n) == n % (2 * n):
             sign = F.from_int(-1 if (n - i) % 2 else 1)
-            M.entries[0][0] = alg.scale(sign, alg.identity_hom(n - i))
+            cells[(0, 0)] = alg.scale(sign, alg.identity_hom(n - i))
         elif k % (2 * n) == 0:
             sign = F.from_int(-1 if i % 2 else 1)
-            M.entries[0][0] = alg.scale(sign, alg.identity_hom(i + 1))
-        maps.append(M)
+            cells[(0, 0)] = alg.scale(sign, alg.identity_hom(i + 1))
+        maps.append(HomMatrix(cx.term(k), cx.term(k - 1), cells))
     witness = Homotopy(cx, cx, 2, lo, maps, lo, 2 * n)
     assert verify_homotopy(diff, witness)
 
