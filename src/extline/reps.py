@@ -249,43 +249,31 @@ def zero_morphism(source: QuiverRep, target: QuiverRep) -> RepMorphism:
 
 
 def direct_sum(reps):
-    """Direct sum with per-summand embeddings and projections."""
+    """Direct sum, summands stacked in order; returns (total, offsets).
+
+    ``offsets[s][v-1]`` is where summand s starts in the space at vertex v.
+    """
     if not reps:
         raise ValueError("empty direct sum; use zero_rep")
     n, F = reps[0].n, reps[0].field
-    dims = [sum(r.dim(v) for r in reps) for v in range(1, n + 1)]
     offsets = []
     run = [0] * n
     for r in reps:
         offsets.append(tuple(run))
         run = [run[v] + r.dim(v + 1) for v in range(n)]
+    if len(reps) == 1:
+        return reps[0], offsets
     arrows = {}
     for key in arrow_keys(n):
         s, t = arrow_endpoints(n, key)
-        M = linalg.zeros(F, dims[t - 1], dims[s - 1])
+        M = linalg.zeros(F, run[t - 1], run[s - 1])
         for r, off in zip(reps, offsets):
             block = r.arrow(key)
             for ri, row in enumerate(block):
                 for ci, val in enumerate(row):
                     M[off[t - 1] + ri][off[s - 1] + ci] = val
         arrows[key] = M
-    total = make_rep(n, F, dims, arrows)
-    embeddings = []
-    projections = []
-    for r, off in zip(reps, offsets):
-        emb = {}
-        proj = {}
-        for v in range(1, n + 1):
-            E = linalg.zeros(F, total.dim(v), r.dim(v))
-            P = linalg.zeros(F, r.dim(v), total.dim(v))
-            for j in range(r.dim(v)):
-                E[off[v - 1] + j][j] = F.one
-                P[j][off[v - 1] + j] = F.one
-            emb[v] = E
-            proj[v] = P
-        embeddings.append(RepMorphism(r, total, emb))
-        projections.append(RepMorphism(total, r, proj))
-    return total, embeddings, projections
+    return make_rep(n, F, run, arrows), offsets
 
 
 def _submodule(rep: QuiverRep, spanning):
@@ -395,16 +383,6 @@ def socle(rep: QuiverRep) -> dict:
     return out
 
 
-def loewy_layers(rep: QuiverRep):
-    """Heads of the radical filtration, top layer first."""
-    layers = []
-    cur = rep
-    while cur.total_dim:
-        layers.append(head(cur))
-        cur = radical(cur)
-    return layers
-
-
 def hom_space(M: QuiverRep, N: QuiverRep):
     """A basis of Hom(M, N) as a list of RepMorphisms.
 
@@ -504,11 +482,10 @@ def projective_cover(rep: QuiverRep) -> CoverData:
         return CoverData(z, zero_morphism(z, rep), z, zero_morphism(z, z), [])
 
     projs = [projective_rep(n, F, v) for v, _ in generators]
-    cover, embeds, _ = direct_sum(projs) if len(projs) > 1 else (projs[0], None, None)
+    cover, _ = direct_sum(projs)
 
-    def generator_images(v, gvec):
-        """Images in M of the basis of P_v under e_head -> gvec."""
-        P = projective_rep(n, F, v)
+    def generator_images(P, v, gvec):
+        """Images in M of the basis of P = P_v under e_head -> gvec."""
         imgs = {w: [[F.zero] * P.dim(w) for _ in range(rep.dim(w))] for w in range(1, n + 1)}
 
         def set_col(w, col_idx, vec):
@@ -535,24 +512,15 @@ def projective_cover(rep: QuiverRep) -> CoverData:
         return imgs
 
     blocks = {w: [[] for _ in range(rep.dim(w))] for w in range(1, n + 1)}
-    for v, gvec in generators:
-        imgs = generator_images(v, gvec)
+    for P, (v, gvec) in zip(projs, generators):
+        imgs = generator_images(P, v, gvec)
         for w in range(1, n + 1):
             for ri in range(rep.dim(w)):
                 blocks[w][ri].extend(imgs[w][ri])
     surj = RepMorphism(cover, rep, blocks)
 
     # kernel, per vertex, with induced arrows
-    spanning = {}
-    for v in range(1, n + 1):
-        B = blocks[v]
-        null = linalg.nullspace(F, B if rep.dim(v) else [], ncols=cover.dim(v))
-        if rep.dim(v) == 0:
-            null = [
-                [F.one if i == j else F.zero for i in range(cover.dim(v))]
-                for j in range(cover.dim(v))
-            ]
-        spanning[v] = null
+    spanning = {v: linalg.nullspace(F, blocks[v], ncols=cover.dim(v)) for v in range(1, n + 1)}
     kernel, inclusion = _submodule(cover, spanning)
     return CoverData(cover, surj, kernel, inclusion, [v for v, _ in generators])
 
@@ -585,82 +553,32 @@ def image_subrep(phi: RepMorphism):
 
 def kernel_subrep(phi: RepMorphism):
     F = phi.source.field
-    spanning = {}
-    for v in range(1, phi.source.n + 1):
-        B = phi.block(v)
-        if phi.target.dim(v) == 0:
-            vecs = [
-                [F.one if i == j else F.zero for i in range(phi.source.dim(v))]
-                for j in range(phi.source.dim(v))
-            ]
-        else:
-            vecs = linalg.nullspace(F, B, ncols=phi.source.dim(v))
-        spanning[v] = vecs
+    spanning = {
+        v: linalg.nullspace(F, phi.block(v), ncols=phi.source.dim(v))
+        for v in range(1, phi.source.n + 1)
+    }
     return _submodule(phi.source, spanning)
 
 
-def _invariant_fingerprint(rep: QuiverRep):
-    return (rep.dims, tuple(sorted(d.items()) for d in loewy_layers(rep)),
-            tuple(sorted(socle(rep).items())))
+def iso_witness(M: QuiverRep, N: QuiverRep):
+    """An isomorphism M -> N, or None.  N must be indecomposable.
 
-
-def iso_witness(M: QuiverRep, N: QuiverRep, seed: int = 0):
-    """An invertible morphism M -> N, or None.
-
-    Searches the hom space for an invertible element: exhaustively over
-    small finite fields when the space is small, otherwise by seeded
-    deterministic sampling (64 attempts).
+    The first invertible element of the ``hom_space(M, N)`` basis is the
+    witness.  This is exact: if N is indecomposable, End(N) is local, so its
+    non-units form a proper subspace.  An isomorphism h: M -> N carries
+    Hom(M, N) linearly onto End(N) by phi -> phi h^-1, so the
+    non-isomorphisms M -> N form a proper subspace as well, and no basis
+    lies inside a proper subspace.  Hence M ~ N iff some basis element is
+    invertible.  A returned witness is always a checked isomorphism; a
+    decomposable N can only make the answer a false None.
     """
     if M.dims != N.dims:
         return None
     if M.total_dim == 0:
         return identity_morphism(M)
-    basis = hom_space(M, N)
-    if not basis:
-        return None
-    F = M.field
-    d = len(basis)
-    char = F.characteristic
-
-    def combo(coeffs):
-        phi = basis[0].scale(coeffs[0])
-        for c, b in zip(coeffs[1:], basis[1:]):
-            phi = phi.add(b.scale(c))
-        return phi
-
-    if char and char ** d <= 4096:
-        from itertools import product
-
-        for coeffs in product(range(char), repeat=d):
-            if all(c == 0 for c in coeffs):
-                continue
-            phi = combo([F.from_int(c) for c in coeffs])
-            if phi.is_invertible():
-                return phi
-        return None
-
-    import random
-
-    rng = random.Random(seed)
-    span = char if char else 7
-    for _ in range(64):
-        coeffs = [F.from_int(rng.randrange(-span, span + 1)) for _ in range(d)]
-        phi = combo(coeffs)
-        if phi.is_invertible():
-            return phi
-    return None
+    return next((phi for phi in hom_space(M, N) if phi.is_invertible()), None)
 
 
-def is_isomorphic(M: QuiverRep, N: QuiverRep, seed: int = 0) -> bool:
-    if M.dims != N.dims:
-        return False
-    if M.total_dim == 0:
-        return True
-    if iso_witness(M, N, seed=seed) is not None:
-        return True
-    if _invariant_fingerprint(M) != _invariant_fingerprint(N):
-        return False
-    raise RuntimeError(
-        "isomorphism test inconclusive: no invertible hom found but all "
-        "filtration invariants agree"
-    )
+def is_isomorphic(M: QuiverRep, N: QuiverRep) -> bool:
+    """M ~ N, decided by ``iso_witness`` (N indecomposable)."""
+    return iso_witness(M, N) is not None

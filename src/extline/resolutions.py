@@ -200,23 +200,13 @@ def psum_rep(alg: LineAlgebra, psum: PSum):
     cached = alg._psum_reps.get(key)
     if cached is not None:
         return cached
-    n = alg.n
     summands = [alg.projective(j) for j in psum.indices]
-    if not summands:
-        rep = reps.zero_rep(n, alg.field)
-        offsets = []
-    elif len(summands) == 1:
-        rep = summands[0]
-        offsets = [tuple([0] * n)]
+    if summands:
+        result = reps.direct_sum(summands)
     else:
-        rep, embeds, _ = reps.direct_sum(summands)
-        offsets = []
-        run = [0] * n
-        for s in summands:
-            offsets.append(tuple(run))
-            run = [run[v] + s.dim(v + 1) for v in range(n)]
-    alg._psum_reps[key] = (rep, offsets)
-    return rep, offsets
+        result = (reps.zero_rep(alg.n, alg.field), [])
+    alg._psum_reps[key] = result
+    return result
 
 
 def realize_hom_matrix(alg: LineAlgebra, A: HomMatrix) -> reps.RepMorphism:

@@ -38,8 +38,8 @@ def test_ext_table_json_schema(tmp_path):
 
 def test_ext_table_json_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    main(["ext-table", "--n", "3", "--format", "json", "--seed", "5", "--out", str(a)])
-    main(["ext-table", "--n", "3", "--format", "json", "--seed", "5", "--out", str(b)])
+    main(["ext-table", "--n", "3", "--format", "json", "--out", str(a)])
+    main(["ext-table", "--n", "3", "--format", "json", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -132,6 +132,13 @@ def test_usage_errors_exit_two():
     assert run_cli(["ext-table", "--n", "2", "--char", "6"]).returncode == 2
     assert run_cli(["poincare", "--n", "2", "--i", "3", "--j", "1"]).returncode == 2
     assert run_cli(["resolve", "--n", "2"]).returncode == 2
+    assert run_cli(["ext-table", "--n", "2", "--seed", "5"]).returncode == 2
+    # an unwritable --out is an input error, not a failed verification
+    for out in ("/nonexistent/x", "/"):
+        r = run_cli(["ext-table", "--n", "2", "--out", out])
+        assert r.returncode == 2, out
+        assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+        assert r.stderr.startswith(f"error: cannot write {out}: ")
     for word in ("x5", "x3", "x3*", "x0", "y0", "y4"):
         r = run_cli(["yoneda-product", "--n", "3", "--word", word])
         assert r.returncode == 2, word

@@ -1,10 +1,12 @@
 """The representation oracle: radicals, socles, covers, syzygies, hom
 spaces and isomorphism testing."""
 
+import random
+
 import pytest
 
 from extline.fields import field_for_characteristic
-from extline import reps, strings
+from extline import linalg, reps, strings
 
 F2 = field_for_characteristic(2)
 F0 = field_for_characteristic(0)
@@ -157,6 +159,51 @@ def test_iso_witness_is_invertible_intertwiner():
     expected = strings.realize_x(3, F0, strings.syzygy_label(3, lab))
     w = reps.iso_witness(om, expected)
     assert w is not None and w.is_invertible() and w.is_intertwiner()
+
+
+def _random_invertible(rng, F, d):
+    while True:
+        g = [[F.from_int(rng.randrange(-3, 4)) for _ in range(d)] for _ in range(d)]
+        if linalg.rank(F, g) == d:
+            return g
+
+
+def _transport(rng, M):
+    """M under a random invertible change of basis at every vertex."""
+    F = M.field
+    arrows = {}
+    g = {v: _random_invertible(rng, F, M.dim(v)) for v in range(1, M.n + 1)}
+    g_inv = {}
+    for v, gv in g.items():
+        d = len(gv)
+        cols = [linalg.solve(F, gv, [F.one if r == c else F.zero for r in range(d)])
+                for c in range(d)]
+        g_inv[v] = [[cols[c][r] for c in range(d)] for r in range(d)]
+    for key in reps.arrow_keys(M.n):
+        s, t = reps.arrow_endpoints(M.n, key)
+        moved = linalg.mat_mul(F, g[t], M.arrow(key), out_cols=M.dim(s))
+        arrows[key] = linalg.mat_mul(F, moved, g_inv[s], out_cols=M.dim(s))
+    return reps.make_rep(M.n, F, M.dims, arrows)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_iso_decision_after_change_of_basis(char):
+    # every indecomposable (canonical strings and projectives, whose head
+    # vertex carries a 2-dimensional space) is moved off its coordinate
+    # basis, so the Hom bases the decision scans are not diagonal
+    F = field_for_characteristic(char)
+    rng = random.Random(1000 + char)
+    for n in range(1, 5):
+        mods = [(lab, strings.realize_x(n, F, lab)) for lab in strings.canonical_labels(n)]
+        mods += [(("P", i), reps.projective_rep(n, F, i)) for i in range(1, n + 1)]
+        for la, A in mods:
+            moved = _transport(rng, A)
+            assert reps.check_relations(moved) == []
+            for lb, B in mods:
+                w = reps.iso_witness(moved, B)
+                assert (w is not None) == (la == lb), (n, la, lb)
+                if w is not None:
+                    assert w.is_invertible() and w.is_intertwiner()
 
 
 def test_invalid_module_rejected():
