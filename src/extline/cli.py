@@ -21,7 +21,7 @@ from .ext_table import (
     poincare_series,
 )
 from .fields import field_for_characteristic
-from .homs import LineAlgebra
+from .homs import LineAlgebra, format_hom
 from .resolutions import (
     CheckResult,
     build_resolution,
@@ -44,25 +44,6 @@ def poly_str(coeffs) -> str:
             body = mono if mag == 1 else f"{mag}{mono}"
         out += sign + body
     return out or "0"
-
-
-def format_hom(alg, h) -> str:
-    F = alg.field
-    if h.is_zero(F):
-        return "0"
-    names = {"id": "Id", "loop": "Loop", "f": "F", "fstar": "FStar"}
-    parts = []
-    for gen in sorted(h.coeffs, key=lambda g: g.sort_key()):
-        c = h.coeffs[gen]
-        base = f"{names[gen.kind]}({gen.i})"
-        one = F.one
-        if F.is_zero(F.sub(c, one)):
-            parts.append(base)
-        elif F.is_zero(F.add(c, one)):
-            parts.append(f"-{base}")
-        else:
-            parts.append(f"{c}*{base}")
-    return " + ".join(parts)
 
 
 def psum_str(psum) -> str:
@@ -167,29 +148,26 @@ def checks_payload(checks) -> list:
 
 
 def cmd_ext_table(args) -> int:
-    checks = []
     try:
         table = ext_table(args.n, args.max_deg)
-        checks.append({"name": "route agreement", "status": "pass", "detail": ""})
+        check = CheckResult("route agreement", True)
         data = {
             f"{i},{j}": list(table.row(i, j))
             for i in range(1, args.n + 1)
             for j in range(1, args.n + 1)
         }
-        ok = True
     except RouteMismatchError as exc:
-        checks.append({"name": "route agreement", "status": "fail", "detail": str(exc)})
+        check = CheckResult("route agreement", False, str(exc))
         data = {}
-        ok = False
     payload = {
         "n": args.n,
         "characteristic": args.char,
         "max_degree": args.max_deg,
         "data": data,
-        "checks": checks,
+        "checks": checks_payload([check]),
     }
     emit(payload, args.format, args.out)
-    return 0 if ok else 1
+    return 0 if check.ok else 1
 
 
 def cmd_poincare(args) -> int:
@@ -307,32 +285,22 @@ def cmd_gamma_dims(args) -> int:
     alg = LineAlgebra(args.n, field_for_characteristic(args.char))
     K = args.max_deg
     gd = path_algebra.graded_dimension(args.n, K, alg.field)
-    table = ext_table(args.n, K)
-    data = {}
-    bad = []
-    for i in range(1, args.n + 1):
-        for j in range(1, args.n + 1):
-            row = [gd.dim(i, j, k) for k in range(K + 1)]
-            data[f"{i},{j}"] = row
-            for k in range(K + 1):
-                if row[k] != table.entry(i, j, k):
-                    bad.append((i, j, k))
-    checks = [
-        {
-            "name": "graded dimensions match Ext table",
-            "status": "pass" if not bad else "fail",
-            "detail": str(bad) if bad else "",
-        }
-    ]
+    data = {
+        f"{i},{j}": [gd.dim(i, j, k) for k in range(K + 1)]
+        for i in range(1, args.n + 1)
+        for j in range(1, args.n + 1)
+    }
+    bad = path_algebra.dimension_mismatches(gd, ext_table(args.n, K))
+    check = CheckResult("graded dimensions match Ext table", not bad, str(bad) if bad else "")
     payload = {
         "n": args.n,
         "characteristic": args.char,
         "max_degree": K,
         "data": data,
-        "checks": checks,
+        "checks": checks_payload([check]),
     }
     emit(payload, args.format, args.out)
-    return 0 if not bad else 1
+    return 0 if check.ok else 1
 
 
 _TOKEN = re.compile(r"^(x|y)(\d+)(\*?)$")

@@ -23,16 +23,28 @@ projectives (all structure constants +1) by
     Loop(i) = (-1)^i * (basis loop) for i <= N-1,  (-1)^(N-1) for i = N.
 
 All other products of non-identity generators vanish.
+
+Since (i, j) alone fixes the basis of Hom(P_i, P_j), a morphism is stored
+as its endpoints and a tuple of scalars in basis order, its slots:
+
+    (Id(i), Loop(i))   when j = i,
+    (F(i),)            when j = i+1,
+    (FStar(j),)        when j = i-1,
+
+and the empty tuple is zero for any endpoints.  Composition is slot
+arithmetic over the shapes of the three endpoints.  Only this module
+reads slots; other modules go through the accessors of ``HomElement``
+and ``format_hom``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import reps
 
-# generator kind ordering used for scalar normalization of lifted classes
-KIND_ORDER = {"id": 0, "loop": 1, "f": 2, "fstar": 3}
+ID_SLOT = 0  # the identity's slot in Hom(P_i, P_i); the loop's is 1
+_NAMES = {"id": "Id", "loop": "Loop", "f": "F", "fstar": "FStar"}
 
 
 @dataclass(frozen=True)
@@ -48,37 +60,65 @@ class HomGenerator:
     def target(self) -> int:
         return self.i + 1 if self.kind == "f" else self.i
 
-    def sort_key(self):
-        return (KIND_ORDER[self.kind], self.i)
 
-    def __repr__(self):
-        names = {"id": "Id", "loop": "Loop", "f": "F", "fstar": "FStar"}
-        return f"{names[self.kind]}({self.i})"
+def _basis(i: int, j: int) -> tuple:
+    """The basis morphisms of Hom(P_i, P_j), in slot order."""
+    if i == j:
+        return (HomGenerator("id", i), HomGenerator("loop", i))
+    if j == i + 1:
+        return (HomGenerator("f", i),)
+    if j == i - 1:
+        return (HomGenerator("fstar", j),)
+    return ()
 
 
-@dataclass
+@dataclass(slots=True)
 class HomElement:
-    """A scalar combination of basis morphisms P_source -> P_target."""
+    """A scalar combination of basis morphisms P_source -> P_target.
+
+    Scalars are canonical (see ``fields``), so a zero scalar is falsy and
+    a HomElement is falsy exactly when it is zero.
+    """
 
     source: int
     target: int
-    coeffs: dict = dc_field(default_factory=dict)  # HomGenerator -> scalar
+    slots: tuple = ()  # scalars in basis order; () is zero
+
+    def __bool__(self) -> bool:
+        return any(self.slots)
 
     def is_zero(self, field) -> bool:
-        return all(field.is_zero(c) for c in self.coeffs.values())
+        return all(field.is_zero(c) for c in self.slots)
 
-    def normalized(self, field) -> "HomElement":
-        return HomElement(
-            self.source,
-            self.target,
-            {g: c for g, c in self.coeffs.items() if not field.is_zero(c)},
-        )
+    @property
+    def coeffs(self) -> dict:
+        """Read-only view: nonzero basis morphism -> scalar, in basis order."""
+        return {g: c for g, c in zip(_basis(self.source, self.target), self.slots) if c}
 
-    def __repr__(self):
-        if not self.coeffs:
-            return f"0:{self.source}->{self.target}"
-        parts = [f"{c}*{g}" for g, c in sorted(self.coeffs.items(), key=lambda t: t[0].sort_key())]
-        return " + ".join(parts)
+    def terms(self):
+        """(slot, scalar) for the nonzero slots, in basis order."""
+        return [(k, c) for k, c in enumerate(self.slots) if c]
+
+    def identity_coefficient(self, field):
+        """The coefficient of Id in an endomorphism, zero otherwise."""
+        if self.source == self.target and self.slots:
+            return self.slots[ID_SLOT]
+        return field.zero
+
+
+def format_hom(alg, h: HomElement) -> str:
+    """A morphism as a signed sum of named basis morphisms, e.g. "-FStar(2)"."""
+    F = alg.field
+    parts = []
+    for gen, c in h.coeffs.items():
+        base = f"{_NAMES[gen.kind]}({gen.i})"
+        if F.is_zero(F.sub(c, F.one)):
+            parts.append(base)
+        elif F.is_zero(F.add(c, F.one)):
+            parts.append(f"-{base}")
+        else:
+            parts.append(f"{c}*{base}")
+    return " + ".join(parts) or "0"
 
 
 class CompositionError(ValueError):
@@ -107,23 +147,20 @@ class LineAlgebra:
 
     # ---------------------------------------------------------- structure
     def hom_dimension(self, i: int, j: int) -> int:
-        self._check_vertex(i)
-        self._check_vertex(j)
-        if i == j:
-            return 2
-        if abs(i - j) == 1:
-            return 1
-        return 0
+        return len(self.generators(i, j))
 
     def generators(self, i: int, j: int):
-        """Basis morphisms of Hom(P_i, P_j)."""
-        if self.hom_dimension(i, j) == 0:
-            return []
-        if i == j:
-            return [HomGenerator("id", i), HomGenerator("loop", i)]
-        if j == i + 1:
-            return [HomGenerator("f", i)]
-        return [HomGenerator("fstar", j)]
+        """Basis morphisms of Hom(P_i, P_j), in slot order."""
+        self._check_vertex(i)
+        self._check_vertex(j)
+        return list(_basis(i, j))
+
+    def basis(self, i: int, j: int):
+        """The basis of Hom(P_i, P_j) as morphisms, in slot order."""
+        one, zero = self.field.one, self.field.zero
+        d = self.hom_dimension(i, j)
+        return [HomElement(i, j, tuple(one if k == s else zero for k in range(d)))
+                for s in range(d)]
 
     @property
     def dimension(self) -> int:
@@ -135,82 +172,69 @@ class LineAlgebra:
 
     # -------------------------------------------------------- arithmetic
     def zero_hom(self, source: int, target: int) -> HomElement:
-        return HomElement(source, target, {})
+        return HomElement(source, target)
 
     def identity_hom(self, i: int) -> HomElement:
         self._check_vertex(i)
-        return HomElement(i, i, {HomGenerator("id", i): self.field.one})
+        return HomElement(i, i, (self.field.one, self.field.zero))
 
     def loop_hom(self, i: int) -> HomElement:
         self._check_vertex(i)
-        return HomElement(i, i, {HomGenerator("loop", i): self.field.one})
+        return HomElement(i, i, (self.field.zero, self.field.one))
 
     def f_hom(self, i: int) -> HomElement:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"no step map at {i}")
-        return HomElement(i, i + 1, {HomGenerator("f", i): self.field.one})
+        return HomElement(i, i + 1, (self.field.one,))
 
     def fstar_hom(self, i: int) -> HomElement:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"no co-step map at {i}")
-        return HomElement(i + 1, i, {HomGenerator("fstar", i): self.field.one})
-
-    def _compose_generators(self, g: HomGenerator, h: HomGenerator):
-        """g after h on basis morphisms; returns (int coefficient, gen) or None."""
-        if g.kind == "id":
-            return (1, h)
-        if h.kind == "id":
-            return (1, g)
-        if g.kind == "fstar" and h.kind == "f" and g.i == h.i:
-            return (1, HomGenerator("loop", g.i))
-        if g.kind == "f" and h.kind == "fstar" and g.i == h.i:
-            j = g.i + 1
-            return (1 if j == self.n else -1, HomGenerator("loop", j))
-        # everything else (loop compositions, like-oriented steps) vanishes
-        return None
+        return HomElement(i + 1, i, (self.field.one,))
 
     def compose(self, g: HomElement, h: HomElement) -> HomElement:
         """Function composition g o h (h acts first)."""
-        if h.target != g.source:
-            raise CompositionError(
-                f"cannot compose: {h.source}->{h.target} then {g.source}->{g.target}"
-            )
+        a, b, c = h.source, h.target, g.target
+        if b != g.source:
+            raise CompositionError(f"cannot compose: {a}->{b} then {g.source}->{c}")
+        x, y = g.slots, h.slots
+        if not (x and y):
+            return HomElement(a, c)
         F = self.field
-        out = {}
-        for gg, cg in g.coeffs.items():
-            for gh, ch in h.coeffs.items():
-                hit = self._compose_generators(gg, gh)
-                if hit is None:
-                    continue
-                sign, gen = hit
-                c = F.mul(F.mul(cg, ch), F.from_int(sign))
-                out[gen] = F.add(out.get(gen, F.zero), c)
-        return HomElement(h.source, g.target, out).normalized(F)
+        if a == c:
+            if a == b:  # (Id, Loop) o (Id, Loop); Loop o Loop = 0
+                return HomElement(a, a, (F.mul(x[0], y[0]),
+                                         F.add(F.mul(x[0], y[1]), F.mul(x[1], y[0]))))
+            # out to a neighbour b and back: FStar(a) o F(a) = Loop(a) when b > a,
+            # F(b) o FStar(b) = -Loop(a) when b < a, but +Loop(N) at the end
+            s = F.mul(x[0], y[0])
+            if b < a and a != self.n:
+                s = F.neg(s)
+            return HomElement(a, a, (F.zero, s))
+        if a == b or b == c:  # a step or co-step beside an endomorphism: only Id acts
+            return HomElement(a, c, (F.mul(x[0], y[0]),))
+        return HomElement(a, c)  # two like-oriented steps
 
     def add(self, g: HomElement, h: HomElement) -> HomElement:
         if (g.source, g.target) != (h.source, h.target):
             raise CompositionError("adding morphisms with different endpoints")
-        F = self.field
-        out = dict(g.coeffs)
-        for gen, c in h.coeffs.items():
-            out[gen] = F.add(out.get(gen, F.zero), c)
-        return HomElement(g.source, g.target, out).normalized(F)
+        if not g.slots:
+            return h
+        if not h.slots:
+            return g
+        return HomElement(g.source, g.target, tuple(map(self.field.add, g.slots, h.slots)))
 
     def scale(self, c, g: HomElement) -> HomElement:
-        F = self.field
-        return HomElement(
-            g.source, g.target, {gen: F.mul(c, v) for gen, v in g.coeffs.items()}
-        ).normalized(F)
+        mul = self.field.mul
+        return HomElement(g.source, g.target, tuple([mul(c, v) for v in g.slots]))
 
     def hom_equal(self, g: HomElement, h: HomElement) -> bool:
         if (g.source, g.target) != (h.source, h.target):
             return False
         F = self.field
-        gens = set(g.coeffs) | set(h.coeffs)
-        return all(
-            F.is_zero(F.sub(g.coeffs.get(x, F.zero), h.coeffs.get(x, F.zero)))
-            for x in gens
-        )
+        if not (g.slots and h.slots):
+            return g.is_zero(F) and h.is_zero(F)
+        return all(map(F.is_zero, map(F.sub, g.slots, h.slots)))
 
     # -------------------------------------------------------- realization
     def projective(self, i: int) -> reps.QuiverRep:

@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .ext_table import ext_dim_via_x
+from .ext_table import ext_dim_via_x, ext_table
 from .homs import LineAlgebra
 from .resolutions import CheckReport, CheckResult
 from .yoneda import (
     ExtClass,
     cached_generator,
     chain_add,
+    chain_scale,
     compose,
     identity_chain_map,
     normalize_class,
@@ -274,6 +275,16 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedDim
     return GradedDims(n, max_degree, dims)
 
 
+def dimension_mismatches(gd: GradedDims, table) -> list:
+    """The (i, j, k), k <= gd.max_degree, where gd and the Ext table differ."""
+    n = gd.n
+    return [(i, j, k)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            for k in range(gd.max_degree + 1)
+            if gd.dim(i, j, k) != table.entry(i, j, k)]
+
+
 def hook_word(n: int, u: int, v: int, m: int):
     """The canonical degree-m path u -> v climbing to r = (m+u+v)/2 with
     step arrows, then descending with co-steps."""
@@ -307,15 +318,22 @@ def normal_form_monomial(n: int, i: int, j: int, k: int):
     return PathWord(n, tuple(arrows))
 
 
+def _word_chain_map(alg: LineAlgebra, arrows):
+    """The generators of a nonempty arrow sequence, composed in function
+    order (the reverse of concatenation)."""
+    chain = cached_generator(alg, *arrows[0])
+    for arrow in arrows[1:]:
+        chain = compose(cached_generator(alg, *arrow), chain)
+    return chain
+
+
 def evaluate_word(alg: LineAlgebra, word: PathWord) -> ExtClass:
     """Map each arrow to its chain-map generator, compose in function
     order (reverse of concatenation), and decide zero/nonzero."""
     if not word.arrows:
         cls = identity_chain_map(alg, word.vertex)
         return ExtClass(word.vertex, word.vertex, 0, cls, True)
-    chain = cached_generator(alg, word.arrows[0][0], word.arrows[0][1])
-    for arrow in word.arrows[1:]:
-        chain = compose(cached_generator(alg, arrow[0], arrow[1]), chain)
+    chain = _word_chain_map(alg, word.arrows)
     h = null_homotopy(chain)
     nonzero = h is None
     return ExtClass(word.source, word.target, word.degree, normalize_class(chain), nonzero)
@@ -323,13 +341,9 @@ def evaluate_word(alg: LineAlgebra, word: PathWord) -> ExtClass:
 
 def evaluate_relator(alg: LineAlgebra, rel: Relator):
     """The chain map of a relator (sum of its word evaluations)."""
-    from .yoneda import chain_scale
-
     total = None
     for coeff, arrows in rel.terms:
-        chain = cached_generator(alg, arrows[0][0], arrows[0][1])
-        for arrow in arrows[1:]:
-            chain = compose(cached_generator(alg, arrow[0], arrow[1]), chain)
+        chain = _word_chain_map(alg, arrows)
         if total is None:
             total = chain_scale(alg.field.from_int(coeff), chain)
         else:
@@ -341,18 +355,10 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> CheckReport:
     """Certify that the presented algebra matches the Ext computation:
     graded dimensions agree entrywise, relators die at chain level, and
     every normal-form word evaluates to a certified nonzero class."""
-    from .ext_table import ext_table
-
     n = alg.n
     checks = []
     table = ext_table(n, max_degree)
-    gd = graded_dimension(n, max_degree, alg.field)
-    bad = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(max_degree + 1):
-                if gd.dim(i, j, k) != table.entry(i, j, k):
-                    bad.append((i, j, k))
+    bad = dimension_mismatches(graded_dimension(n, max_degree, alg.field), table)
     checks.append(
         CheckResult(
             "graded dimensions match the Ext table",

@@ -44,7 +44,7 @@ class HomMatrix:
     cells: dict  # (row, col) -> nonzero HomElement
 
     def __post_init__(self):
-        self.cells = {rc: e for rc, e in self.cells.items() if any(e.coeffs.values())}
+        self.cells = {rc: e for rc, e in self.cells.items() if e}
 
     def entry(self, r: int, c: int) -> HomElement:
         e = self.cells.get((r, c))
@@ -269,7 +269,7 @@ def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = No
     bad = []
     for k in range(1, depth + 1):
         for e in cx.diff(k).cells.values():
-            if any(g.kind == "id" and not F.is_zero(c) for g, c in e.coeffs.items()):
+            if not F.is_zero(e.identity_coefficient(F)):
                 bad.append(k)
     checks.append(
         CheckResult("minimality", not bad, f"identity component at degrees {sorted(set(bad))}" if bad else "")
@@ -378,7 +378,7 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
             continue
         for rc in sorted(A.cells):
             e = A.cells[rc]
-            if not any(g.kind == "fstar" for g in e.coeffs):
+            if e.target != e.source - 1:  # co-step entries only
                 continue
             if F.characteristic == 2:
                 cand = with_entry(k, rc, alg.zero_hom(e.source, e.target))
@@ -392,6 +392,6 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
         A = cx.diff(k)
         for rc in sorted(A.cells):
             e = A.cells[rc]
-            if any(g.kind == "loop" for g in e.coeffs):
+            if e.source == e.target:  # minimality: an endomorphism entry is a loop
                 return with_entry(k, rc, alg.zero_hom(e.source, e.target))
     raise RuntimeError("no entry found to corrupt")

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .homs import HomElement, HomGenerator, LineAlgebra
+from .homs import ID_SLOT, LineAlgebra
 from .linalg import LinearSystem
 from .resolutions import (
     CheckReport,
@@ -55,6 +55,10 @@ from .resolutions import (
     zero_hom_matrix,
 )
 from .ext_table import ext_dim_via_x as _ext_dim_via_x
+
+
+# null_homotopy widens the certificate period up to this many full turns
+MAX_PERIOD_MULTIPLE = 4
 
 
 class ChainMapError(AssertionError):
@@ -265,71 +269,72 @@ def _solve_family(source, target, shift, lo, hi, period, eq_lo, eq_hi, sign,
         d o u_m + sign * u_{m-1} o d = rhs(m)        (eq_lo <= m <= eq_hi)
 
     (a term is absent where its u or its differential is; rhs None means
-    zero) and pins, pairs ((m, row, col, generator), value) fixing single
+    zero) and pins, pairs ((m, row, col, slot), value) fixing single
     coefficients.
 
     There is one scalar unknown per basis morphism of each stored entry,
-    numbered by slot, row, column, then ``alg.generators``.  An unknown's
-    column is its basis morphism pushed through the nonzero entries of one
-    differential column (d o u) and one differential row (u o d).  Returns
-    (system, index, read): index maps (m, row, col, generator) to the
-    unknown, read(solution, m) assembles u_m.
+    numbered by m, row, column, then slot (``alg.basis`` order).  An
+    unknown's column is its basis morphism pushed through the nonzero
+    entries of one differential column (d o u) and one differential row
+    (u o d).  Equations are keyed and ordered by (row, col, slot) within a
+    degree.  Returns (system, index, read): index maps (m, row, col, slot)
+    to the unknown, read(solution, m) assembles u_m.
     """
     alg = source.alg
     F = alg.field
     sgn = F.from_int(sign)
 
-    def slot(m):
+    def stored(m):
         while m > hi:
             m -= period
         return m
 
     index = {}
-    unknowns = {}  # slot -> [(row, col, basis morphism, unknown)]
+    unknowns = {}  # stored degree -> [(row, col, basis morphism, unknown)]
     for m in range(lo, hi + 1):
         cells = unknowns[m] = []
         for r, t in enumerate(target.term(m - shift).indices):
             for c, s in enumerate(source.term(m).indices):
-                for gen in alg.generators(s, t):
-                    index[(m, r, c, gen)] = len(index)
-                    cells.append((r, c, HomElement(s, t, {gen: F.one}), len(index) - 1))
+                for k, elem in enumerate(alg.basis(s, t)):
+                    index[(m, r, c, k)] = len(index)
+                    cells.append((r, c, elem, len(index) - 1))
 
     system = LinearSystem(F, len(index))
     for m in range(eq_lo, eq_hi + 1):
-        rows = {}  # (row, col, generator) -> {unknown: coefficient}
+        rows = {}  # (row, col, slot) -> {unknown: coefficient}
 
         def put(r, c, elem, v, scale):
-            for gen, cv in elem.coeffs.items():
-                row = rows.setdefault((r, c, gen), {})
+            for k, cv in elem.terms():
+                row = rows.setdefault((r, c, k), {})
                 row[v] = F.add(row.get(v, F.zero), F.mul(scale, cv))
 
         if m >= lo and m - shift >= 1:
             columns = {}  # column of d -> [(row, cell)], rows increasing
             for (r2, a), entry in sorted(target.diff(m - shift).cells.items()):
                 columns.setdefault(a, []).append((r2, entry))
-            for r, c, elem, v in unknowns[slot(m)]:
+            for r, c, elem, v in unknowns[stored(m)]:
                 for r2, entry in columns.get(r, ()):
                     put(r2, c, alg.compose(entry, elem), v, F.one)
         if m - 1 >= lo and m >= 1:
             nonzero_rows = {}  # row of d -> [(column, cell)], columns increasing
             for (c, c2), entry in sorted(source.diff(m).cells.items()):
                 nonzero_rows.setdefault(c, []).append((c2, entry))
-            for r, c, elem, v in unknowns[slot(m - 1)]:
+            for r, c, elem, v in unknowns[stored(m - 1)]:
                 for c2, entry in nonzero_rows.get(c, ()):
                     put(r, c2, alg.compose(elem, entry), v, sgn)
-        b = rhs(m) if rhs is not None else None
-        if b is not None:
-            for (r, c), entry in b.cells.items():
-                for gen in entry.coeffs:
-                    rows.setdefault((r, c, gen), {})
-        for r, c, gen in sorted(rows, key=lambda t: (t[0], t[1], t[2].sort_key())):
-            value = b.entry(r, c).coeffs.get(gen, F.zero) if b is not None else F.zero
-            system.add_equation(rows[(r, c, gen)], value)
+        values = {}  # (row, col, slot) -> nonzero scalar of rhs(m)
+        if rhs is not None:
+            for (r, c), entry in rhs(m).cells.items():
+                for k, cv in entry.terms():
+                    values[(r, c, k)] = cv
+                    rows.setdefault((r, c, k), {})
+        for key in sorted(rows):
+            system.add_equation(rows[key], values.get(key, F.zero))
     for key, value in pins:
         system.add_equation({index[key]: F.one}, value)
 
     def read(sol, m):
-        m = slot(m)
+        m = stored(m)
         cells = {}
         for r, c, elem, v in unknowns[m]:
             _accumulate(alg, cells, (r, c), alg.scale(sol[v], elem))
@@ -349,9 +354,8 @@ def chain_head_class(f: ChainMap):
     F = f.source.alg.field
     j = f.target.base_vertex
     bottom = f.component(f.shift)
-    id_gen = HomGenerator("id", j)
     return [
-        bottom.entry(0, c).coeffs.get(id_gen, F.zero)
+        bottom.entry(0, c).identity_coefficient(F)
         for c, s in enumerate(bottom.source.indices)
         if s == j
     ]
@@ -383,7 +387,7 @@ def _periodic_homotopy(f: ChainMap, period_multiple: int):
     return htpy
 
 
-def null_homotopy(f: ChainMap, max_period_multiple: int = 4):
+def null_homotopy(f: ChainMap):
     """An eventually periodic homotopy certifying f = d s + s d, or None.
 
     None certifies non-nullity: the induced cocycle (head readout on the
@@ -393,13 +397,13 @@ def null_homotopy(f: ChainMap, max_period_multiple: int = 4):
     """
     if not class_is_zero(f):
         return None
-    for m in range(1, max_period_multiple + 1):
+    for m in range(1, MAX_PERIOD_MULTIPLE + 1):
         htpy = _periodic_homotopy(f, m)
         if htpy is not None:
             return htpy
     raise ChainMapError(
         "the induced cocycle vanishes but no periodic homotopy was found "
-        f"(eventual period up to {max_period_multiple} full turns)"
+        f"(eventual period up to {MAX_PERIOD_MULTIPLE} full turns)"
     )
 
 
@@ -461,21 +465,17 @@ class ExtClass:
 
 
 def _first_nonzero_coefficient(alg, f: ChainMap):
-    F = alg.field
     hi = f.periodic_start + 2 * alg.n
     for k in range(f.shift, hi + 1):
-        cells = f.component(k).cells
-        for rc in sorted(cells):
-            for gen in sorted(cells[rc].coeffs, key=lambda g: g.sort_key()):
-                cv = cells[rc].coeffs[gen]
-                if not F.is_zero(cv):
-                    return cv
+        cells = f.component(k).cells  # no stored cell is zero
+        if cells:
+            return cells[min(cells)].terms()[0][1]
     return None
 
 
 def normalize_class(f: ChainMap) -> ChainMap:
     """Rescale so the first nonzero coefficient (lowest degree, row-major,
-    identity < loop < step < co-step) is 1."""
+    then basis order) is 1."""
     alg = f.source.alg
     lead = _first_nonzero_coefficient(alg, f)
     if lead is None:
@@ -498,7 +498,7 @@ def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
     # chain-map squares d o phi_m = phi_{m-1} o d, and the head pin: the
     # unique P_j summand of term_k maps by the identity onto term_0(R_j) = P_j
     p0 = k + 1
-    pin = ((k, 0, source.term(k).indices.index(j), HomGenerator("id", j)), alg.field.one)
+    pin = ((k, 0, source.term(k).indices.index(j), ID_SLOT), alg.field.one)
     system, _, read = _solve_family(
         source, target, k, k, p0 + 2 * n - 1, 2 * n, k + 1, p0 + 4 * n + 2, -1, pins=[pin]
     )
@@ -531,7 +531,7 @@ def ext_class_dimension(alg: LineAlgebra, i: int, j: int, k: int) -> int:
     system, index, _ = _solve_family(source, target, k, k, k + 2 * n, 2 * n,
                                      k + 1, k + 6 * n + 3, -1)
     head_vars = [
-        index[(k, 0, c, HomGenerator("id", j))]
+        index[(k, 0, c, ID_SLOT)]
         for c, s in enumerate(source.term(k).indices)
         if s == j
     ]

@@ -4,10 +4,10 @@ and agreement with the concrete representation oracle."""
 import pytest
 
 from extline.fields import field_for_characteristic
-from extline.homs import CompositionError, HomElement, LineAlgebra
+from extline.homs import CompositionError, LineAlgebra
 from extline import reps
 
-CHARS = [0, 2, 3]
+CHARS = [0, 2, 3, 5]
 
 
 def algebra(n, char=0):
@@ -23,7 +23,8 @@ def all_generators(alg):
 
 
 def as_element(alg, gen):
-    return HomElement(gen.source, gen.target, {gen: alg.field.one})
+    s, t = gen.source, gen.target
+    return alg.basis(s, t)[alg.generators(s, t).index(gen)]
 
 
 def test_costep_after_step_is_loop():

@@ -7,6 +7,8 @@ from extline.homs import LineAlgebra
 from extline import reps, resolutions, strings
 from extline.ext_table import ext_table
 from extline.resolutions import (
+    HomMatrix,
+    PeriodicComplex,
     build_resolution,
     closed_form_differential,
     corrupted_resolution,
@@ -161,10 +163,26 @@ def test_ext_table_builds_no_differentials(monkeypatch):
     assert built == [(0, 2)]
 
 
-@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_corruption_does_not_poison_the_shared_memo(char):
     alg = algebra(3, char)
     for i in range(1, 4):
         assert not verify_resolution(corrupted_resolution(alg, i, 12), i).ok
         report = verify_resolution(build_resolution(alg, i, 12), i)
         assert report.ok, [(c.name, c.detail) for c in report.failures()]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_identity_in_a_differential_fails_minimality(char):
+    # N = 3, i = 1: d_3 is the first plateau, a loop P_3 -> P_3
+    alg = algebra(3, char)
+    cx = build_resolution(alg, 1, 12)
+    d = cx.diff(3)
+    assert d.source.indices == d.target.indices == (3,)
+    memo = dict(cx.memo)  # a private memo: the shared one stays intact
+    memo[3] = HomMatrix(d.source, d.target, {(0, 0): alg.add(d.entry(0, 0), alg.identity_hom(3))})
+    report = verify_resolution(PeriodicComplex(alg, 1, cx.depth, cx.terms, memo), 1)
+    (check,) = [c for c in report.checks if c.name == "minimality"]
+    assert not check.ok
+    assert check.detail == "identity component at degrees [3]"
+    assert verify_resolution(build_resolution(alg, 1, 12), 1).ok

@@ -57,7 +57,7 @@ def hom_matrix(draw, alg, source, target):
         for c, s in enumerate(source.indices):
             gens = alg.generators(s, t)
             if gens and draw(st.booleans()):
-                cells[(r, c)] = HomElement(s, t, {g: draw(scalar(alg)) for g in gens})
+                cells[(r, c)] = HomElement(s, t, tuple(draw(scalar(alg)) for g in gens))
     return HomMatrix(source, target, cells)
 
 
