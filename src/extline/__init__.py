@@ -55,7 +55,6 @@ from .ext_table import (
 from .yoneda import (
     ChainMap,
     ExtClass,
-    Homotopy,
     compose,
     generator_x,
     generator_xstar,

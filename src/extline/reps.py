@@ -283,6 +283,10 @@ def _submodule(rep: QuiverRep, spanning):
     """
     F = rep.field
     bases = {v: linalg.row_span_basis(F, spanning.get(v, [])) for v in range(1, rep.n + 1)}
+    # the bases are reduced echelon rows, so a vector of their span has its
+    # coordinates at the pivots (the first nonzero entry of each row)
+    pivots = {v: [next(c for c, x in enumerate(row) if not F.is_zero(x)) for row in rows]
+              for v, rows in bases.items()}
     dims = [len(bases[v]) for v in range(1, rep.n + 1)]
     arrows = {}
     for key in arrow_keys(rep.n):
@@ -295,8 +299,10 @@ def _submodule(rep: QuiverRep, spanning):
                 img = [
                     sum_products(F, big_row, vec) for big_row in big
                 ]
-                coords = _coords_in_basis(F, tgt_rows, img)
-                if coords is None:
+                coords = [img[p] for p in pivots[t]]
+                rebuilt = [sum_products(F, [row[r] for row in tgt_rows], coords)
+                           for r in range(len(img))]
+                if not linalg.mat_eq(F, [rebuilt], [img]):
                     raise ValueError("span is not arrow-stable")
                 for ri, cval in enumerate(coords):
                     M[ri][ci] = cval
@@ -318,18 +324,6 @@ def sum_products(field, row, vec):
         if not field.is_zero(a) and not field.is_zero(b):
             acc = field.add(acc, field.mul(a, b))
     return acc
-
-
-def _coords_in_basis(field, basis_rows, vec):
-    if not basis_rows:
-        return [] if all(field.is_zero(x) for x in vec) else None
-    A = transposed_cols(field, basis_rows)
-    return linalg.solve(field, A, list(vec))
-
-
-def transposed_cols(field, rows):
-    m = len(rows[0])
-    return [[rows[j][i] for j in range(len(rows))] for i in range(m)]
 
 
 def radical(rep: QuiverRep) -> QuiverRep:

@@ -83,6 +83,8 @@ def hom_matrix_compose(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatri
 
 
 def hom_matrix_add(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
+    if not A.cells:
+        return B
     cells = dict(A.cells)
     for rc, b in B.cells.items():
         _accumulate(alg, cells, rc, b)

@@ -1,12 +1,29 @@
 """Chain-level Ext: maps between the periodic resolutions, null-homotopy
 certificates, and the degree-1 and degree-N generator families.
 
-A shift-r chain map f assigns to each degree k >= r a morphism matrix
-term_k(source) -> term_{k-r}(target) commuting with the differentials
-(no auxiliary signs: squares commute on the nose).  All our complexes and
-maps are eventually 2N-periodic, so a map is given by a maker of its
+One family type carries all of it.  A ``ChainMap`` of shift r assigns to
+each degree k >= max(r, 0) a morphism matrix
+u_k : term_k(source) -> term_{k-r}(target), given by a maker of its
 components: each is built on first read, memoized, and read off
-periodically past one full period beyond the periodic start.
+periodically, with its ``period``, past one full period beyond the
+periodic start.  A chain map (squares commute on the nose, no auxiliary
+signs) has period 2N; a null-homotopy certificate of a shift-r map is a
+family of shift r-1 whose period is a multiple of 2N.
+
+Both are instances of one equation,
+
+    d o u_m + sign * u_{m-1} o d = rhs(m),
+
+with sign -1 and rhs = 0 for a chain map and sign +1 and rhs = f for a
+homotopy s with f = d o s + s o d.  ``_solve_family`` turns one period of
+unknowns and these equations into a finite linear system over the ground
+field; ``_first_failure`` re-checks a family degreewise with morphism
+arithmetic only, independently of that system.  Both stop at the one
+``ChainMap.window``, two periods and two degrees past the periodic start.
+That suffices: the resolutions are 2N-periodic (terms from degree 0,
+differentials from degree 1) and a family repeats from its periodic
+start, so every equation past one period and one degree beyond it
+repeats an earlier one; the window covers one more full period.
 
 Null-homotopy is decided exactly, in two stages.  Because the
 resolutions are minimal (all differentials land in radicals), the
@@ -15,12 +32,10 @@ cocycle of its bottom component: the head coefficients of f_r into the
 base projective of the target.  A nonzero readout certifies that no
 homotopy whatsoever exists; a zero readout guarantees one exists (build
 it degreewise through the exact tail).  For the explicit certificate a
-homotopy is then sought among eventually periodic families
-s_k : term_k(source) -> term_{k-r+1}(target) with f = d o s + s o d; one
-period of unknowns plus a matching window is a finite linear system over
-the ground field, and the period is widened in multiples of 2N when
-needed (a forced drift can make the minimal certificate period a proper
-multiple of 2N).  Found certificates are re-verified degreewise.
+homotopy is then sought among eventually periodic families, and the
+period is widened in multiples of 2N when needed (a forced drift can
+make the minimal certificate period a proper multiple of 2N).  Found
+certificates are re-verified degreewise.
 
 The generator x_i (shift 1, R_i -> R_{i+1}) is the identity on common
 summands away from the special degrees, with
@@ -72,16 +87,26 @@ class ChainMap:
     shift: int
     periodic_start: int
     maker: Callable  # degree -> HomMatrix, called once per degree read
+    period: int | None = None  # eventual period, a multiple of 2N (default 2N)
     components: dict = field(default_factory=dict)  # degree -> HomMatrix built so far
 
+    def __post_init__(self):
+        self.period = self.period or self.source.period
+
     @property
-    def period(self) -> int:
-        return 2 * self.source.alg.n
+    def period_len(self) -> int:
+        # perfbench/tracer.py reads a certificate's period under this name
+        return self.period
+
+    @property
+    def window(self) -> int:
+        """The last degree every check of this family reaches."""
+        return self.periodic_start + 2 * self.period + 2
 
     def component(self, k: int):
-        """The degree-k component (None when the target degree is < 0);
-        degrees past periodic_start + 2N fold back by whole periods."""
-        if k < self.shift:
+        """The degree-k component (None below degree max(shift, 0));
+        degrees past periodic_start + period fold back by whole periods."""
+        if k < max(self.shift, 0):
             return None
         while k > self.periodic_start + self.period:
             k -= self.period
@@ -90,20 +115,37 @@ class ChainMap:
             M = self.components[k] = self.maker(k)
         return M
 
-    def verify(self, window: int | None = None):
+    def verify(self):
         """Check the chain-map squares degreewise; raises on failure."""
-        alg = self.source.alg
-        hi = window or (self.periodic_start + 2 * self.period + 2)
-        for k in range(self.shift + 1, hi + 1):
-            lhs_prev = self.component(k - 1)
-            lhs = hom_matrix_compose(alg, lhs_prev, self.source.diff(k))
-            rhs = hom_matrix_compose(alg, self.target.diff(k - self.shift), self.component(k))
-            if not hom_matrix_equal(alg, lhs, rhs):
-                raise ChainMapError(
-                    f"chain-map square fails at degree {k} "
-                    f"(shift {self.shift}, source S_{self.source.base_vertex})"
-                )
+        k = _first_failure(self, -1)
+        if k is not None:
+            raise ChainMapError(
+                f"chain-map square fails at degree {k} "
+                f"(shift {self.shift}, source S_{self.source.base_vertex})"
+            )
         return self
+
+
+def _first_failure(u: ChainMap, sign: int, rhs=None):
+    """The first degree m in shift+1 .. window where
+    d o u_m + sign * u_{m-1} o d != rhs(m) (rhs None means zero), or None.
+
+    Morphism-matrix arithmetic only: an independent re-check of families
+    that ``_solve_family`` found."""
+    alg = u.source.alg
+    for m in range(u.shift + 1, u.window + 1):
+        have = hom_matrix_compose(alg, u.target.diff(m - u.shift), u.component(m))
+        want = rhs(m) if rhs else zero_hom_matrix(alg, have.source, have.target)
+        prev = u.component(m - 1)
+        if prev is not None:  # sign * u_{m-1} o d, moved to the side where it adds
+            term = hom_matrix_compose(alg, prev, u.source.diff(m))
+            if sign > 0:
+                have = hom_matrix_add(alg, have, term)
+            else:
+                want = hom_matrix_add(alg, want, term)
+        if not hom_matrix_equal(alg, have, want):
+            return m
+    return None
 
 
 def _step_generator(alg, i, name, src, tgt, half_turn_hom, full_turn_hom) -> ChainMap:
@@ -226,8 +268,7 @@ def chain_equal_strict(f: ChainMap, g: ChainMap) -> bool:
     alg = f.source.alg
     if f.shift != g.shift:
         return False
-    hi = max(f.periodic_start, g.periodic_start) + 2 * f.period + 2
-    for k in range(f.shift, hi + 1):
+    for k in range(f.shift, max(f.window, g.window) + 1):
         if not hom_matrix_equal(alg, f.component(k), g.component(k)):
             return False
     return True
@@ -236,37 +277,14 @@ def chain_equal_strict(f: ChainMap, g: ChainMap) -> bool:
 # ------------------------------------------------------------- homotopies
 
 
-@dataclass
-class Homotopy:
-    source: PeriodicComplex
-    target: PeriodicComplex
-    shift: int  # shift of the map it null-homotopes
-    lo: int
-    maps: list  # s_k for k in lo..hi, term_k(source) -> term_{k-shift+1}(target)
-    periodic_start: int
-    period_len: int  # eventual period (a multiple of 2N)
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.maps) - 1
-
-    def component(self, k: int):
-        if k < self.lo:
-            return None
-        while k > self.hi:
-            k -= self.period_len
-        if k < self.lo:
-            raise ChainMapError("homotopy window too shallow")
-        return self.maps[k - self.lo]
-
-
-def _solve_family(source, target, shift, lo, hi, period, eq_lo, eq_hi, sign,
+def _solve_family(source, target, shift, periodic_start, period, sign,
                   rhs=None, pins=()):
-    """The linear system for an eventually periodic family of morphism
-    matrices u_m : term_m(source) -> term_{m-shift}(target), stored for
-    lo <= m <= hi and read back as u_m = u_{m-period} beyond hi, with
+    """The eventually periodic family of morphism matrices
+    u_m : term_m(source) -> term_{m-shift}(target) (shift >= -1), stored
+    for max(shift, 0) <= m < periodic_start + period and read back as
+    u_m = u_{m-period} beyond, with
 
-        d o u_m + sign * u_{m-1} o d = rhs(m)        (eq_lo <= m <= eq_hi)
+        d o u_m + sign * u_{m-1} o d = rhs(m)     (shift < m <= window)
 
     (a term is absent where its u or its differential is; rhs None means
     zero) and pins, pairs ((m, row, col, slot), value) fixing single
@@ -277,18 +295,28 @@ def _solve_family(source, target, shift, lo, hi, period, eq_lo, eq_hi, sign,
     unknown's column is its basis morphism pushed through the nonzero
     entries of one differential column (d o u) and one differential row
     (u o d).  Equations are keyed and ordered by (row, col, slot) within a
-    degree.  Returns (system, index, read): index maps (m, row, col, slot)
-    to the unknown, read(solution, m) assembles u_m.
+    degree.  Returns (family, system, index): family is the ChainMap of
+    the particular solution, None when the system is inconsistent; index
+    maps (m, row, col, slot) to the unknown.
     """
     alg = source.alg
     F = alg.field
     sgn = F.from_int(sign)
+    lo, hi = max(shift, 0), periodic_start + period - 1
 
     def stored(m):
         while m > hi:
             m -= period
         return m
 
+    def read(m):  # reads sol, the solution assigned below
+        m = stored(m)
+        cells = {}
+        for r, c, elem, v in unknowns[m]:
+            _accumulate(alg, cells, (r, c), alg.scale(sol[v], elem))
+        return HomMatrix(source.term(m), target.term(m - shift), cells)
+
+    family = ChainMap(source, target, shift, periodic_start, read, period)
     index = {}
     unknowns = {}  # stored degree -> [(row, col, basis morphism, unknown)]
     for m in range(lo, hi + 1):
@@ -300,6 +328,7 @@ def _solve_family(source, target, shift, lo, hi, period, eq_lo, eq_hi, sign,
                     cells.append((r, c, elem, len(index) - 1))
 
     system = LinearSystem(F, len(index))
+    eq_lo, eq_hi = shift + 1, family.window
     for m in range(eq_lo, eq_hi + 1):
         rows = {}  # (row, col, slot) -> {unknown: coefficient}
 
@@ -308,14 +337,13 @@ def _solve_family(source, target, shift, lo, hi, period, eq_lo, eq_hi, sign,
                 row = rows.setdefault((r, c, k), {})
                 row[v] = F.add(row.get(v, F.zero), F.mul(scale, cv))
 
-        if m >= lo and m - shift >= 1:
-            columns = {}  # column of d -> [(row, cell)], rows increasing
-            for (r2, a), entry in sorted(target.diff(m - shift).cells.items()):
-                columns.setdefault(a, []).append((r2, entry))
-            for r, c, elem, v in unknowns[stored(m)]:
-                for r2, entry in columns.get(r, ()):
-                    put(r2, c, alg.compose(entry, elem), v, F.one)
-        if m - 1 >= lo and m >= 1:
+        columns = {}  # column of d -> [(row, cell)], rows increasing
+        for (r2, a), entry in sorted(target.diff(m - shift).cells.items()):
+            columns.setdefault(a, []).append((r2, entry))
+        for r, c, elem, v in unknowns[stored(m)]:
+            for r2, entry in columns.get(r, ()):
+                put(r2, c, alg.compose(entry, elem), v, F.one)
+        if m - 1 >= lo:
             nonzero_rows = {}  # row of d -> [(column, cell)], columns increasing
             for (c, c2), entry in sorted(source.diff(m).cells.items()):
                 nonzero_rows.setdefault(c, []).append((c2, entry))
@@ -333,14 +361,8 @@ def _solve_family(source, target, shift, lo, hi, period, eq_lo, eq_hi, sign,
     for key, value in pins:
         system.add_equation({index[key]: F.one}, value)
 
-    def read(sol, m):
-        m = stored(m)
-        cells = {}
-        for r, c, elem, v in unknowns[m]:
-            _accumulate(alg, cells, (r, c), alg.scale(sol[v], elem))
-        return HomMatrix(source.term(m), target.term(m - shift), cells)
-
-    return system, index, read
+    sol = system.solution()
+    return (None if sol is None else family), system, index
 
 
 def chain_head_class(f: ChainMap):
@@ -368,21 +390,10 @@ def class_is_zero(f: ChainMap) -> bool:
 
 def _periodic_homotopy(f: ChainMap, period_multiple: int):
     """Solve for a homotopy with eventual period 2N * period_multiple."""
-    plen = 2 * f.source.alg.n * period_multiple
-    r = f.shift
-    s_lo = max(r - 1, 0)
-    s0 = max(f.periodic_start, s_lo, 1)
-    s_hi = s0 + plen - 1
-    eq_hi = s0 + 2 * plen + 2
-    system, _, read = _solve_family(
-        f.source, f.target, r - 1, s_lo, s_hi, plen, r, eq_hi, 1, rhs=f.component
-    )
-    sol = system.solution()
-    if sol is None:
-        return None
-    maps = [read(sol, k) for k in range(s_lo, s_hi + 1)]
-    htpy = Homotopy(f.source, f.target, r, s_lo, maps, s0, plen)
-    if not verify_homotopy(f, htpy, window=eq_hi):
+    start = max(f.periodic_start, f.shift - 1, 1)
+    htpy, _, _ = _solve_family(f.source, f.target, f.shift - 1, start,
+                               f.period * period_multiple, 1, rhs=f.component)
+    if htpy is not None and not verify_homotopy(f, htpy):
         raise ChainMapError("homotopy certificate failed re-verification")
     return htpy
 
@@ -390,7 +401,8 @@ def _periodic_homotopy(f: ChainMap, period_multiple: int):
 def null_homotopy(f: ChainMap):
     """An eventually periodic homotopy certifying f = d s + s d, or None.
 
-    None certifies non-nullity: the induced cocycle (head readout on the
+    The certificate is a ChainMap of shift r-1 for f of shift r.  None
+    certifies non-nullity: the induced cocycle (head readout on the
     minimal resolution) is nonzero, so no homotopy of any shape exists.
     When the readout vanishes a certificate exists and is searched for
     with eventual periods 2N, 4N, ..., re-verified degreewise.
@@ -407,22 +419,9 @@ def null_homotopy(f: ChainMap):
     )
 
 
-def verify_homotopy(f: ChainMap, htpy: Homotopy, window: int | None = None) -> bool:
+def verify_homotopy(f: ChainMap, htpy: ChainMap) -> bool:
     """Independent degreewise check that f = d o s + s o d."""
-    alg = f.source.alg
-    r = f.shift
-    hi = window or (htpy.periodic_start + 2 * htpy.period_len + 2)
-    for k in range(r, hi + 1):
-        acc = zero_hom_matrix(alg, f.source.term(k), f.target.term(k - r))
-        sk = htpy.component(k)
-        if sk is not None and k - r + 1 >= 1:
-            acc = hom_matrix_add(alg, acc, hom_matrix_compose(alg, f.target.diff(k - r + 1), sk))
-        sk1 = htpy.component(k - 1)
-        if sk1 is not None and k >= 1:
-            acc = hom_matrix_add(alg, acc, hom_matrix_compose(alg, sk1, f.source.diff(k)))
-        if not hom_matrix_equal(alg, acc, f.component(k)):
-            return False
-    return True
+    return htpy.shift == f.shift - 1 and _first_failure(htpy, 1, f.component) is None
 
 
 def class_difference_scalar(f: ChainMap, g: ChainMap):
@@ -465,8 +464,7 @@ class ExtClass:
 
 
 def _first_nonzero_coefficient(alg, f: ChainMap):
-    hi = f.periodic_start + 2 * alg.n
-    for k in range(f.shift, hi + 1):
+    for k in range(f.shift, f.periodic_start + f.period + 1):
         cells = f.component(k).cells  # no stored cell is zero
         if cells:
             return cells[min(cells)].terms()[0][1]
@@ -488,7 +486,6 @@ def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
     the P_j summand; certified non-null-homotopic."""
     if _ext_dim_via_x(alg.n, i, j, k) == 0:
         raise ValueError(f"Ext^{k}(S_{i}, S_{j}) = 0: requested class is zero")
-    n = alg.n
     source = build_resolution(alg, i)
     target = build_resolution(alg, j)
     if k == 0 and i == j:
@@ -497,18 +494,13 @@ def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
 
     # chain-map squares d o phi_m = phi_{m-1} o d, and the head pin: the
     # unique P_j summand of term_k maps by the identity onto term_0(R_j) = P_j
-    p0 = k + 1
     pin = ((k, 0, source.term(k).indices.index(j), ID_SLOT), alg.field.one)
-    system, _, read = _solve_family(
-        source, target, k, k, p0 + 2 * n - 1, 2 * n, k + 1, p0 + 4 * n + 2, -1, pins=[pin]
-    )
-    sol = system.solution()
-    if sol is None:
+    chain, _, _ = _solve_family(source, target, k, k + 1, source.period, -1, pins=[pin])
+    if chain is None:
         raise ChainMapError(
             f"no eventually periodic lift found for Ext^{k}(S_{i}, S_{j})"
         )
-    chain = ChainMap(source, target, k, p0, lambda m: read(sol, m)).verify()
-    chain = normalize_class(chain)
+    chain = normalize_class(chain.verify())
     if null_homotopy(chain) is not None:
         raise ChainMapError("lifted representative is null-homotopic")
     return ExtClass(i, j, k, chain, True)
@@ -524,12 +516,10 @@ def ext_class_dimension(alg: LineAlgebra, i: int, j: int, k: int) -> int:
     periodic chain map; agreement with the combinatorial table is exactly
     what the test suite certifies.
     """
-    n = alg.n
     source = build_resolution(alg, i)
     target = build_resolution(alg, j)
     # ansatz: components repeat from k+1 on
-    system, index, _ = _solve_family(source, target, k, k, k + 2 * n, 2 * n,
-                                     k + 1, k + 6 * n + 3, -1)
+    _, system, index = _solve_family(source, target, k, k + 1, source.period, -1)
     head_vars = [
         index[(k, 0, c, ID_SLOT)]
         for c, s in enumerate(source.term(k).indices)

@@ -1,5 +1,5 @@
-"""Golden outputs: every small benchmark job reproduces the exit code and
-the sha256 of the JSON output recorded in perfbench/reference.json.
+"""Golden outputs: every benchmark job reproduces the exit code and the
+sha256 of the JSON output recorded in perfbench/reference.json.
 
 The job lists come from perfbench/jobs.py, which imports nothing from
 extline; the reference file is only read.
@@ -41,13 +41,29 @@ def run(argv):
     return rc, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("workload", JOBS.WORKLOADS)
-def test_small_jobs_match_the_reference(workload):
-    jobs = [job for job in JOBS.jobs_for(workload, 0) if not job.large]
-    assert jobs
+def small_jobs(workload):
+    return [job for job in JOBS.jobs_for(workload, 0) if not job.large]
+
+
+def wrong_jobs(jobs):
     wrong = []
     for job in jobs:
         recorded = REFERENCE[job.key]
         if run(job.argv) != (recorded["exit"], recorded["sha256"]):
             wrong.append(job.key)
-    assert not wrong
+    return wrong
+
+
+@pytest.mark.parametrize("workload", JOBS.WORKLOADS)
+def test_small_jobs_match_the_reference(workload):
+    jobs = small_jobs(workload)
+    assert jobs
+    assert not wrong_jobs(jobs)
+
+
+def test_every_other_reference_job_matches():
+    # the large jobs and the pool words no seed-0 run draws
+    jobs = JOBS.all_reference_jobs()
+    assert {job.key for job in jobs} == set(REFERENCE)
+    done = {job.key for workload in JOBS.WORKLOADS for job in small_jobs(workload)}
+    assert not wrong_jobs([job for job in jobs if job.key not in done])

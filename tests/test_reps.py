@@ -12,6 +12,16 @@ F2 = field_for_characteristic(2)
 F0 = field_for_characteristic(0)
 
 
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("n,i", [(1, 1), (2, 1), (3, 2)])
+def test_span_that_is_not_arrow_stable_is_rejected(n, i, char):
+    F = field_for_characteristic(char)
+    P = reps.projective_rep(n, F, i)
+    # the head vector alone: the arrows carry it out of its span
+    with pytest.raises(ValueError, match="not arrow-stable"):
+        reps._submodule(P, {i: [[F.one, F.zero]]})
+
+
 def test_radical_of_simple_is_zero():
     assert reps.radical(reps.simple_rep(3, F2, 2)).total_dim == 0
 

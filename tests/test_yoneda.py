@@ -7,7 +7,8 @@ from extline.homs import HomGenerator, LineAlgebra
 from extline.resolutions import HomMatrix, zero_hom_matrix
 from extline import yoneda
 from extline.yoneda import (
-    Homotopy,
+    ChainMap,
+    ChainMapError,
     cached_generator,
     chain_equal_strict,
     chain_head_class,
@@ -16,6 +17,7 @@ from extline.yoneda import (
     class_is_zero,
     compose,
     ext_class_dimension,
+    generator_x,
     generator_y,
     identity_chain_map,
     lift_cocycle,
@@ -112,20 +114,55 @@ def test_boundary_relation_composites_vanish(char):
     assert h is not None and verify_homotopy(g, h)
 
 
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("i", [1, 2])
+def test_zeroed_generator_component_fails_verify(i, char):
+    alg = algebra(3, char)
+    x = generator_x(alg, i)
+    for d in range(x.shift + 1, x.periodic_start + x.period + 1):
+        def maker(k, d=d):
+            M = x.maker(k)
+            return zero_hom_matrix(alg, M.source, M.target) if k == d else M
+
+        bad = ChainMap(x.source, x.target, x.shift, x.periodic_start, maker)
+        with pytest.raises(ChainMapError, match=rf"square fails at degree {d} "):
+            bad.verify()
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("n", [3, 4])
+def test_widened_certificates_carry_their_period(n, char):
+    # null_homotopy stops at multiple 1 for every relator; the wider
+    # periods are reached only by asking for them
+    from extline.path_algebra import evaluate_relator, standard_relators
+
+    alg = algebra(n, char)
+    for rel in standard_relators(n):
+        f = evaluate_relator(alg, rel)
+        for m in (2, 3):
+            h = yoneda._periodic_homotopy(f, m)
+            assert h is not None and h.period == h.period_len == 2 * n * m, (rel.name, m)
+            assert verify_homotopy(f, h), (rel.name, m)
+
+
 @pytest.mark.parametrize("char", [0, 3])
 def test_changed_homotopy_component_fails_verification(char):
     alg = algebra(3, char)
     f = compose(cached_generator(alg, "xstar", 1), cached_generator(alg, "x", 1))
     h = null_homotopy(f)
     assert h is not None and verify_homotopy(f, h)
+    ps, p = h.periodic_start, h.period
     changed = 0
-    for pos, M in enumerate(h.maps):
-        if all(e.is_zero(alg.field) for row in M.entries for e in row):
+    for k in range(max(h.shift, 0), ps + p):  # the stored degrees
+        M = h.component(k)
+        if not M.cells:
             continue
-        maps = list(h.maps)
-        maps[pos] = zero_hom_matrix(alg, M.source, M.target)
-        bad = Homotopy(h.source, h.target, h.shift, h.lo, maps, h.periodic_start, h.period_len)
-        assert not verify_homotopy(f, bad), h.lo + pos
+        zero = zero_hom_matrix(alg, M.source, M.target)
+        bad = ChainMap(h.source, h.target, h.shift, ps, h.component, p)
+        bad.components[k] = zero
+        if k == ps:  # degree ps + p is read back from the stored degree ps
+            bad.components[ps + p] = zero
+        assert not verify_homotopy(f, bad), k
         changed += 1
     assert changed
 
@@ -148,10 +185,8 @@ def test_explicit_homotopy_formula(n, i, char):
     xsi1 = cached_generator(alg, "xstar", i + 1)
     diff = chain_sub(compose(xi, xsi), compose(xsi1, xi1))
     cx = diff.source  # R_{i+1}
-    maps = []
-    lo = 1
-    hi = 2 * n
-    for k in range(lo, hi + 1):
+
+    def maker(k):
         cells = {}
         if k % (2 * n) == n % (2 * n):
             sign = F.from_int(-1 if (n - i) % 2 else 1)
@@ -159,8 +194,10 @@ def test_explicit_homotopy_formula(n, i, char):
         elif k % (2 * n) == 0:
             sign = F.from_int(-1 if i % 2 else 1)
             cells[(0, 0)] = alg.scale(sign, alg.identity_hom(i + 1))
-        maps.append(HomMatrix(cx.term(k), cx.term(k - 1), cells))
-    witness = Homotopy(cx, cx, 2, lo, maps, lo, 2 * n)
+        return HomMatrix(cx.term(k), cx.term(k - 1), cells)
+
+    witness = ChainMap(cx, cx, 1, 1, maker)
+    assert witness.period == 2 * n
     assert verify_homotopy(diff, witness)
 
 
