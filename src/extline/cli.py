@@ -132,16 +132,21 @@ def to_latex(payload: dict) -> str:
 
 
 def checks_payload(checks) -> list:
-    out = []
-    for c in checks:
-        out.append(
-            {
-                "name": c.name,
-                "status": "pass" if c.ok else "fail",
-                "detail": c.detail,
-            }
-        )
-    return out
+    return [{"name": c.name, "status": "pass" if c.ok else "fail", "detail": c.detail}
+            for c in checks]
+
+
+def _emit_report(args, max_degree, data, checks, **extras) -> None:
+    """Emit the common payload of every command, plus its extras."""
+    payload = {
+        "n": args.n,
+        "characteristic": args.char,
+        "max_degree": max_degree,
+        "data": data,
+        "checks": checks_payload(checks),
+        **extras,
+    }
+    emit(payload, args.format, args.out)
 
 
 # --------------------------------------------------------------- commands
@@ -159,14 +164,7 @@ def cmd_ext_table(args) -> int:
     except RouteMismatchError as exc:
         check = CheckResult("route agreement", False, str(exc))
         data = {}
-    payload = {
-        "n": args.n,
-        "characteristic": args.char,
-        "max_degree": args.max_deg,
-        "data": data,
-        "checks": checks_payload([check]),
-    }
-    emit(payload, args.format, args.out)
+    _emit_report(args, args.max_deg, data, [check])
     return 0 if check.ok else 1
 
 
@@ -175,16 +173,8 @@ def cmd_poincare(args) -> int:
     num = poincare_numerator(n, args.i, args.j)
     series = poincare_series(n, args.i, args.j, args.max_deg)
     denom = [1] + [0] * (2 * n - 1) + [-1]
-    payload = {
-        "n": n,
-        "characteristic": args.char,
-        "max_degree": args.max_deg,
-        "data": {f"{args.i},{args.j}": series},
-        "numerator": poly_str(num),
-        "denominator": poly_str(denom),
-        "checks": [],
-    }
-    emit(payload, args.format, args.out)
+    _emit_report(args, args.max_deg, {f"{args.i},{args.j}": series}, [],
+                 numerator=poly_str(num), denominator=poly_str(denom))
     return 0
 
 
@@ -208,16 +198,8 @@ def cmd_resolve(args) -> int:
                 "matrix": [[format_hom(alg, e) for e in row] for row in d.entries],
             }
         )
-    payload = {
-        "n": args.n,
-        "characteristic": args.char,
-        "max_degree": depth,
-        "data": {},
-        "terms": " | ".join(terms) + f" | period {2 * args.n}",
-        "differentials": diffs,
-        "checks": checks_payload(report.checks),
-    }
-    emit(payload, args.format, args.out)
+    _emit_report(args, depth, {}, report.checks,
+                 terms=" | ".join(terms) + f" | period {2 * args.n}", differentials=diffs)
     return 0 if report.ok else 1
 
 
@@ -247,37 +229,27 @@ def _suite_syzygy(alg):
     return checks
 
 
+# suite -> (alg, args) -> (name prefix, checks) groups, in the order "all" runs them
+_SUITES = {
+    "syzygy": lambda alg, args: [("", _suite_syzygy(alg))],
+    "resolution": lambda alg, args: (
+        (f"R_{i}: ", verify_resolution(build_resolution(alg, i, args.max_deg), i).checks)
+        for i in range(1, args.n + 1)),
+    "relations": lambda alg, args: [("relation: ", yoneda.verify_chain_relations(alg).checks)],
+    "gamma": lambda alg, args: [("presentation: ", path_algebra.verify_presentation(
+        alg, args.max_deg if args.max_deg is not None else 2 * args.n + 2).checks)],
+}
+
+
 def cmd_verify(args) -> int:
     alg = LineAlgebra(args.n, field_for_characteristic(args.char))
     checks = []
-    suites = ["syzygy", "resolution", "relations", "gamma"] if args.suite == "all" else [args.suite]
-    for suite in suites:
-        if suite == "syzygy":
-            checks.extend(_suite_syzygy(alg))
-        elif suite == "resolution":
-            for i in range(1, args.n + 1):
-                report = verify_resolution(build_resolution(alg, i, args.max_deg), i)
-                for c in report.checks:
-                    checks.append(CheckResult(f"R_{i}: {c.name}", c.ok, c.detail))
-        elif suite == "relations":
-            report = yoneda.verify_chain_relations(alg)
-            for c in report.checks:
-                checks.append(CheckResult(f"relation: {c.name}", c.ok, c.detail))
-        elif suite == "gamma":
-            K = args.max_deg if args.max_deg is not None else 2 * args.n + 2
-            report = path_algebra.verify_presentation(alg, K)
-            for c in report.checks:
-                checks.append(CheckResult(f"presentation: {c.name}", c.ok, c.detail))
+    for suite in list(_SUITES) if args.suite == "all" else [args.suite]:
+        for prefix, group in _SUITES[suite](alg, args):
+            checks += [CheckResult(prefix + c.name, c.ok, c.detail) for c in group]
     ok = all(c.ok for c in checks)
-    payload = {
-        "n": args.n,
-        "characteristic": args.char,
-        "max_degree": args.max_deg if args.max_deg is not None else 4 * args.n,
-        "data": {},
-        "checks": checks_payload(checks),
-    }
-    payload["status"] = "PASS" if ok else "FAIL"
-    emit(payload, args.format, args.out)
+    _emit_report(args, args.max_deg if args.max_deg is not None else 4 * args.n, {}, checks,
+                 status="PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
@@ -292,14 +264,7 @@ def cmd_gamma_dims(args) -> int:
     }
     bad = path_algebra.dimension_mismatches(gd, ext_table(args.n, K))
     check = CheckResult("graded dimensions match Ext table", not bad, str(bad) if bad else "")
-    payload = {
-        "n": args.n,
-        "characteristic": args.char,
-        "max_degree": K,
-        "data": data,
-        "checks": checks_payload([check]),
-    }
-    emit(payload, args.format, args.out)
+    _emit_report(args, K, data, [check])
     return 0 if check.ok else 1
 
 
@@ -333,16 +298,8 @@ def cmd_yoneda_product(args) -> int:
         return 2
     cls = path_algebra.evaluate_word(alg, word)
     verdict = "nonzero" if cls.nonzero else "zero"
-    payload = {
-        "n": args.n,
-        "characteristic": args.char,
-        "max_degree": cls.k,
-        "data": {f"{cls.i},{cls.j}": verdict},
-        "word": str(word),
-        "classinfo": f"Ext^{cls.k}(S_{cls.i}, S_{cls.j}) class is {verdict}",
-        "checks": [],
-    }
-    emit(payload, args.format, args.out)
+    _emit_report(args, cls.k, {f"{cls.i},{cls.j}": verdict}, [], word=str(word),
+                 classinfo=f"Ext^{cls.k}(S_{cls.i}, S_{cls.j}) class is {verdict}")
     return 0
 
 
@@ -385,8 +342,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p)
-    p.add_argument("--suite", choices=["syzygy", "resolution", "relations", "gamma", "all"],
-                   default="all")
+    p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gamma-dims", help="graded dimensions of the presented algebra")

@@ -22,6 +22,10 @@ projectives (all structure constants +1) by
     F(i) = (-1)^i * (basis map),   FStar(i) = (basis map),
     Loop(i) = (-1)^i * (basis loop) for i <= N-1,  (-1)^(N-1) for i = N.
 
+One table, ``_realization``, lists the at most four nonzero entries of
+each basis morphism there; ``realize`` and ``resolutions.realize_hom_matrix``
+both write through it with ``add_realization``.
+
 All other products of non-identity generators vanish.
 
 Since (i, j) alone fixes the basis of Hom(P_i, P_j), a morphism is stored
@@ -59,6 +63,26 @@ class HomGenerator:
     @property
     def target(self) -> int:
         return self.i + 1 if self.kind == "f" else self.i
+
+
+def _sign(e: int) -> int:
+    return -1 if e % 2 else 1
+
+
+def _realization(gen: HomGenerator, n: int) -> tuple:
+    """The nonzero entries (vertex, row, col, sign) of a basis morphism on
+    the standard projectives of ``reps``: row and col index the target's
+    and the source's basis at the vertex, head before socle."""
+    i = gen.i
+    if gen.kind == "id":
+        middles = tuple((v, 0, 0, 1) for v in (i - 1, i + 1) if 1 <= v <= n)
+        return ((i, 0, 0, 1), (i, 1, 1, 1)) + middles
+    if gen.kind == "loop":  # head -> socle
+        return ((i, 1, 0, _sign(min(i, n - 1))),)
+    if gen.kind == "f":  # head of P_i -> middle of P_{i+1} at i; middle at i+1 -> socle
+        return ((i, 0, 0, _sign(i)), (i + 1, 1, 0, _sign(i)))
+    # fstar: head of P_{i+1} -> middle of P_i at i+1; middle at i -> socle
+    return ((i + 1, 0, 0, 1), (i, 1, 0, 1))
 
 
 def _basis(i: int, j: int) -> tuple:
@@ -246,46 +270,22 @@ class LineAlgebra:
         return reps.simple_rep(self.n, self.field, i)
 
     def loop_sign(self, i: int) -> int:
-        if i <= self.n - 1:
-            return -1 if i % 2 else 1
-        return -1 if (self.n - 1) % 2 else 1
+        return _sign(min(i, self.n - 1))
 
-    def realize_generator(self, gen: HomGenerator) -> reps.RepMorphism:
+    def add_realization(self, blocks, h: HomElement, row_off, col_off) -> None:
+        """Add the realization of ``h`` into per-vertex ``blocks``, with its
+        block at vertex v starting at row ``row_off[v-1]``, column ``col_off[v-1]``."""
         F = self.field
-        src = self.projective(gen.source)
-        tgt = self.projective(gen.target)
-        phi = reps.zero_morphism(src, tgt)
-        one = F.one
-
-        def setb(v, r, c, val):
-            phi.blocks[v][r][c] = val
-
-        if gen.kind == "id":
-            return reps.identity_morphism(src)
-        if gen.kind == "loop":
-            sgn = F.from_int(self.loop_sign(gen.i))
-            setb(gen.i, 1, 0, sgn)  # head -> socle
-            return phi
-        if gen.kind == "f":
-            i = gen.i
-            sgn = F.from_int(-1 if i % 2 else 1)
-            # head of P_i -> middle of P_{i+1} at vertex i; middle u -> socle
-            setb(i, 0, 0, sgn)
-            setb(i + 1, 1, 0, sgn)
-            return phi
-        if gen.kind == "fstar":
-            i = gen.i
-            # head of P_{i+1} -> middle of P_i at vertex i+1; middle w -> socle
-            setb(i + 1, 0, 0, one)
-            setb(i, 1, 0, one)
-            return phi
-        raise ValueError(f"unknown generator {gen}")
+        basis = _basis(h.source, h.target)
+        for k, c in h.terms():
+            for v, r, col, sign in _realization(basis[k], self.n):
+                row = blocks[v][row_off[v - 1] + r]
+                j = col_off[v - 1] + col
+                row[j] = F.add(row[j], c if sign > 0 else F.neg(c))
 
     def realize(self, h: HomElement) -> reps.RepMorphism:
         """Concrete intertwiner; realize(g o h) = realize(g) o realize(h)."""
-        src = self.projective(h.source)
-        tgt = self.projective(h.target)
-        phi = reps.zero_morphism(src, tgt)
-        for gen, c in h.coeffs.items():
-            phi = phi.add(self.realize_generator(gen).scale(c))
+        phi = reps.zero_morphism(self.projective(h.source), self.projective(h.target))
+        origin = (0,) * self.n
+        self.add_realization(phi.blocks, h, origin, origin)
         return phi

@@ -21,6 +21,11 @@ def identity_matrix(field, n: int):
     return M
 
 
+def nonzero_columns(field, M):
+    """The nonzero columns of M, left to right, as lists."""
+    return [list(col) for col in zip(*M) if not all(map(field.is_zero, col))]
+
+
 def mat_copy(M):
     return [row[:] for row in M]
 
@@ -47,14 +52,6 @@ def mat_mul(field, A, B, out_cols: int | None = None):
                 if not field.is_zero(b):
                     oi[j] = field.add(oi[j], field.mul(a, b))
     return out
-
-
-def mat_add(field, A, B):
-    return [[field.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(field, c, A):
-    return [[field.mul(c, a) for a in row] for row in A]
 
 
 def mat_eq(field, A, B) -> bool:

@@ -204,19 +204,6 @@ class RepMorphism:
         }
         return RepMorphism(other.source, self.target, blocks)
 
-    def add(self, other: "RepMorphism") -> "RepMorphism":
-        F = self.source.field
-        blocks = {
-            v: linalg.mat_add(F, self.blocks[v], other.blocks[v])
-            for v in range(1, self.source.n + 1)
-        }
-        return RepMorphism(self.source, self.target, blocks)
-
-    def scale(self, c) -> "RepMorphism":
-        F = self.source.field
-        blocks = {v: linalg.mat_scale(F, c, B) for v, B in self.blocks.items()}
-        return RepMorphism(self.source, self.target, blocks)
-
     def equals(self, other: "RepMorphism") -> bool:
         F = self.source.field
         return all(
@@ -333,15 +320,10 @@ def radical(rep: QuiverRep) -> QuiverRep:
 
 
 def radical_with_inclusion(rep: QuiverRep):
-    F = rep.field
     spanning = {v: [] for v in range(1, rep.n + 1)}
     for key in arrow_keys(rep.n):
-        s, t = arrow_endpoints(rep.n, key)
-        M = rep.arrow(key)
-        for ci in range(rep.dim(s)):
-            col = [M[ri][ci] for ri in range(rep.dim(t))]
-            if any(not F.is_zero(x) for x in col):
-                spanning[t].append(col)
+        t = arrow_endpoints(rep.n, key)[1]
+        spanning[t] += linalg.nonzero_columns(rep.field, rep.arrow(key))
     return _submodule(rep, spanning)
 
 
@@ -533,15 +515,7 @@ def syzygy_power(rep: QuiverRep, k: int) -> QuiverRep:
 
 def image_subrep(phi: RepMorphism):
     F = phi.source.field
-    spanning = {}
-    for v in range(1, phi.source.n + 1):
-        B = phi.block(v)
-        cols = []
-        for ci in range(phi.source.dim(v)):
-            col = [B[ri][ci] for ri in range(phi.target.dim(v))]
-            if any(not F.is_zero(x) for x in col):
-                cols.append(col)
-        spanning[v] = cols
+    spanning = {v: linalg.nonzero_columns(F, phi.block(v)) for v in range(1, phi.source.n + 1)}
     return _submodule(phi.target, spanning)
 
 

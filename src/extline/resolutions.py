@@ -214,21 +214,9 @@ def psum_rep(alg: LineAlgebra, psum: PSum):
 def realize_hom_matrix(alg: LineAlgebra, A: HomMatrix) -> reps.RepMorphism:
     src_rep, src_off = psum_rep(alg, A.source)
     tgt_rep, tgt_off = psum_rep(alg, A.target)
-    F = alg.field
     phi = reps.zero_morphism(src_rep, tgt_rep)
     for (r, c), entry in A.cells.items():
-        small = alg.realize(entry)
-        for v in range(1, alg.n + 1):
-            B = small.block(v)
-            ro = tgt_off[r][v - 1]
-            co = src_off[c][v - 1]
-            for rr in range(len(B)):
-                for cc in range(len(B[0]) if B else 0):
-                    val = B[rr][cc]
-                    if not F.is_zero(val):
-                        phi.blocks[v][ro + rr][co + cc] = F.add(
-                            phi.blocks[v][ro + rr][co + cc], val
-                        )
+        alg.add_realization(phi.blocks, entry, tgt_off[r], src_off[c])
     return phi
 
 
@@ -254,14 +242,14 @@ class CheckReport:
         return [c for c in self.checks if not c.ok]
 
 
-def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = None) -> CheckReport:
+def verify_resolution(cx: PeriodicComplex, i: int) -> CheckReport:
     """Certify the resolution: d o d = 0, minimality, oracle exactness and
     the identification of each image with the expected string module."""
     alg = cx.alg
     F = alg.field
     n = alg.n
     checks = []
-    depth = cx.depth if oracle_depth is None else min(oracle_depth, cx.depth)
+    depth = cx.depth
 
     bad = _square_zero_failures(cx, depth)
     checks.append(
@@ -301,7 +289,7 @@ def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = No
         img = realized[k + 1]
         ker_of = realized[k]
         for v in range(1, n + 1):
-            img_cols = _column_vectors(F, img.block(v))
+            img_cols = linalg.nonzero_columns(F, img.block(v))
             ker_rows = linalg.nullspace(
                 F, ker_of.block(v) if ker_of.target.dim(v) else [],
                 ncols=ker_of.source.dim(v),
@@ -316,16 +304,18 @@ def verify_resolution(cx: PeriodicComplex, i: int, oracle_depth: int | None = No
     rad_sub, rad_inc = reps.radical_with_inclusion(alg.projective(i))
     ok0 = True
     for v in range(1, n + 1):
-        img_cols = _column_vectors(F, d1.block(v))
-        rad_cols = _column_vectors(F, rad_inc.block(v))
+        img_cols = linalg.nonzero_columns(F, d1.block(v))
+        rad_cols = linalg.nonzero_columns(F, rad_inc.block(v))
         if not linalg.span_equal(F, img_cols, rad_cols):
             ok0 = False
     checks.append(CheckResult("cokernel in degree 0 is the simple", ok0))
 
     bad = []
+    label = strings.simple_label(i)
     for k in range(1, depth + 1):
         img_rep, _ = reps.image_subrep(realized[k])
-        expected = strings.realize_x(n, F, strings.syzygy_label_power(n, strings.simple_label(i), k))
+        label = strings.syzygy_label(n, label)
+        expected = strings.realize_x(n, F, label)
         if not reps.is_isomorphic(img_rep, expected):
             bad.append(k)
     checks.append(CheckResult("images are the expected string modules", not bad,
@@ -339,17 +329,6 @@ def _square_zero_failures(cx: PeriodicComplex, depth: int):
     alg = cx.alg
     return [k for k in range(2, depth + 1)
             if not hom_matrix_is_zero(alg, hom_matrix_compose(alg, cx.diff(k - 1), cx.diff(k)))]
-
-
-def _column_vectors(field, block):
-    cols = []
-    nrows = len(block)
-    ncols = len(block[0]) if block else 0
-    for c in range(ncols):
-        col = [block[r][c] for r in range(nrows)]
-        if any(not field.is_zero(x) for x in col):
-            cols.append(col)
-    return cols
 
 
 def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> PeriodicComplex:

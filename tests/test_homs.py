@@ -5,7 +5,7 @@ import pytest
 
 from extline.fields import field_for_characteristic
 from extline.homs import CompositionError, LineAlgebra
-from extline import reps
+from extline import linalg, reps
 
 CHARS = [0, 2, 3, 5]
 
@@ -103,13 +103,41 @@ def test_realization_is_functorial(n, char):
     alg = algebra(n, char)
     gens = all_generators(alg)
     for g in gens:
-        assert alg.realize_generator(g).is_intertwiner()
+        assert alg.realize(as_element(alg, g)).is_intertwiner()
         for h in gens:
             if h.target != g.source:
                 continue
             lhs = alg.realize(alg.compose(as_element(alg, g), as_element(alg, h)))
-            rhs = alg.realize_generator(g).compose(alg.realize_generator(h))
+            rhs = alg.realize(as_element(alg, g)).compose(alg.realize(as_element(alg, h)))
             assert lhs.equals(rhs), (g, h)
+
+
+def flat(phi):
+    """A morphism's blocks as one vector, vertex by vertex."""
+    return [x for v in sorted(phi.blocks) for row in phi.blocks[v] for x in row]
+
+
+@pytest.mark.parametrize("char", CHARS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_realized_basis_is_an_oracle_hom_basis(n, char):
+    # every (s, t): the realized basis of Hom(P_s, P_t) consists of
+    # intertwiners, is independent and spans the oracle's Hom space, and
+    # realizing respects composition with every basis morphism out of P_t
+    alg = algebra(n, char)
+    F = alg.field
+    for s in range(1, n + 1):
+        for t in range(1, n + 1):
+            realized = [alg.realize(h) for h in alg.basis(s, t)]
+            assert all(phi.is_intertwiner() for phi in realized), (s, t)
+            rows = [flat(phi) for phi in realized]
+            assert linalg.rank(F, rows) == len(rows), (s, t)
+            oracle = [flat(phi) for phi in reps.hom_space(alg.projective(s), alg.projective(t))]
+            assert linalg.span_equal(F, rows, oracle), (s, t)
+            for u in range(1, n + 1):
+                for g in alg.basis(t, u):
+                    for h, phi in zip(alg.basis(s, t), realized):
+                        lhs = alg.realize(alg.compose(g, h))
+                        assert lhs.equals(alg.realize(g).compose(phi)), (s, t, u)
 
 
 def test_realize_identity_and_loop():
