@@ -85,8 +85,6 @@ def ext_dim_via_x(n: int, i: int, j: int, k: int) -> int:
 def ext_dim_via_resolution(alg: LineAlgebra, i: int, j: int, k: int) -> int:
     """Multiplicity of P_j in degree k of the minimal resolution of S_i."""
     cx = build_resolution(alg, i, depth=max(k, 2 * alg.n + 2))
-    if k > cx.depth:
-        raise ValueError("resolution not built deep enough")
     return cx.term(k).multiplicity(j)
 
 
@@ -95,7 +93,6 @@ class ExtTable:
     n: int
     max_degree: int
     data: dict  # (i, j) -> tuple of 0/1 over k = 0..max_degree
-    routes: tuple = ("head-criterion", "poincare-series", "resolution-terms")
 
     def entry(self, i: int, j: int, k: int) -> int:
         return self.data[(i, j)][k]

@@ -266,9 +266,6 @@ class LineAlgebra:
             self._projectives[i] = reps.projective_rep(self.n, self.field, i)
         return self._projectives[i]
 
-    def simple(self, i: int) -> reps.QuiverRep:
-        return reps.simple_rep(self.n, self.field, i)
-
     def loop_sign(self, i: int) -> int:
         return _sign(min(i, self.n - 1))
 

@@ -141,14 +141,6 @@ def solve(field, A, b):
     return x
 
 
-def row_span_basis(field, rows):
-    """Reduced basis of the span of the given row vectors."""
-    if not rows:
-        return []
-    R, pivots = rref(field, rows)
-    return [R[i] for i in range(len(pivots))]
-
-
 def span_contains(field, basis_rows, v) -> bool:
     if all(field.is_zero(x) for x in v):
         return True

@@ -19,6 +19,11 @@ layer structure of the projectives (head S_i, heart S_{i-1} + S_{i+1},
 socle S_i); it is the unique one compatible with that structure.
 
 Left modules throughout: P_i is the span of paths out of vertex i.
+
+One function, ``radical_span``, is the oracle's radical: the radical
+submodule, heads, projective covers and the degree-0 check of a
+resolution all read it.  ``projective_rep`` alone writes the shape of P_v;
+a cover's surjection walks that shape from the head, arrow by arrow.
 """
 
 from __future__ import annotations
@@ -269,11 +274,11 @@ def _submodule(rep: QuiverRep, spanning):
     The span must be arrow-stable.  Returns (sub, inclusion).
     """
     F = rep.field
-    bases = {v: linalg.row_span_basis(F, spanning.get(v, [])) for v in range(1, rep.n + 1)}
-    # the bases are reduced echelon rows, so a vector of their span has its
-    # coordinates at the pivots (the first nonzero entry of each row)
-    pivots = {v: [next(c for c, x in enumerate(row) if not F.is_zero(x)) for row in rows]
-              for v, rows in bases.items()}
+    echelon = {v: linalg.rref(F, spanning.get(v, [])) for v in range(1, rep.n + 1)}
+    # the reduced echelon rows are a basis, and a vector of their span has
+    # its coordinates at the pivots
+    bases = {v: R[:len(p)] for v, (R, p) in echelon.items()}
+    pivots = {v: p for v, (_, p) in echelon.items()}
     dims = [len(bases[v]) for v in range(1, rep.n + 1)]
     arrows = {}
     for key in arrow_keys(rep.n):
@@ -313,26 +318,28 @@ def sum_products(field, row, vec):
     return acc
 
 
-def radical(rep: QuiverRep) -> QuiverRep:
-    """rad M = sum of the images of all arrows (the arrow ideal acting)."""
-    _require_valid(rep)
-    return radical_with_inclusion(rep)[0]
-
-
-def radical_with_inclusion(rep: QuiverRep):
+def radical_span(rep: QuiverRep) -> dict:
+    """rad M, per vertex: the nonzero columns of the arrows into it."""
     spanning = {v: [] for v in range(1, rep.n + 1)}
     for key in arrow_keys(rep.n):
         t = arrow_endpoints(rep.n, key)[1]
         spanning[t] += linalg.nonzero_columns(rep.field, rep.arrow(key))
-    return _submodule(rep, spanning)
+    return spanning
+
+
+def radical(rep: QuiverRep) -> QuiverRep:
+    """rad M = sum of the images of all arrows (the arrow ideal acting)."""
+    _require_valid(rep)
+    return _submodule(rep, radical_span(rep))[0]
 
 
 def head(rep: QuiverRep) -> dict:
     """Multiplicities of the simples in M / rad M, as {vertex: count}."""
-    rad = radical(rep)
+    _require_valid(rep)
+    span = radical_span(rep)
     out = {}
     for v in range(1, rep.n + 1):
-        m = rep.dim(v) - rad.dim(v)
+        m = rep.dim(v) - linalg.rank(rep.field, span[v])
         if m:
             out[v] = m
     return out
@@ -429,29 +436,18 @@ def projective_cover(rep: QuiverRep) -> CoverData:
     """Cover M by one P_v per head constituent; kernel is the syzygy.
 
     The head section is deterministic: complements of rad M are spanned by
-    the non-pivot standard coordinates of the radical's echelon basis,
-    taken in vertex order.
+    the standard coordinates that are not pivots of ``radical_span(M)``'s
+    echelon form, taken in vertex order.
     """
     _require_valid(rep)
     F = rep.field
     n = rep.n
-    rad_rows = {v: [] for v in range(1, n + 1)}
-    rad_sub, rad_inc = radical_with_inclusion(rep)
-    for v in range(1, n + 1):
-        B = rad_inc.block(v)
-        for ci in range(rad_sub.dim(v)):
-            rad_rows[v].append([B[ri][ci] for ri in range(rep.dim(v))])
-
     generators = []  # (vertex, head representative vector in M_v)
-    for v in range(1, n + 1):
-        if rep.dim(v) == 0:
-            continue
-        R, pivots = linalg.rref(F, rad_rows[v]) if rad_rows[v] else ([], [])
-        pivset = set(pivots)
+    for v, span in radical_span(rep).items():
+        pivots = set(linalg.rref(F, span)[1])
         for c in range(rep.dim(v)):
-            if c not in pivset:
-                e = [F.one if i == c else F.zero for i in range(rep.dim(v))]
-                generators.append((v, e))
+            if c not in pivots:
+                generators.append((v, [F.one if i == c else F.zero for i in range(rep.dim(v))]))
 
     if not generators:
         z = zero_rep(n, F)
@@ -460,39 +456,22 @@ def projective_cover(rep: QuiverRep) -> CoverData:
     projs = [projective_rep(n, F, v) for v, _ in generators]
     cover, _ = direct_sum(projs)
 
-    def generator_images(P, v, gvec):
-        """Images in M of the basis of P = P_v under e_head -> gvec."""
-        imgs = {w: [[F.zero] * P.dim(w) for _ in range(rep.dim(w))] for w in range(1, n + 1)}
-
-        def set_col(w, col_idx, vec):
-            for ri in range(rep.dim(w)):
-                imgs[w][ri][col_idx] = vec[ri]
-
-        def apply_arrow(key, vec):
-            M_ = rep.arrow(key)
-            return [sum_products(F, M_[ri], vec) for ri in range(len(M_))]
-
-        set_col(v, 0, gvec)  # head basis vector
-        if n == 1:
-            set_col(1, 1, apply_arrow(("x", 1), gvec))
-            return imgs
-        if v <= n - 1:
-            u_img = apply_arrow(("a", v), gvec)
-            set_col(v + 1, 0, u_img)
-            set_col(v, 1, apply_arrow(("b", v), u_img))
-        if v >= 2:
-            w_img = apply_arrow(("b", v - 1), gvec)
-            set_col(v - 1, 0, w_img)
-            if v > n - 1:
-                set_col(v, 1, apply_arrow(("a", v - 1), w_img))
-        return imgs
-
+    # e_head -> gvec.  Each basis vector of P_v is an arrow's image of an
+    # earlier one with coefficient 1, at most two arrows below the head, so
+    # two passes over the arrows send every one to M's arrow applied to the
+    # image of the vector it comes from.
     blocks = {w: [[] for _ in range(rep.dim(w))] for w in range(1, n + 1)}
     for P, (v, gvec) in zip(projs, generators):
-        imgs = generator_images(P, v, gvec)
+        img = {(v, 0): gvec}
+        for key in arrow_keys(n) * 2:
+            s, t = arrow_endpoints(n, key)
+            for r, row in enumerate(P.arrow(key)):
+                for c, x in enumerate(row):
+                    if not F.is_zero(x) and (s, c) in img and (t, r) not in img:
+                        img[t, r] = [sum_products(F, m_row, img[s, c]) for m_row in rep.arrow(key)]
         for w in range(1, n + 1):
             for ri in range(rep.dim(w)):
-                blocks[w][ri].extend(imgs[w][ri])
+                blocks[w][ri].extend(img[w, c][ri] for c in range(P.dim(w)))
     surj = RepMorphism(cover, rep, blocks)
 
     # kernel, per vertex, with induced arrows

@@ -301,13 +301,9 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> CheckReport:
 
     # degree 0: the cokernel of d_1 is S_i, i.e. the image is rad P_i
     d1 = realized[1]
-    rad_sub, rad_inc = reps.radical_with_inclusion(alg.projective(i))
-    ok0 = True
-    for v in range(1, n + 1):
-        img_cols = linalg.nonzero_columns(F, d1.block(v))
-        rad_cols = linalg.nonzero_columns(F, rad_inc.block(v))
-        if not linalg.span_equal(F, img_cols, rad_cols):
-            ok0 = False
+    rad = reps.radical_span(alg.projective(i))
+    ok0 = all(linalg.span_equal(F, linalg.nonzero_columns(F, d1.block(v)), rad[v])
+              for v in range(1, n + 1))
     checks.append(CheckResult("cokernel in degree 0 is the simple", ok0))
 
     bad = []

@@ -136,13 +136,6 @@ def syzygy_label(n: int, label: XLabel) -> XLabel:
     return normalize_x(n, upper_label(a - 1, b + 1))
 
 
-def syzygy_label_power(n: int, label: XLabel, k: int) -> XLabel:
-    cur = normalize_x(n, label)
-    for _ in range(k):
-        cur = syzygy_label(n, cur)
-    return cur
-
-
 def realize_x(n: int, field, label: XLabel) -> reps.QuiverRep:
     """The string module itself, as a representation."""
     lab = normalize_x(n, label)

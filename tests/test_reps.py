@@ -88,20 +88,14 @@ def test_projective_cover_is_minimal():
     M = strings.realize_x(3, F2, lab)
     cov = reps.projective_cover(M)
     assert sorted(cov.cover_vertices) == [1, 3]
-    rad_sub, rad_inc = reps.radical_with_inclusion(cov.cover)
-    from extline import linalg
-
+    rad = reps.radical_span(cov.cover)
     for v in range(1, 4):
-        rad_cols = [
-            [rad_inc.block(v)[r][c] for r in range(cov.cover.dim(v))]
-            for c in range(rad_sub.dim(v))
-        ]
         ker_cols = [
             [cov.inclusion.block(v)[r][c] for r in range(cov.cover.dim(v))]
             for c in range(cov.kernel.dim(v))
         ]
         for vec in ker_cols:
-            assert linalg.span_contains(F2, rad_cols, vec)
+            assert linalg.span_contains(F2, rad[v], vec)
 
 
 def test_cover_kernel_of_first_syzygy_n2():
@@ -214,6 +208,25 @@ def test_iso_decision_after_change_of_basis(char):
                 assert (w is not None) == (la == lb), (n, la, lb)
                 if w is not None:
                     assert w.is_invertible() and w.is_intertwiner()
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_cover_surjection_is_onto_with_kernel_inside(char):
+    # every canonical string and projective, on its coordinate basis and
+    # moved off it, so M's arrows are not aligned with its layers
+    F = field_for_characteristic(char)
+    rng = random.Random(2000 + char)
+    for n in range(1, 6):
+        mods = [strings.realize_x(n, F, lab) for lab in strings.canonical_labels(n)]
+        mods += [reps.projective_rep(n, F, i) for i in range(1, n + 1)]
+        for M in mods + [_transport(rng, M) for M in mods]:
+            cov = reps.projective_cover(M)
+            pi = cov.surjection
+            assert pi.is_intertwiner()
+            for v in range(1, n + 1):
+                assert linalg.rank(F, pi.block(v)) == M.dim(v)
+                assert cov.kernel.dim(v) + M.dim(v) == cov.cover.dim(v)
+            assert pi.compose(cov.inclusion).is_zero()
 
 
 def test_invalid_module_rejected():

@@ -186,3 +186,19 @@ def test_identity_in_a_differential_fails_minimality(char):
     assert not check.ok
     assert check.detail == "identity component at degrees [3]"
     assert verify_resolution(build_resolution(alg, 1, 12), 1).ok
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_dropped_cell_of_d1_fails_the_degree_zero_check(char):
+    # N = 3, i = 2: d_1 = (P_1 + P_3 -> P_2) has two cells; without the one
+    # from P_3 its image misses rad P_2 at vertex 3
+    alg = algebra(3, char)
+    cx = build_resolution(alg, 2, 12)
+    d = cx.diff(1)
+    assert sorted(d.cells) == [(0, 0), (0, 1)]
+    memo = dict(cx.memo)  # a private memo: the shared one stays intact
+    memo[1] = HomMatrix(d.source, d.target, {(0, 0): d.entry(0, 0)})
+    report = verify_resolution(PeriodicComplex(alg, 2, cx.depth, cx.terms, memo), 2)
+    (check,) = [c for c in report.checks if c.name == "cokernel in degree 0 is the simple"]
+    assert not check.ok
+    assert verify_resolution(build_resolution(alg, 2, 12), 2).ok

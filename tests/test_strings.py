@@ -51,7 +51,7 @@ def test_syzygy_label_of_simple():
 
 
 def test_syzygy_label_twice_n2():
-    lab = strings.syzygy_label_power(2, simple_label(1), 2)
+    lab = strings.syzygy_label(2, strings.syzygy_label(2, simple_label(1)))
     assert lab == simple_label(2)
 
 
