@@ -88,6 +88,11 @@ class PrimeField:
         return a % self.p == 0
 
 
+# Fraction is immutable, so the rationals hand out one zero and one one.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class RationalField:
     """The rational numbers, backed by ``fractions.Fraction``."""
@@ -98,11 +103,11 @@ class RationalField:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def from_int(self, n: int):
         return Fraction(n)

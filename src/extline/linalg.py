@@ -71,10 +71,19 @@ def is_zero_mat(field, A) -> bool:
 
 
 def rref(field, M):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Each step updates rows only at the nonzero columns of the scaled pivot
+    row, since x - f*0 = x.  Those columns start at the pivot column c: the
+    rows not yet used as pivots are zero before c, where every column was
+    either cleared as a pivot column or skipped as zero in all of them.
+    Entries must be canonical scalars (reduced residues over F_p), as every
+    caller passes them, so that the entries left alone need no reduction.
+    """
     R = mat_copy(M)
     m = len(R)
     n = len(R[0]) if m else 0
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
     pivots = []
     r = 0
     for c in range(n):
@@ -82,18 +91,22 @@ def rref(field, M):
             break
         sel = None
         for i in range(r, m):
-            if not field.is_zero(R[i][c]):
+            if not is_zero(R[i][c]):
                 sel = i
                 break
         if sel is None:
             continue
         R[r], R[sel] = R[sel], R[r]
-        iv = field.inv(R[r][c])
-        R[r] = [field.mul(iv, x) for x in R[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(R[i][c]):
-                f = R[i][c]
-                R[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(R[i], R[r])]
+        prow = R[r]
+        iv = field.inv(prow[c])
+        support = [j for j in range(c, n) if not is_zero(prow[j])]
+        for j in support:
+            prow[j] = mul(iv, prow[j])
+        for i, row in enumerate(R):
+            f = row[c]
+            if i != r and not is_zero(f):
+                for j in support:
+                    row[j] = sub(row[j], mul(f, prow[j]))
         pivots.append(c)
         r += 1
     return R, pivots

@@ -20,6 +20,13 @@ socle S_i); it is the unique one compatible with that structure.
 
 Left modules throughout: P_i is the span of paths out of vertex i.
 
+Matrices stay dense lists of rows, but only inside the support: a module
+stores no matrix for an arrow that touches a zero-dimensional vertex (nor
+for a zero map it was never given), and a morphism keeps no block at a
+vertex where either side is zero.  An absent arrow or block reads as a
+zero matrix of the right shape.  Every operation walks the stored arrows
+and blocks, not all N vertices and 2(N-1) arrows.
+
 One function, ``radical_span``, is the oracle's radical: the radical
 submodule, heads, projective covers and the degree-0 check of a
 resolution all read it.  ``projective_rep`` alone writes the shape of P_v;
@@ -34,16 +41,19 @@ from . import linalg
 class QuiverRep:
     """A representation: one vector space per vertex, one matrix per arrow.
 
-    ``dims[v-1]`` is the dimension at vertex v; ``arrows`` maps arrow keys
-    ("a", i), ("b", i) (or ("x", 1) when N = 1) to matrices of shape
-    (dim target) x (dim source).
+    ``dims[v-1]`` is the dimension at vertex v and ``support`` lists the
+    vertices where it is nonzero.  ``arrows`` maps arrow keys ("a", i),
+    ("b", i) (or ("x", 1) when N = 1), in ``arrow_keys`` order, to matrices
+    of shape (dim target) x (dim source); it holds only arrows between two
+    vertices of the support, and ``arrow`` reads any other arrow as zero.
     """
 
     def __init__(self, n, field, dims, arrows):
         self.n = n
         self.field = field
         self.dims = tuple(dims)
-        self.arrows = dict(arrows)
+        self.support = tuple(v for v, d in enumerate(self.dims, 1) if d)
+        self.arrows = arrows
 
     def dim(self, v: int) -> int:
         return self.dims[v - 1]
@@ -53,7 +63,11 @@ class QuiverRep:
         return sum(self.dims)
 
     def arrow(self, key):
-        return self.arrows[key]
+        M = self.arrows.get(key)
+        if M is None:
+            s, t = arrow_endpoints(self.n, key)
+            return linalg.zeros(self.field, self.dim(t), self.dim(s))
+        return M
 
     def __repr__(self):
         return f"QuiverRep(n={self.n}, dims={self.dims})"
@@ -77,19 +91,24 @@ def arrow_endpoints(n: int, key):
 
 
 def make_rep(n, field, dims, arrows=None):
-    """Build a representation, filling unspecified arrows with zero maps."""
+    """Build a representation; unspecified arrows are zero maps.
+
+    Only arrows between two nonzero spaces are stored, but every given
+    matrix must have its arrow's shape.
+    """
     dims = tuple(dims)
-    full = {}
+    stored = {}
     arrows = arrows or {}
-    for key in arrow_keys(n):
+    for key in sorted(arrows):  # tuple order is arrow_keys order
+        if not (key == ("x", 1) if n == 1 else key[0] in ("a", "b") and 0 < key[1] < n):
+            raise ValueError(f"no arrow {key} for N={n}")
         s, t = arrow_endpoints(n, key)
-        M = arrows.get(key)
-        if M is None:
-            M = linalg.zeros(field, dims[t - 1], dims[s - 1])
+        M = arrows[key]
         if len(M) != dims[t - 1] or (M and len(M[0]) != dims[s - 1]):
             raise ValueError(f"arrow {key} has wrong shape")
-        full[key] = M
-    return QuiverRep(n, field, dims, full)
+        if dims[s - 1] and dims[t - 1]:
+            stored[key] = M
+    return QuiverRep(n, field, dims, stored)
 
 
 def zero_rep(n, field):
@@ -134,35 +153,44 @@ def projective_rep(n, field, i):
 
 
 def check_relations(rep: QuiverRep):
-    """List of violated relations (empty for a genuine module)."""
+    """List of violated relations (empty for a genuine module).
+
+    A composite through a zero-dimensional vertex, or through an arrow the
+    module does not store, is zero and is not computed.
+    """
     F = rep.field
-    n = rep.n
     bad = []
-    if n == 1:
-        x = rep.arrow(("x", 1))
-        if not linalg.is_zero_mat(F, linalg.mat_mul(F, x, x)):
+    if rep.n == 1:
+        x = rep.arrows.get(("x", 1))
+        if x and not linalg.is_zero_mat(F, linalg.mat_mul(F, x, x)):
             bad.append("x^2 != 0")
         return bad
-    a = {i: rep.arrow(("a", i)) for i in range(1, n)}
-    b = {i: rep.arrow(("b", i)) for i in range(1, n)}
-    d = rep.dim
-    for i in range(1, n - 1):
-        if not linalg.is_zero_mat(F, linalg.mat_mul(F, a[i + 1], a[i], out_cols=d(i))):
+    a = {i: M for (kind, i), M in rep.arrows.items() if kind == "a"}
+    b = {i: M for (kind, i), M in rep.arrows.items() if kind == "b"}
+
+    def product(X, Y):  # X Y, or None when a factor is not stored
+        return None if X is None or Y is None else linalg.mat_mul(F, X, Y)
+
+    def nonzero(M):
+        return M is not None and not linalg.is_zero_mat(F, M)
+
+    for i in rep.support:
+        if nonzero(product(a.get(i + 1), a.get(i))):
             bad.append(f"a_{i+1} a_{i} != 0")
-        if not linalg.is_zero_mat(F, linalg.mat_mul(F, b[i], b[i + 1], out_cols=d(i + 2))):
+        if nonzero(product(b.get(i), b.get(i + 1))):
             bad.append(f"b_{i} b_{i+1} != 0")
-    for v in range(2, n):
-        left = linalg.mat_mul(F, a[v - 1], b[v - 1], out_cols=d(v))
-        right = linalg.mat_mul(F, b[v], a[v], out_cols=d(v))
-        if not linalg.mat_eq(F, left, right):
-            bad.append(f"loops at vertex {v} disagree")
-    for i in range(1, n):
-        aba = linalg.mat_mul(F, a[i], linalg.mat_mul(F, b[i], a[i], out_cols=d(i)), out_cols=d(i))
-        bab = linalg.mat_mul(F, b[i], linalg.mat_mul(F, a[i], b[i], out_cols=d(i + 1)), out_cols=d(i + 1))
-        if not linalg.is_zero_mat(F, aba):
-            bad.append(f"a_{i} b_{i} a_{i} != 0")
-        if not linalg.is_zero_mat(F, bab):
-            bad.append(f"b_{i} a_{i} b_{i} != 0")
+    for v in rep.support:
+        if 1 < v < rep.n:
+            zero = linalg.zeros(F, rep.dim(v), rep.dim(v))
+            left = product(a.get(v - 1), b.get(v - 1)) or zero
+            if not linalg.mat_eq(F, left, product(b.get(v), a.get(v)) or zero):
+                bad.append(f"loops at vertex {v} disagree")
+    for i in rep.support:
+        if i in a and i in b:
+            if nonzero(linalg.mat_mul(F, a[i], linalg.mat_mul(F, b[i], a[i]))):
+                bad.append(f"a_{i} b_{i} a_{i} != 0")
+            if nonzero(linalg.mat_mul(F, b[i], linalg.mat_mul(F, a[i], b[i]))):
+                bad.append(f"b_{i} a_{i} b_{i} != 0")
     return bad
 
 
@@ -173,23 +201,30 @@ def _require_valid(rep):
 
 
 class RepMorphism:
-    """A homomorphism of representations: one block per vertex."""
+    """A homomorphism of representations: one block per vertex.
+
+    Blocks are kept only where source and target are both nonzero;
+    ``block`` reads an absent block as zero.
+    """
 
     def __init__(self, source: QuiverRep, target: QuiverRep, blocks):
         self.source = source
         self.target = target
-        self.blocks = {v: blocks[v] for v in range(1, source.n + 1)}
+        self.blocks = {v: B for v, B in blocks.items() if source.dim(v) and target.dim(v)}
 
     def block(self, v: int):
-        return self.blocks[v]
+        B = self.blocks.get(v)
+        if B is None:
+            return linalg.zeros(self.source.field, self.target.dim(v), self.source.dim(v))
+        return B
 
     def is_intertwiner(self) -> bool:
         F = self.source.field
-        for key in arrow_keys(self.source.n):
+        for key in self.source.arrows.keys() | self.target.arrows.keys():
             s, t = arrow_endpoints(self.source.n, key)
             cols = self.source.dim(s)
-            lhs = linalg.mat_mul(F, self.blocks[t], self.source.arrow(key), out_cols=cols)
-            rhs = linalg.mat_mul(F, self.target.arrow(key), self.blocks[s], out_cols=cols)
+            lhs = linalg.mat_mul(F, self.block(t), self.source.arrow(key), out_cols=cols)
+            rhs = linalg.mat_mul(F, self.target.arrow(key), self.block(s), out_cols=cols)
             if not linalg.mat_eq(F, lhs, rhs):
                 return False
         return True
@@ -202,40 +237,39 @@ class RepMorphism:
         """self after other."""
         F = self.source.field
         blocks = {
-            v: linalg.mat_mul(
-                F, self.blocks[v], other.blocks[v], out_cols=other.source.dim(v)
-            )
-            for v in range(1, self.source.n + 1)
+            v: linalg.mat_mul(F, self.blocks[v], B)
+            for v, B in other.blocks.items() if v in self.blocks
         }
         return RepMorphism(other.source, self.target, blocks)
 
     def equals(self, other: "RepMorphism") -> bool:
         F = self.source.field
         return all(
-            linalg.mat_eq(F, self.blocks[v], other.blocks[v])
-            for v in range(1, self.source.n + 1)
+            linalg.mat_eq(F, self.block(v), other.block(v))
+            for v in self.blocks.keys() | other.blocks.keys()
         )
 
     def is_invertible(self) -> bool:
+        if self.source.dims != self.target.dims:
+            return False
         F = self.source.field
-        for v in range(1, self.source.n + 1):
-            d = self.source.dim(v)
-            if d != self.target.dim(v):
-                return False
-            if d and linalg.rank(F, self.blocks[v]) != d:
-                return False
-        return True
+        return all(
+            v in self.blocks and linalg.rank(F, self.blocks[v]) == self.source.dim(v)
+            for v in self.source.support
+        )
 
 
 def identity_morphism(rep: QuiverRep) -> RepMorphism:
-    blocks = {v: linalg.identity_matrix(rep.field, rep.dim(v)) for v in range(1, rep.n + 1)}
+    blocks = {v: linalg.identity_matrix(rep.field, rep.dim(v)) for v in rep.support}
     return RepMorphism(rep, rep, blocks)
 
 
 def zero_morphism(source: QuiverRep, target: QuiverRep) -> RepMorphism:
+    """The zero map, with every block where both sides are nonzero
+    allocated, so that callers can add into ``blocks`` in place."""
     blocks = {
         v: linalg.zeros(source.field, target.dim(v), source.dim(v))
-        for v in range(1, source.n + 1)
+        for v in source.support if target.dim(v)
     }
     return RepMorphism(source, target, blocks)
 
@@ -252,19 +286,19 @@ def direct_sum(reps):
     run = [0] * n
     for r in reps:
         offsets.append(tuple(run))
-        run = [run[v] + r.dim(v + 1) for v in range(n)]
+        for v in r.support:
+            run[v - 1] += r.dim(v)
     if len(reps) == 1:
         return reps[0], offsets
     arrows = {}
-    for key in arrow_keys(n):
-        s, t = arrow_endpoints(n, key)
-        M = linalg.zeros(F, run[t - 1], run[s - 1])
-        for r, off in zip(reps, offsets):
-            block = r.arrow(key)
+    for r, off in zip(reps, offsets):
+        for key, block in r.arrows.items():
+            s, t = arrow_endpoints(n, key)
+            if key not in arrows:
+                arrows[key] = linalg.zeros(F, run[t - 1], run[s - 1])
+            M, c0 = arrows[key], off[s - 1]
             for ri, row in enumerate(block):
-                for ci, val in enumerate(row):
-                    M[off[t - 1] + ri][off[s - 1] + ci] = val
-        arrows[key] = M
+                M[off[t - 1] + ri][c0:c0 + len(row)] = row
     return make_rep(n, F, run, arrows), offsets
 
 
@@ -274,39 +308,37 @@ def _submodule(rep: QuiverRep, spanning):
     The span must be arrow-stable.  Returns (sub, inclusion).
     """
     F = rep.field
-    echelon = {v: linalg.rref(F, spanning.get(v, [])) for v in range(1, rep.n + 1)}
     # the reduced echelon rows are a basis, and a vector of their span has
     # its coordinates at the pivots
-    bases = {v: R[:len(p)] for v, (R, p) in echelon.items()}
-    pivots = {v: p for v, (_, p) in echelon.items()}
-    dims = [len(bases[v]) for v in range(1, rep.n + 1)]
+    bases, pivots = {}, {}
+    for v, rows in spanning.items():
+        if rows:
+            R, pivots[v] = linalg.rref(F, rows)
+            bases[v] = R[:len(pivots[v])]
+    dims = [0] * rep.n
+    for v, basis in bases.items():
+        dims[v - 1] = len(basis)
     arrows = {}
-    for key in arrow_keys(rep.n):
+    for key, big in rep.arrows.items():
         s, t = arrow_endpoints(rep.n, key)
+        if not dims[s - 1]:
+            continue
+        # the image lands in a nonzero space, so it must lie in the span
+        # there, even when that span is empty
+        tgt_rows, tgt_piv = bases.get(t, []), pivots.get(t, [])
         M = linalg.zeros(F, dims[t - 1], dims[s - 1])
-        if dims[s - 1] and rep.dim(t):
-            big = rep.arrow(key)
-            tgt_rows = bases[t]
-            for ci, vec in enumerate(bases[s]):
-                img = [
-                    sum_products(F, big_row, vec) for big_row in big
-                ]
-                coords = [img[p] for p in pivots[t]]
-                rebuilt = [sum_products(F, [row[r] for row in tgt_rows], coords)
-                           for r in range(len(img))]
-                if not linalg.mat_eq(F, [rebuilt], [img]):
-                    raise ValueError("span is not arrow-stable")
-                for ri, cval in enumerate(coords):
-                    M[ri][ci] = cval
+        for ci, vec in enumerate(bases[s]):
+            img = [sum_products(F, big_row, vec) for big_row in big]
+            coords = [img[p] for p in tgt_piv]
+            rebuilt = [sum_products(F, [row[r] for row in tgt_rows], coords)
+                       for r in range(len(img))]
+            if not linalg.mat_eq(F, [rebuilt], [img]):
+                raise ValueError("span is not arrow-stable")
+            for ri, cval in enumerate(coords):
+                M[ri][ci] = cval
         arrows[key] = M
     sub = make_rep(rep.n, F, dims, arrows)
-    blocks = {}
-    for v in range(1, rep.n + 1):
-        B = linalg.zeros(F, rep.dim(v), dims[v - 1])
-        for ci, vec in enumerate(bases[v]):
-            for ri in range(rep.dim(v)):
-                B[ri][ci] = vec[ri]
-        blocks[v] = B
+    blocks = {v: [list(col) for col in zip(*basis)] for v, basis in bases.items()}
     return sub, RepMorphism(sub, rep, blocks)
 
 
@@ -319,11 +351,11 @@ def sum_products(field, row, vec):
 
 
 def radical_span(rep: QuiverRep) -> dict:
-    """rad M, per vertex: the nonzero columns of the arrows into it."""
-    spanning = {v: [] for v in range(1, rep.n + 1)}
-    for key in arrow_keys(rep.n):
-        t = arrow_endpoints(rep.n, key)[1]
-        spanning[t] += linalg.nonzero_columns(rep.field, rep.arrow(key))
+    """rad M, per vertex of the support: the nonzero columns of the arrows
+    into it."""
+    spanning = {v: [] for v in rep.support}
+    for key, M in rep.arrows.items():
+        spanning[arrow_endpoints(rep.n, key)[1]] += linalg.nonzero_columns(rep.field, M)
     return spanning
 
 
@@ -336,10 +368,9 @@ def radical(rep: QuiverRep) -> QuiverRep:
 def head(rep: QuiverRep) -> dict:
     """Multiplicities of the simples in M / rad M, as {vertex: count}."""
     _require_valid(rep)
-    span = radical_span(rep)
     out = {}
-    for v in range(1, rep.n + 1):
-        m = rep.dim(v) - linalg.rank(rep.field, span[v])
+    for v, span in radical_span(rep).items():
+        m = rep.dim(v) - linalg.rank(rep.field, span)
         if m:
             out[v] = m
     return out
@@ -347,20 +378,12 @@ def head(rep: QuiverRep) -> dict:
 
 def socle(rep: QuiverRep) -> dict:
     """Multiplicities of the simples in the joint kernel of all arrows."""
-    F = rep.field
+    stacked = {v: [] for v in rep.support}
+    for key, M in rep.arrows.items():
+        stacked[arrow_endpoints(rep.n, key)[0]] += M
     out = {}
-    for v in range(1, rep.n + 1):
-        if rep.dim(v) == 0:
-            continue
-        stacked = []
-        for key in arrow_keys(rep.n):
-            s, t = arrow_endpoints(rep.n, key)
-            if s == v and rep.dim(t):
-                stacked.extend(rep.arrow(key))
-        if stacked:
-            m = rep.dim(v) - linalg.rank(F, stacked)
-        else:
-            m = rep.dim(v)
+    for v, rows in stacked.items():
+        m = rep.dim(v) - linalg.rank(rep.field, rows)
         if m:
             out[v] = m
     return out
@@ -369,15 +392,16 @@ def socle(rep: QuiverRep) -> dict:
 def hom_space(M: QuiverRep, N: QuiverRep):
     """A basis of Hom(M, N) as a list of RepMorphisms.
 
-    Solves the intertwiner equations T_t M_alpha = N_alpha T_s exactly.
+    Solves the intertwiner equations T_t M_alpha = N_alpha T_s exactly,
+    with unknowns only at vertices where M and N are both nonzero.
     """
     F = M.field
-    n = M.n
     offsets = {}
     total = 0
-    for v in range(1, n + 1):
-        offsets[v] = total
-        total += N.dim(v) * M.dim(v)
+    for v in M.support:
+        if N.dim(v):
+            offsets[v] = total
+            total += N.dim(v) * M.dim(v)
     if total == 0:
         return []
 
@@ -385,19 +409,19 @@ def hom_space(M: QuiverRep, N: QuiverRep):
         return offsets[v] + r * M.dim(v) + c
 
     rows = []
-    for key in arrow_keys(n):
-        s, t = arrow_endpoints(n, key)
-        Ma = M.arrow(key)
-        Na = N.arrow(key)
+    for key in sorted(M.arrows.keys() | N.arrows.keys()):  # the same rows in every process
+        s, t = arrow_endpoints(M.n, key)
+        Ma = M.arrows.get(key)
+        Na = N.arrows.get(key)
         for r in range(N.dim(t)):
             for c in range(M.dim(s)):
                 coeffs = {}
-                for m in range(M.dim(t)):
+                for m in range(M.dim(t) if Ma else 0):
                     val = Ma[m][c]
                     if not F.is_zero(val):
                         idx = var(t, r, m)
                         coeffs[idx] = F.add(coeffs.get(idx, F.zero), val)
-                for m in range(N.dim(s)):
+                for m in range(N.dim(s) if Na else 0):
                     val = Na[r][m]
                     if not F.is_zero(val):
                         idx = var(s, m, c)
@@ -411,12 +435,9 @@ def hom_space(M: QuiverRep, N: QuiverRep):
     result = []
     for vec in basis_vecs:
         blocks = {}
-        for v in range(1, n + 1):
-            B = linalg.zeros(F, N.dim(v), M.dim(v))
-            for r in range(N.dim(v)):
-                for c in range(M.dim(v)):
-                    B[r][c] = vec[var(v, r, c)]
-            blocks[v] = B
+        for v, off in offsets.items():
+            w = M.dim(v)
+            blocks[v] = [vec[off + r * w:off + (r + 1) * w] for r in range(N.dim(v))]
         result.append(RepMorphism(M, N, blocks))
     return result
 
@@ -458,24 +479,25 @@ def projective_cover(rep: QuiverRep) -> CoverData:
 
     # e_head -> gvec.  Each basis vector of P_v is an arrow's image of an
     # earlier one with coefficient 1, at most two arrows below the head, so
-    # two passes over the arrows send every one to M's arrow applied to the
+    # two passes over its arrows send every one to M's arrow applied to the
     # image of the vector it comes from.
-    blocks = {w: [[] for _ in range(rep.dim(w))] for w in range(1, n + 1)}
+    blocks = {w: [[] for _ in range(rep.dim(w))] for w in rep.support}
     for P, (v, gvec) in zip(projs, generators):
         img = {(v, 0): gvec}
-        for key in arrow_keys(n) * 2:
+        for key, A in list(P.arrows.items()) * 2:
             s, t = arrow_endpoints(n, key)
-            for r, row in enumerate(P.arrow(key)):
+            for r, row in enumerate(A):
                 for c, x in enumerate(row):
                     if not F.is_zero(x) and (s, c) in img and (t, r) not in img:
                         img[t, r] = [sum_products(F, m_row, img[s, c]) for m_row in rep.arrow(key)]
-        for w in range(1, n + 1):
-            for ri in range(rep.dim(w)):
-                blocks[w][ri].extend(img[w, c][ri] for c in range(P.dim(w)))
+        for w in P.support:
+            for ri, block_row in enumerate(blocks.get(w, [])):
+                block_row.extend(img[w, c][ri] for c in range(P.dim(w)))
     surj = RepMorphism(cover, rep, blocks)
 
     # kernel, per vertex, with induced arrows
-    spanning = {v: linalg.nullspace(F, blocks[v], ncols=cover.dim(v)) for v in range(1, n + 1)}
+    spanning = {v: linalg.nullspace(F, blocks.get(v, []), ncols=cover.dim(v))
+                for v in cover.support}
     kernel, inclusion = _submodule(cover, spanning)
     return CoverData(cover, surj, kernel, inclusion, [v for v, _ in generators])
 
@@ -494,15 +516,15 @@ def syzygy_power(rep: QuiverRep, k: int) -> QuiverRep:
 
 def image_subrep(phi: RepMorphism):
     F = phi.source.field
-    spanning = {v: linalg.nonzero_columns(F, phi.block(v)) for v in range(1, phi.source.n + 1)}
+    spanning = {v: linalg.nonzero_columns(F, B) for v, B in phi.blocks.items()}
     return _submodule(phi.target, spanning)
 
 
 def kernel_subrep(phi: RepMorphism):
     F = phi.source.field
     spanning = {
-        v: linalg.nullspace(F, phi.block(v), ncols=phi.source.dim(v))
-        for v in range(1, phi.source.n + 1)
+        v: linalg.nullspace(F, phi.blocks.get(v, []), ncols=phi.source.dim(v))
+        for v in phi.source.support
     }
     return _submodule(phi.source, spanning)
 

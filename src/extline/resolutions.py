@@ -302,7 +302,7 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> CheckReport:
     # degree 0: the cokernel of d_1 is S_i, i.e. the image is rad P_i
     d1 = realized[1]
     rad = reps.radical_span(alg.projective(i))
-    ok0 = all(linalg.span_equal(F, linalg.nonzero_columns(F, d1.block(v)), rad[v])
+    ok0 = all(linalg.span_equal(F, linalg.nonzero_columns(F, d1.block(v)), rad.get(v, []))
               for v in range(1, n + 1))
     checks.append(CheckResult("cokernel in degree 0 is the simple", ok0))
 

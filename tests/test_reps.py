@@ -240,3 +240,98 @@ def test_invalid_module_rejected():
     assert reps.check_relations(bad)
     with pytest.raises(ValueError):
         reps.radical(bad)
+
+
+# ------------------------------------------------ support-local storage
+
+CHARS = [0, 2, 3, 5]
+
+
+def _cut_p3(F, keep_left):
+    """P_3 at N = 5 with one side of its loop cut off: zero at vertices 1
+    and 5, and its loop relation at vertex 3 fails."""
+    if keep_left:  # b_3 dropped: a_2 b_2 reaches the socle, b_3 a_3 does not
+        return reps.make_rep(5, F, (0, 1, 2, 1, 0), {
+            ("b", 2): [[F.one, F.zero]], ("a", 2): [[F.zero], [F.one]],
+            ("a", 3): [[F.one, F.zero]]})
+    # vertex 2 zero: only b_3 a_3 is stored, and it reaches the socle
+    return reps.make_rep(5, F, (0, 0, 2, 1, 0), {
+        ("a", 3): [[F.one, F.zero]], ("b", 3): [[F.zero], [F.one]]})
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_arrows_and_blocks_outside_the_support_read_as_zero(char):
+    F = field_for_characteristic(char)
+    n = 5
+    mods = [reps.projective_rep(n, F, i) for i in range(1, n + 1)]
+    mods += [strings.realize_x(n, F, lab) for lab in strings.canonical_labels(n)]
+    for M in mods:
+        for key in reps.arrow_keys(n):
+            s, t = reps.arrow_endpoints(n, key)
+            A = M.arrow(key)
+            assert len(A) == M.dim(t) and all(len(row) == M.dim(s) for row in A)
+            if key in M.arrows:
+                assert M.dim(s) and M.dim(t)
+            else:  # outside the support, or a zero map the module never set
+                assert linalg.is_zero_mat(F, A)
+    P2, P4 = reps.projective_rep(n, F, 2), reps.projective_rep(n, F, 4)
+    phi = reps.zero_morphism(P2, P4)
+    assert list(phi.blocks) == [3]  # the only vertex where both are nonzero
+    for v in range(1, n + 1):
+        B = phi.block(v)
+        assert len(B) == P4.dim(v) and all(len(row) == P2.dim(v) for row in B)
+        assert linalg.is_zero_mat(F, B)
+    empty = reps.RepMorphism(P2, P2, {})
+    assert empty.block(2) == linalg.zeros(F, 2, 2)
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_make_rep_still_rejects_wrong_shapes(char):
+    F = field_for_characteristic(char)
+    with pytest.raises(ValueError, match="wrong shape"):
+        reps.make_rep(3, F, (1, 1, 1), {("a", 1): [[F.one, F.zero]]})
+    # a nonzero 1x1 matrix on an arrow into, or out of, a zero space
+    with pytest.raises(ValueError, match="wrong shape"):
+        reps.make_rep(3, F, (1, 0, 1), {("a", 1): [[F.one]]})
+    with pytest.raises(ValueError, match="wrong shape"):
+        reps.make_rep(3, F, (0, 1, 1), {("a", 1): [[F.one]]})
+    with pytest.raises(ValueError, match="no arrow"):
+        reps.make_rep(3, F, (1, 1, 1), {("a", 3): [[F.one]]})
+    # the right empty shapes are accepted, and not stored
+    M = reps.make_rep(3, F, (0, 1, 1), {("a", 1): [[]], ("b", 1): []})
+    assert M.arrows == {}
+
+
+@pytest.mark.parametrize("char", CHARS)
+@pytest.mark.parametrize("keep_left", [True, False])
+def test_loop_relation_checked_on_a_module_zero_at_the_ends(char, keep_left):
+    F = field_for_characteristic(char)
+    assert reps.check_relations(reps.projective_rep(5, F, 3)) == []
+    assert reps.check_relations(_cut_p3(F, keep_left)) == ["loops at vertex 3 disagree"]
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_disjoint_supports_and_absent_blocks(char):
+    F = field_for_characteristic(char)
+    n = 5
+    P1, P4 = reps.projective_rep(n, F, 1), reps.projective_rep(n, F, 4)
+    S5 = reps.simple_rep(n, F, 5)
+    for M, N in [(P1, P4), (P4, P1), (P1, S5), (S5, P1)]:
+        assert reps.hom_space(M, N) == []
+    P3 = reps.projective_rep(n, F, 3)
+    # S_3 has no arrows, so only P_3's arrows cut Hom down to the socle and the head
+    S3 = reps.simple_rep(n, F, 3)
+    assert len(reps.hom_space(S3, P3)) == len(reps.hom_space(P3, S3)) == 1
+    none = reps.RepMorphism(P3, P3, {})
+    assert none.is_zero() and none.is_intertwiner()
+    assert none.equals(reps.zero_morphism(P3, P3))
+    assert reps.zero_morphism(P3, P3).equals(none)
+    ident = reps.identity_morphism(P3)
+    assert not none.equals(ident) and not ident.equals(none)
+    assert not none.is_invertible()
+    # identity at vertex 3 only: equal to the same map with explicit zero blocks
+    part = reps.RepMorphism(P3, P3, {3: ident.block(3)})
+    padded = reps.zero_morphism(P3, P3)
+    padded.blocks[3] = ident.block(3)
+    assert part.equals(padded) and padded.equals(part)
+    assert not part.is_zero() and not part.equals(ident)
