@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from . import path_algebra, reps, strings, yoneda
+from . import path_algebra, yoneda
 from .ext_table import (
     RouteMismatchError,
     ext_table,
@@ -27,6 +27,7 @@ from .resolutions import (
     build_resolution,
     corrupted_resolution,
     verify_resolution,
+    verify_syzygies,
 )
 
 
@@ -203,35 +204,9 @@ def cmd_resolve(args) -> int:
     return 0 if report.ok else 1
 
 
-def _suite_syzygy(alg):
-    n, F = alg.n, alg.field
-    checks = []
-    labels = strings.canonical_labels(n)
-
-    bad = []
-    for label in labels:
-        omega = reps.syzygy(strings.realize_x(n, F, label))
-        expected = strings.realize_x(n, F, strings.syzygy_label(n, label))
-        if not reps.is_isomorphic(omega, expected):
-            bad.append(str(label))
-    checks.append(
-        CheckResult("syzygies of all canonical strings match their labels",
-                    not bad, ", ".join(bad)))
-    bad = []
-    for i in range(1, n + 1):
-        m = reps.syzygy_power(reps.simple_rep(n, F, i), n)
-        if not reps.is_isomorphic(m, reps.simple_rep(n, F, n + 1 - i)):
-            bad.append(f"half-period at S_{i}")
-        m2 = reps.syzygy_power(m, n)
-        if not reps.is_isomorphic(m2, reps.simple_rep(n, F, i)):
-            bad.append(f"full period at S_{i}")
-    checks.append(CheckResult("syzygy periodicity", not bad, ", ".join(bad)))
-    return checks
-
-
 # suite -> (alg, args) -> (name prefix, checks) groups, in the order "all" runs them
 _SUITES = {
-    "syzygy": lambda alg, args: [("", _suite_syzygy(alg))],
+    "syzygy": lambda alg, args: [("", verify_syzygies(alg).checks)],
     "resolution": lambda alg, args: (
         (f"R_{i}: ", verify_resolution(build_resolution(alg, i, args.max_deg), i).checks)
         for i in range(1, args.n + 1)),

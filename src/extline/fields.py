@@ -2,7 +2,8 @@
 
 All computations in this package are exact; there is no floating point
 anywhere.  A field object carries the arithmetic, scalars themselves are
-plain Python ints (residues in [0, p)) or ``fractions.Fraction``.
+plain Python ints: residues in [0, p) over F_p.  A rational scalar is an
+``int`` when it is integral and a ``fractions.Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -88,14 +89,17 @@ class PrimeField:
         return a % self.p == 0
 
 
-# Fraction is immutable, so the rationals hand out one zero and one one.
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
-
-
 @dataclass(frozen=True)
 class RationalField:
-    """The rational numbers, backed by ``fractions.Fraction``."""
+    """The rational numbers: a scalar is an ``int`` when it is integral and
+    a ``fractions.Fraction`` otherwise.
+
+    The oracle's matrices hold mostly 0 and +-1, so elimination stays in
+    int arithmetic until an inverse forces a fraction.  This is exact: int
+    is a subset of Q in Python's numeric tower (``Fraction(2) == 2``, the
+    two hash alike and print alike), and an operation with a Fraction
+    operand gives a Fraction.
+    """
 
     @property
     def characteristic(self) -> int:
@@ -103,14 +107,14 @@ class RationalField:
 
     @property
     def zero(self):
-        return _Q_ZERO
+        return 0
 
     @property
     def one(self):
-        return _Q_ONE
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -125,9 +129,12 @@ class RationalField:
         return -a
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return a
         if a == 0:
             raise ZeroDivisionError("inverting 0")
-        return 1 / Fraction(a)
+        q = Fraction(1) / a
+        return q.numerator if q.denominator == 1 else q
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -137,34 +137,6 @@ def nullspace(field, M, ncols: int | None = None):
     return basis
 
 
-def solve(field, A, b):
-    """One solution x of Ax = b, or None if inconsistent."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    aug = [A[i][:] + [b[i]] for i in range(m)]
-    R, pivots = rref(field, aug)
-    for r in range(len(pivots)):
-        if pivots[r] == n:
-            return None
-    # rows past the pivots are all zero in R
-    x = [field.zero] * n
-    for r, pc in enumerate(pivots):
-        if pc < n:
-            x[pc] = R[r][n]
-    return x
-
-
-def span_contains(field, basis_rows, v) -> bool:
-    if all(field.is_zero(x) for x in v):
-        return True
-    if not basis_rows:
-        return False
-    stacked = [r[:] for r in basis_rows]
-    k = rank(field, stacked)
-    stacked.append(list(v))
-    return rank(field, stacked) == k
-
-
 def span_equal(field, rows_a, rows_b) -> bool:
     ra = rank(field, rows_a) if rows_a else 0
     rb = rank(field, rows_b) if rows_b else 0

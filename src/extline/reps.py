@@ -507,26 +507,10 @@ def syzygy(rep: QuiverRep) -> QuiverRep:
     return projective_cover(rep).kernel
 
 
-def syzygy_power(rep: QuiverRep, k: int) -> QuiverRep:
-    cur = rep
-    for _ in range(k):
-        cur = syzygy(cur)
-    return cur
-
-
 def image_subrep(phi: RepMorphism):
     F = phi.source.field
     spanning = {v: linalg.nonzero_columns(F, B) for v, B in phi.blocks.items()}
     return _submodule(phi.target, spanning)
-
-
-def kernel_subrep(phi: RepMorphism):
-    F = phi.source.field
-    spanning = {
-        v: linalg.nullspace(F, phi.blocks.get(v, []), ncols=phi.source.dim(v))
-        for v in phi.source.support
-    }
-    return _submodule(phi.source, spanning)
 
 
 def iso_witness(M: QuiverRep, N: QuiverRep):

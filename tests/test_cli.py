@@ -82,6 +82,15 @@ def test_resolve_corrupt_flag_fails():
     assert failed and any("degree" in c["detail"] for c in failed)
 
 
+def test_resolve_corrupt_flag_fails_over_q(capsys):
+    # the rationals' int-backed scalars leave the sign control live
+    for n in range(1, 6):
+        for i in range(1, n + 1):
+            assert main(["resolve", "--n", str(n), "--i", str(i), "--char", "0",
+                         "--debug-corrupt-sign", "--format", "json"]) == 1, (n, i)
+            assert json.loads(capsys.readouterr().out)["checks"]
+
+
 def test_verify_relations_vacuous_n1():
     r = run_cli(["verify", "--suite", "relations", "--n", "1", "--format", "json"])
     assert r.returncode == 0

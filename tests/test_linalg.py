@@ -76,3 +76,64 @@ def test_nullspace_vectors_are_annihilated(char):
         assert len(basis) == n - linalg.rank(F, M)
         for x in basis:
             assert linalg.is_zero_mat(F, linalg.mat_mul(F, M, [[xi] for xi in x]))
+
+
+class FractionField:
+    """The rationals with every scalar a Fraction, inverted as 1 / Fraction."""
+
+    characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverting 0")
+        return 1 / Fraction(a)
+
+    def is_zero(self, a):
+        return a == 0
+
+
+def mixed_rational_cases(seed):
+    """Matrices of 0, +-1, 2 and proper fractions, as ints where integral."""
+    rng = random.Random(seed)
+    values = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+    for _ in range(200):
+        m, n = rng.randrange(0, 7), rng.randrange(1, 8)
+        M = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        if M and rng.random() < 0.3:  # a dependent row
+            M.append([2 * a - b for a, b in zip(M[0], M[-1])])
+        yield M
+
+
+def test_int_backed_rationals_match_all_fraction_arithmetic():
+    Q, old = field_for_characteristic(0), FractionField()
+    cases = list(mixed_rational_cases(9000))
+    for M, M2 in zip(cases, cases[1:]):
+        as_fractions = [[Fraction(x) for x in row] for row in M]
+        R, pivots = linalg.rref(Q, M)
+        expected = linalg.rref(old, as_fractions)
+        assert (R, pivots) == expected, M
+        # output prints scalars, so equal values must print alike too
+        assert [list(map(str, row)) for row in R] == [list(map(str, row)) for row in expected[0]]
+        n = len(M[0]) if M else 1
+        assert linalg.nullspace(Q, M, ncols=n) == linalg.nullspace(old, as_fractions, ncols=n)
+        for other in (M2, R, M[::-1]):
+            if other and M and len(other[0]) == len(M[0]):
+                assert linalg.span_equal(Q, M, other) == \
+                    linalg.span_equal(old, as_fractions, [[Fraction(x) for x in row] for row in other])

@@ -95,7 +95,7 @@ def test_projective_cover_is_minimal():
             for c in range(cov.kernel.dim(v))
         ]
         for vec in ker_cols:
-            assert linalg.span_contains(F2, rad[v], vec)
+            assert linalg.rank(F2, rad[v] + [vec]) == linalg.rank(F2, rad[v])
 
 
 def test_cover_kernel_of_first_syzygy_n2():
@@ -119,18 +119,24 @@ def test_cover_example_matches_string_label():
     assert reps.is_isomorphic(cov.kernel, lower)
 
 
+def _syzygy_power(M, k):
+    for _ in range(k):
+        M = reps.syzygy(M)
+    return M
+
+
 def test_syzygy_squared_n2():
     S1 = reps.simple_rep(2, F2, 1)
-    assert reps.is_isomorphic(reps.syzygy_power(S1, 2), reps.simple_rep(2, F2, 2))
+    assert reps.is_isomorphic(_syzygy_power(S1, 2), reps.simple_rep(2, F2, 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_syzygy_periodicity(n):
     for i in range(1, n + 1):
         S = reps.simple_rep(n, F2, i)
-        half = reps.syzygy_power(S, n)
+        half = _syzygy_power(S, n)
         assert reps.is_isomorphic(half, reps.simple_rep(n, F2, n + 1 - i))
-        full = reps.syzygy_power(half, n)
+        full = _syzygy_power(half, n)
         assert reps.is_isomorphic(full, S)
 
 
@@ -179,10 +185,10 @@ def _transport(rng, M):
     g = {v: _random_invertible(rng, F, M.dim(v)) for v in range(1, M.n + 1)}
     g_inv = {}
     for v, gv in g.items():
+        # rref of [g | 1] is [1 | g^-1]
         d = len(gv)
-        cols = [linalg.solve(F, gv, [F.one if r == c else F.zero for r in range(d)])
-                for c in range(d)]
-        g_inv[v] = [[cols[c][r] for c in range(d)] for r in range(d)]
+        R, _ = linalg.rref(F, [row + unit for row, unit in zip(gv, linalg.identity_matrix(F, d))])
+        g_inv[v] = [row[d:] for row in R]
     for key in reps.arrow_keys(M.n):
         s, t = reps.arrow_endpoints(M.n, key)
         moved = linalg.mat_mul(F, g[t], M.arrow(key), out_cols=M.dim(s))

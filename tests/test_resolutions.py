@@ -1,10 +1,13 @@
 """The closed-form periodic resolutions and their certification."""
 
+import json
+
 import pytest
 
+from extline.cli import main
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
-from extline import reps, resolutions, strings
+from extline import linalg, reps, resolutions, strings
 from extline.ext_table import ext_table
 from extline.resolutions import (
     HomMatrix,
@@ -52,8 +55,10 @@ def test_degree_three_differential_kernel_n2():
     alg = algebra(2, char=0)
     cx = build_resolution(alg, 1, 8)
     phi = realize_hom_matrix(alg, cx.diff(3))
-    ker, _ = reps.kernel_subrep(phi)
-    assert ker.dims == (1, 0)
+    F = alg.field
+    ker_dims = [len(linalg.nullspace(F, phi.block(v) if phi.target.dim(v) else [],
+                                     ncols=phi.source.dim(v))) for v in (1, 2)]
+    assert ker_dims == [1, 0]
 
 
 def test_term_list_n2():
@@ -202,3 +207,57 @@ def test_dropped_cell_of_d1_fails_the_degree_zero_check(char):
     (check,) = [c for c in report.checks if c.name == "cokernel in degree 0 is the simple"]
     assert not check.ok
     assert verify_resolution(build_resolution(alg, 2, 12), 2).ok
+
+
+# ------------------------------------------------------------ syzygy suite
+
+SYZYGY_CHECKS = ["syzygies of all canonical strings match their labels", "syzygy periodicity"]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_syzygy_suite_passes(char):
+    for n in range(1, 9):
+        report = resolutions.verify_syzygies(algebra(n, char))
+        assert [c.name for c in report.checks] == SYZYGY_CHECKS
+        assert report.ok, (n, [(c.name, c.detail) for c in report.failures()])
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_wrong_syzygy_label_fails_both_checks(char, monkeypatch, capsys):
+    # Omega(S_1)'s label is sent to S_1: the oracle refutes it, so the
+    # periodicity proofs through it fail at S_1 (steps 1..) and at S_4,
+    # whose orbit meets S_1 at step N = 4 and the bad label one step later
+    n = 4
+    real = strings.syzygy_label
+    victim = real(n, strings.simple_label(1))
+
+    def wrong(n_, label):
+        return strings.simple_label(1) if label == victim else real(n_, label)
+
+    monkeypatch.setattr(strings, "syzygy_label", wrong)
+    assert main(["verify", "--suite", "syzygy", "--n", str(n), "--char", str(char),
+                 "--format", "json"]) == 1
+    first, periodicity = json.loads(capsys.readouterr().out)["checks"]
+    assert [first["name"], periodicity["name"]] == SYZYGY_CHECKS
+    assert first["status"] == periodicity["status"] == "fail"
+    assert first["detail"] == str(victim)
+    assert periodicity["detail"] == "half-period at S_1, full period at S_1, full period at S_4"
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_refuted_second_half_label_fails_the_full_period(char, monkeypatch):
+    # the oracle is made to refute Omega(S_4)'s label, which S_1's orbit
+    # meets at step N + 1: S_1 keeps its half period but loses its full one
+    n, F = 4, field_for_characteristic(char)
+    victim = strings.syzygy_label(n, strings.simple_label(n))
+    V = strings.realize_x(n, F, victim)
+    real = reps.syzygy
+
+    def refuting(M):
+        return reps.zero_rep(n, F) if (M.dims, M.arrows) == (V.dims, V.arrows) else real(M)
+
+    monkeypatch.setattr(reps, "syzygy", refuting)
+    first, periodicity = resolutions.verify_syzygies(algebra(n, char)).checks
+    assert (first.ok, first.detail) == (False, str(victim))
+    assert (periodicity.ok, periodicity.detail) == (
+        False, "full period at S_1, half-period at S_4, full period at S_4")
