@@ -111,9 +111,6 @@ class HomElement:
     def __bool__(self) -> bool:
         return any(self.slots)
 
-    def is_zero(self, field) -> bool:
-        return all(field.is_zero(c) for c in self.slots)
-
     @property
     def coeffs(self) -> dict:
         """Read-only view: nonzero basis morphism -> scalar, in basis order."""
@@ -167,6 +164,8 @@ class LineAlgebra:
         self._projectives = {}
         self._psum_reps = {}
         self._resolutions = {}  # vertex -> (terms, {degree: differential}), see resolutions
+        self._exactness = {}  # oracle verdicts of resolutions.verify_resolution, by content
+        self._image_checks = {}
         self._generator_cache = {}
 
     # ---------------------------------------------------------- structure
@@ -251,14 +250,6 @@ class LineAlgebra:
     def scale(self, c, g: HomElement) -> HomElement:
         mul = self.field.mul
         return HomElement(g.source, g.target, tuple([mul(c, v) for v in g.slots]))
-
-    def hom_equal(self, g: HomElement, h: HomElement) -> bool:
-        if (g.source, g.target) != (h.source, h.target):
-            return False
-        F = self.field
-        if not (g.slots and h.slots):
-            return g.is_zero(F) and h.is_zero(F)
-        return all(map(F.is_zero, map(F.sub, g.slots, h.slots)))
 
     # -------------------------------------------------------- realization
     def projective(self, i: int) -> reps.QuiverRep:

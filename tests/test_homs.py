@@ -30,7 +30,7 @@ def as_element(alg, gen):
 def test_costep_after_step_is_loop():
     alg = algebra(3)
     out = alg.compose(alg.fstar_hom(1), alg.f_hom(1))
-    assert alg.hom_equal(out, alg.loop_hom(1))
+    assert out == alg.loop_hom(1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -41,9 +41,9 @@ def test_step_after_costep_anticommutes(n):
     for i in range(1, n - 1):
         out = alg.compose(alg.f_hom(i), alg.fstar_hom(i))
         expected = alg.scale(F.from_int(-1 if i + 1 <= n - 1 else 1), alg.loop_hom(i + 1))
-        assert alg.hom_equal(out, expected)
+        assert out == expected
     out = alg.compose(alg.f_hom(n - 1), alg.fstar_hom(n - 1))
-    assert alg.hom_equal(out, alg.loop_hom(n))
+    assert out == alg.loop_hom(n)
 
 
 def test_like_oriented_steps_vanish():
@@ -52,7 +52,7 @@ def test_like_oriented_steps_vanish():
     # zero intertwiner because S_3 is not a composition factor of P_1
     assert alg.projective(1).dim(3) == 0
     sym = alg.compose(alg.f_hom(2), alg.f_hom(1))
-    assert sym.is_zero(alg.field)
+    assert not sym
     conc = alg.realize(alg.f_hom(2)).compose(alg.realize(alg.f_hom(1)))
     assert conc.is_zero()
 
@@ -156,7 +156,7 @@ def test_sign_relation_at_interior_vertices(n):
     for i in range(2, n):
         lhs = alg.compose(alg.fstar_hom(i), alg.f_hom(i))
         rhs = alg.compose(alg.f_hom(i - 1), alg.fstar_hom(i - 1))
-        assert alg.add(lhs, rhs).is_zero(alg.field)
+        assert not alg.add(lhs, rhs)
 
 
 @pytest.mark.parametrize("char", CHARS)
@@ -174,7 +174,9 @@ def test_associativity_on_all_generator_triples(char):
                 he = alg.compose(as_element(alg, h), as_element(alg, e))
                 left = alg.compose(gh, as_element(alg, e))
                 right = alg.compose(as_element(alg, g), he)
-                assert alg.hom_equal(left, right)
+                # a zero composite may keep all-zero slots, so zeros compare as ()
+                zero = alg.zero_hom(e.source, g.target)
+                assert (left or zero) == (right or zero)
 
 
 def test_n_equal_one_has_no_step_generators():

@@ -1,5 +1,6 @@
 """The closed-form periodic resolutions and their certification."""
 
+import itertools
 import json
 
 import pytest
@@ -168,13 +169,96 @@ def test_ext_table_builds_no_differentials(monkeypatch):
     assert built == [(0, 2)]
 
 
+def outcome(report):
+    return [(c.name, c.ok, c.detail) for c in report.checks]
+
+
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_corruption_does_not_poison_the_shared_memo(char):
+    # the oracle verdicts are memoized on the algebra: a corrupted complex
+    # and a clean one verified on it, in either order, report as they do alone
+    for makers in ([corrupted_resolution, build_resolution],
+                   [build_resolution, corrupted_resolution]):
+        alg = algebra(3, char)
+        for i, make in itertools.product(range(1, 4), makers):
+            shared = outcome(verify_resolution(make(alg, i, 12), i))
+            assert shared == outcome(verify_resolution(make(algebra(3, char), i, 12), i))
+            assert all(ok for _, ok, _ in shared) == (make is build_resolution)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_shared_algebra_reports_as_fresh_ones(char):
+    # the suite verifies every R_i on one algebra; each report must be the
+    # one a fresh algebra gives, at the default depth and at others
+    for n in range(1, 9):
+        alg = algebra(n, char)
+        for depth in (None, 2 * n + 2, 4 * n + 3):
+            for i in range(1, n + 1):
+                shared = verify_resolution(build_resolution(alg, i, depth), i)
+                fresh = verify_resolution(build_resolution(algebra(n, char), i, depth), i)
+                assert outcome(shared) == outcome(fresh), (n, depth, i)
+                assert shared.ok
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_corruption_one_period_on_is_checked_again(char):
+    # N = 3, i = 2: d_8 = d_{2+2N} loses a cell while d_2 stays clean, so a
+    # verdict memoized for d_2 must not stand in for d_8
     alg = algebra(3, char)
-    for i in range(1, 4):
-        assert not verify_resolution(corrupted_resolution(alg, i, 12), i).ok
-        report = verify_resolution(build_resolution(alg, i, 12), i)
-        assert report.ok, [(c.name, c.detail) for c in report.failures()]
+    cx = build_resolution(alg, 2, 12)
+    assert verify_resolution(cx, 2).ok  # memoizes the clean verdicts first
+    d = cx.diff(8)
+    assert sorted(d.cells) == [(0, 0), (1, 0)]
+    memo = dict(cx.memo)  # a private memo: the shared one stays intact
+    memo[8] = HomMatrix(d.source, d.target, {(1, 0): d.entry(1, 0)})
+    bad = PeriodicComplex(alg, 2, cx.depth, cx.terms, memo)
+    report = outcome(verify_resolution(bad, 2))
+    alone = PeriodicComplex(algebra(3, char), 2, cx.depth, cx.terms, memo)
+    assert report == outcome(verify_resolution(alone, 2))
+    failed = {name: detail for name, ok, detail in report if not ok}
+    assert failed == {
+        "d o d = 0": "failing at degrees [8]",
+        "2N-periodicity": "degrees [2]",
+        "exactness in positive degrees": "(degree, vertex) pairs [(7, 1), (7, 2), (8, 1)]",
+        "images are the expected string modules": "degrees [8]",
+    }
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_image_verdicts_are_keyed_by_the_expected_label(char, monkeypatch):
+    # R_1's verdicts are memoized first; then Omega(S_1) is expected to be
+    # S_2, and the same differentials must fail against the new labels
+    alg = algebra(3, char)
+    assert verify_resolution(build_resolution(alg, 1), 1).ok
+    real = strings.syzygy_label
+    monkeypatch.setattr(strings, "syzygy_label", lambda n, label: (
+        strings.simple_label(2) if label == strings.simple_label(1) else real(n, label)))
+    shared = outcome(verify_resolution(build_resolution(alg, 1), 1))
+    assert shared == outcome(verify_resolution(build_resolution(algebra(3, char), 1), 1))
+    (_, ok, detail), = [c for c in shared if c[0] == "images are the expected string modules"]
+    assert not ok and detail.startswith("degrees [1, ")
+
+
+def test_resolution_suite_checks_each_differential_once(monkeypatch, capsys):
+    # over R_1..R_N at depth 4N there are N^2 distinct differentials among
+    # the 4N^2 (vertex, degree) pairs; the oracle sees each once.  d_1 is
+    # realized once more for the degree-0 check of each R_i whose d_1 was
+    # met before (as d_{N+1} of R_{N+1-i}) and so has no oracle miss: N/2.
+    n, calls = 8, {"realize": 0, "image": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(resolutions, "realize_hom_matrix",
+                        counting("realize", resolutions.realize_hom_matrix))
+    monkeypatch.setattr(reps, "image_subrep", counting("image", reps.image_subrep))
+    assert main(["verify", "--suite", "resolution", "--n", str(n), "--char", "3"]) == 0
+    capsys.readouterr()
+    assert calls["image"] <= n * n
+    assert calls["realize"] <= n * n + n // 2
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])

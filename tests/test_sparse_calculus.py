@@ -73,7 +73,7 @@ def composable_triple(draw):
 
 
 def no_zero_cells(alg, M):
-    return all(not e.is_zero(alg.field) for e in M.cells.values())
+    return all(any(not alg.field.is_zero(c) for c in e.slots) for e in M.cells.values())
 
 
 @given(composable_triple())
@@ -90,6 +90,75 @@ def test_composition_is_associative(data):
     left = hom_matrix_compose(alg, hom_matrix_compose(alg, A, B), C)
     right = hom_matrix_compose(alg, A, hom_matrix_compose(alg, B, C))
     assert hom_matrix_equal(alg, left, right)
+
+
+def slotwise_equal(alg, A, B):
+    """Equality decided slot by slot in the field, as hom_matrix_equal once did."""
+    F = alg.field
+    if (A.source.indices, A.target.indices) != (B.source.indices, B.target.indices):
+        return False
+    if A.cells.keys() != B.cells.keys():
+        return False
+    for rc, g in A.cells.items():
+        h = B.cells[rc]
+        if (g.source, g.target) != (h.source, h.target):
+            return False
+        if not (g.slots and h.slots):
+            if not all(map(F.is_zero, g.slots + h.slots)):
+                return False
+        elif not all(F.is_zero(F.sub(x, y)) for x, y in zip(g.slots, h.slots)):
+            return False
+    return True
+
+
+def retyped(c):
+    """The same rational as the other Python type: Fraction(c) for an int c,
+    and an int for a Fraction with denominator 1."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    return Fraction(c)
+
+
+@st.composite
+def matrix_pair(draw):
+    """A matrix and a second one: a copy, a copy with one cell bumped, an
+    independent draw of the same shape, or a draw of another shape."""
+    alg = algebra(draw(st.integers(1, 5)), draw(st.sampled_from(CHARS)))
+    F = alg.field
+    source, target = draw(canonical_sum(alg.n)), draw(canonical_sum(alg.n))
+    A = draw(hom_matrix(alg, source, target))
+    how = draw(st.sampled_from(("copied", "bumped", "redrawn", "reshaped")))
+    if how == "copied":
+        cells = dict(A.cells)
+    elif how == "bumped" and A.cells:
+        rc = draw(st.sampled_from(sorted(A.cells)))
+        e = A.cells[rc]
+        cells = {**A.cells, rc: HomElement(e.source, e.target,
+                                           (F.add(e.slots[0], F.one), *e.slots[1:]))}
+    else:
+        if how == "reshaped":
+            source = draw(canonical_sum(alg.n))
+        return alg, A, draw(hom_matrix(alg, source, target))
+    return alg, A, HomMatrix(source, target, cells)
+
+
+@given(matrix_pair())
+def test_exact_equality_agrees_with_slotwise(data):
+    alg, A, B = data
+    assert hom_matrix_equal(alg, A, B) == slotwise_equal(alg, A, B)
+    assert hom_matrix_equal(alg, B, A) == slotwise_equal(alg, B, A)
+
+
+@given(st.integers(1, 5), st.data())
+def test_int_and_fraction_scalars_compare_equal(n, data):
+    # over Q a scalar is an int until a fraction is forced, so Fraction(c)
+    # and c must be one scalar to both equalities
+    alg = algebra(n, 0)
+    source, target = data.draw(canonical_sum(n)), data.draw(canonical_sum(n))
+    A = data.draw(hom_matrix(alg, source, target))
+    B = HomMatrix(source, target, {rc: HomElement(e.source, e.target, tuple(map(retyped, e.slots)))
+                                   for rc, e in A.cells.items()})
+    assert hom_matrix_equal(alg, A, B) and slotwise_equal(alg, A, B)
 
 
 @given(composable_triple(), st.integers(-2, 2))
@@ -122,7 +191,7 @@ def test_entries_is_a_read_only_dense_view(data):
         assert len(row) == len(A.source.indices)
         for c, e in enumerate(row):
             assert (e.source, e.target) == (A.source.indices[c], A.target.indices[r])
-            assert e is A.cells[(r, c)] if (r, c) in A.cells else e.is_zero(alg.field)
+            assert e is A.cells[(r, c)] if (r, c) in A.cells else not e
     if rows and rows[0]:
         with pytest.raises(TypeError):
             rows[0][0] = alg.zero_hom(A.source.indices[0], A.target.indices[0])
