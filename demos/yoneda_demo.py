@@ -17,9 +17,9 @@ from extline.yoneda import (
     compose,
     lift_cocycle,
     null_homotopy,
-    verify_chain_relations,
     verify_homotopy,
 )
+from extline.path_algebra import verify_chain_relations
 
 N = 3
 alg = LineAlgebra(N, field_for_characteristic(0))

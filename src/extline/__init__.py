@@ -61,7 +61,6 @@ from .yoneda import (
     generator_y,
     lift_cocycle,
     null_homotopy,
-    verify_chain_relations,
 )
 from .path_algebra import (
     PathWord,
@@ -69,6 +68,7 @@ from .path_algebra import (
     graded_dimension,
     normal_form_monomial,
     standard_relators,
+    verify_chain_relations,
     verify_presentation,
 )
 

@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from . import path_algebra, yoneda
+from . import path_algebra
 from .ext_table import (
     RouteMismatchError,
     ext_table,
@@ -210,7 +210,7 @@ _SUITES = {
     "resolution": lambda alg, args: (
         (f"R_{i}: ", verify_resolution(build_resolution(alg, i, args.max_deg), i).checks)
         for i in range(1, args.n + 1)),
-    "relations": lambda alg, args: [("relation: ", yoneda.verify_chain_relations(alg).checks)],
+    "relations": lambda alg, args: [("relation: ", path_algebra.verify_chain_relations(alg).checks)],
     "gamma": lambda alg, args: [("presentation: ", path_algebra.verify_presentation(
         alg, args.max_deg if args.max_deg is not None else 2 * args.n + 2).checks)],
 }

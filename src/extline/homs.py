@@ -101,7 +101,9 @@ class HomElement:
     """A scalar combination of basis morphisms P_source -> P_target.
 
     Scalars are canonical (see ``fields``), so a zero scalar is falsy and
-    a HomElement is falsy exactly when it is zero.
+    a HomElement is falsy exactly when it is zero.  ``compose``, ``add``
+    and ``scale`` return every zero as (), so ``==`` on their results is
+    equality of morphisms.
     """
 
     source: int
@@ -226,16 +228,17 @@ class LineAlgebra:
         F = self.field
         if a == c:
             if a == b:  # (Id, Loop) o (Id, Loop); Loop o Loop = 0
-                return HomElement(a, a, (F.mul(x[0], y[0]),
-                                         F.add(F.mul(x[0], y[1]), F.mul(x[1], y[0]))))
+                p, q = F.mul(x[0], y[0]), F.add(F.mul(x[0], y[1]), F.mul(x[1], y[0]))
+                return HomElement(a, a, (p, q) if p or q else ())
             # out to a neighbour b and back: FStar(a) o F(a) = Loop(a) when b > a,
             # F(b) o FStar(b) = -Loop(a) when b < a, but +Loop(N) at the end
-            s = F.mul(x[0], y[0])
+            s = F.mul(x[0], y[0])  # nonzero, as both one-slot factors are
             if b < a and a != self.n:
                 s = F.neg(s)
             return HomElement(a, a, (F.zero, s))
         if a == b or b == c:  # a step or co-step beside an endomorphism: only Id acts
-            return HomElement(a, c, (F.mul(x[0], y[0]),))
+            s = F.mul(x[0], y[0])
+            return HomElement(a, c, (s,) if s else ())
         return HomElement(a, c)  # two like-oriented steps
 
     def add(self, g: HomElement, h: HomElement) -> HomElement:
@@ -245,9 +248,12 @@ class LineAlgebra:
             return h
         if not h.slots:
             return g
-        return HomElement(g.source, g.target, tuple(map(self.field.add, g.slots, h.slots)))
+        s = tuple(map(self.field.add, g.slots, h.slots))
+        return HomElement(g.source, g.target, s if any(s) else ())
 
     def scale(self, c, g: HomElement) -> HomElement:
+        if not c:
+            return HomElement(g.source, g.target)
         mul = self.field.mul
         return HomElement(g.source, g.target, tuple([mul(c, v) for v in g.slots]))
 

@@ -38,7 +38,10 @@ class HomMatrix:
 
     cells[(r, c)] : P_{source.indices[c]} -> P_{target.indices[r]} holds
     only nonzero entries (the constructor drops zero ones); an absent cell
-    is zero.
+    is zero, so a matrix is zero exactly when ``not cells``.  Since cells
+    are nonzero, scalars canonical and slot counts fixed by shape, ``==``
+    is equality of morphism matrices; it compares index tuples, as the
+    PSums' generated ``__eq__`` costs two Python calls per comparison.
     """
 
     source: PSum
@@ -47,6 +50,11 @@ class HomMatrix:
 
     def __post_init__(self):
         self.cells = {rc: e for rc, e in self.cells.items() if e}
+
+    def __eq__(self, other):
+        return isinstance(other, HomMatrix) and (
+            self.source.indices, self.target.indices, self.cells) == (
+            other.source.indices, other.target.indices, other.cells)
 
     def entry(self, r: int, c: int) -> HomElement:
         e = self.cells.get((r, c))
@@ -60,10 +68,6 @@ class HomMatrix:
 
     def __repr__(self):
         return f"HomMatrix({self.source} -> {self.target})"
-
-
-def zero_hom_matrix(alg: LineAlgebra, source: PSum, target: PSum) -> HomMatrix:
-    return HomMatrix(source, target, {})
 
 
 def _accumulate(alg: LineAlgebra, cells: dict, key, elem: HomElement) -> None:
@@ -95,15 +99,6 @@ def hom_matrix_add(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
 
 def hom_matrix_scale(alg: LineAlgebra, c, A: HomMatrix) -> HomMatrix:
     return HomMatrix(A.source, A.target, {rc: alg.scale(c, e) for rc, e in A.cells.items()})
-
-
-def hom_matrix_is_zero(alg: LineAlgebra, A: HomMatrix) -> bool:
-    return not A.cells
-
-
-def hom_matrix_equal(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> bool:
-    # cells are nonzero, scalars canonical and slot counts fixed by shape: == is slot-wise
-    return (A.source.indices, A.target.indices, A.cells) == (B.source.indices, B.target.indices, B.cells)
 
 
 def common_factor_matrix(alg: LineAlgebra, source: PSum, target: PSum) -> HomMatrix:
@@ -284,7 +279,7 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> CheckReport:
         if cx.term(k).indices != cx.term(k + 2 * n).indices:
             per.append(k)
     for k in range(1, depth + 1 - 2 * n):
-        if not hom_matrix_equal(alg, cx.diff(k), cx.diff(k + 2 * n)):
+        if cx.diff(k) != cx.diff(k + 2 * n):
             per.append(k)
     checks.append(CheckResult("2N-periodicity", not per, f"degrees {per}" if per else ""))
 
@@ -395,9 +390,8 @@ def _content_key(A: HomMatrix):
 
 def _square_zero_failures(cx: PeriodicComplex, depth: int):
     """The degrees 2 <= k <= depth where d_{k-1} o d_k is not zero."""
-    alg = cx.alg
     return [k for k in range(2, depth + 1)
-            if not hom_matrix_is_zero(alg, hom_matrix_compose(alg, cx.diff(k - 1), cx.diff(k)))]
+            if hom_matrix_compose(cx.alg, cx.diff(k - 1), cx.diff(k)).cells]
 
 
 def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> PeriodicComplex:

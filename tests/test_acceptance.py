@@ -8,7 +8,7 @@ from extline.homs import LineAlgebra
 from extline.ext_table import ext_table, poincare_series
 from extline.resolutions import build_resolution, corrupted_resolution, verify_resolution
 from extline import path_algebra as pa
-from extline import reps, strings, yoneda
+from extline import reps, strings
 
 F2 = field_for_characteristic(2)
 
@@ -76,7 +76,7 @@ def test_criterion_5_chain_level_relations():
     for n in range(2, 6):
         for char in (2, 0):
             alg = LineAlgebra(n, field_for_characteristic(char))
-            report = yoneda.verify_chain_relations(alg)
+            report = pa.verify_chain_relations(alg)
             assert report.ok, (n, char, [c.name for c in report.checks if not c.ok])
             strict = [c for c in report.checks if "strict" in c.name]
             assert len(strict) == 2 * (n - 1)

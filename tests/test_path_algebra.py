@@ -211,3 +211,38 @@ def test_relator_endpoints_are_consistent():
                 degs.add(w.degree)
                 ends.add((w.source, w.target))
             assert len(degs) == 1 and len(ends) == 1
+
+
+def relation_check_names(n):
+    """The relations suite's check names, written out family by family."""
+    if n == 1:
+        return ["no degree-1 generators"]
+    names = ["xstar_1 o x_1 = 0", f"x_{n-1} o xstar_{n-1} = 0"]
+    names += [f"x_{i} o xstar_{i} = xstar_{i+1} o x_{i+1}" for i in range(1, n - 1)]
+    for i in range(1, n):
+        names.append(f"y_{i+1} o x_{i} = xstar_{n-i} o y_{i} (strict)")
+        names.append(f"y_{i} o xstar_{i} = x_{n-i} o y_{i+1} (strict)")
+    return names
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_relation_checks_are_named_from_the_relators(n):
+    report = pa.verify_chain_relations(algebra(n))
+    assert report.ok
+    assert [c.name for c in report.checks] == relation_check_names(n)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("family", ["middle", "mixed"])
+def test_sign_flipped_relator_fails_its_check(family, n, char, monkeypatch):
+    # the first middle relator sits after the two boundary ones, and the
+    # first mixed one after the n - 2 middle ones; over F_2 the flip is invisible
+    flipped = 2 if family == "middle" else n
+    relators = pa.standard_relators(n)
+    (c1, w1), (c2, w2) = relators[flipped].terms
+    relators[flipped] = pa.Relator("flipped", ((c1, w1), (-c2, w2)))
+    monkeypatch.setattr(pa, "standard_relators", lambda n: relators)
+    report = pa.verify_chain_relations(algebra(n, char))
+    failed = [k for k, c in enumerate(report.checks) if not c.ok]
+    assert failed == ([] if char == 2 else [flipped])

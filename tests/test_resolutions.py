@@ -17,8 +17,6 @@ from extline.resolutions import (
     closed_form_differential,
     corrupted_resolution,
     hom_matrix_compose,
-    hom_matrix_equal,
-    hom_matrix_is_zero,
     realize_hom_matrix,
     verify_resolution,
 )
@@ -131,9 +129,7 @@ def test_square_zero_symbolically_two_periods():
         for i in range(1, n + 1):
             cx = build_resolution(alg, i, 4 * n)
             for k in range(2, 4 * n + 1):
-                assert hom_matrix_is_zero(
-                    alg, hom_matrix_compose(alg, cx.diff(k - 1), cx.diff(k))
-                )
+                assert not hom_matrix_compose(alg, cx.diff(k - 1), cx.diff(k)).cells
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -148,9 +144,8 @@ def test_lazy_differentials_equal_closed_form(char):
             assert shallow.memo is deep.memo
             for cx in (shallow, deep):
                 for k in range(1, cx.depth + 4 * n + 1):
-                    assert hom_matrix_equal(
-                        alg, cx.diff(k), closed_form_differential(alg, i - k, i + k)
-                    ), (n, i, k, cx.depth)
+                    assert cx.diff(k) == closed_form_differential(alg, i - k, i + k), (
+                        n, i, k, cx.depth)
 
 
 def test_ext_table_builds_no_differentials(monkeypatch):

@@ -16,7 +16,6 @@ from extline.resolutions import (
     build_resolution,
     hom_matrix_add,
     hom_matrix_compose,
-    hom_matrix_equal,
     hom_matrix_scale,
     realize_hom_matrix,
 )
@@ -62,6 +61,22 @@ def hom_matrix(draw, alg, source, target):
 
 
 @st.composite
+def hom_element(draw, alg, s, t):
+    """A morphism P_s -> P_t made by the calculus: a combination of the
+    basis by scale and add, or the composite of two through a drawn vertex."""
+    def combination(s, t):
+        g = alg.zero_hom(s, t)
+        for b in alg.basis(s, t):
+            g = alg.add(g, alg.scale(draw(scalar(alg)), b))
+        return g
+
+    if draw(st.booleans()):
+        m = draw(st.integers(1, alg.n))
+        return alg.compose(combination(m, t), combination(s, m))
+    return combination(s, t)
+
+
+@st.composite
 def composable_triple(draw):
     """An algebra and matrices A, B, C with A o B o C defined."""
     alg = algebra(draw(st.integers(1, 5)), draw(st.sampled_from(CHARS)))
@@ -89,11 +104,11 @@ def test_composition_is_associative(data):
     alg, A, B, C = data
     left = hom_matrix_compose(alg, hom_matrix_compose(alg, A, B), C)
     right = hom_matrix_compose(alg, A, hom_matrix_compose(alg, B, C))
-    assert hom_matrix_equal(alg, left, right)
+    assert left == right
 
 
 def slotwise_equal(alg, A, B):
-    """Equality decided slot by slot in the field, as hom_matrix_equal once did."""
+    """Equality decided slot by slot in the field, independently of ==."""
     F = alg.field
     if (A.source.indices, A.target.indices) != (B.source.indices, B.target.indices):
         return False
@@ -145,8 +160,23 @@ def matrix_pair(draw):
 @given(matrix_pair())
 def test_exact_equality_agrees_with_slotwise(data):
     alg, A, B = data
-    assert hom_matrix_equal(alg, A, B) == slotwise_equal(alg, A, B)
-    assert hom_matrix_equal(alg, B, A) == slotwise_equal(alg, B, A)
+    assert (A == B) == slotwise_equal(alg, A, B)
+    assert (B == A) == slotwise_equal(alg, B, A)
+
+
+@given(st.integers(1, 5), st.sampled_from(CHARS), st.data())
+def test_element_equality_is_equality_of_morphisms(n, char, data):
+    # every zero the calculus returns is (), so == decides equality
+    alg = algebra(n, char)
+    s = data.draw(st.integers(1, n))
+    t = data.draw(st.integers(max(1, s - 2), min(n, s + 2)))
+    g = data.draw(hom_element(alg, s, t))
+    F = alg.field
+    candidates = [g, data.draw(hom_element(alg, s, t)), alg.add(g, alg.scale(F.from_int(-1), g)),
+                  alg.scale(F.zero, g), alg.zero_hom(s, t)]
+    for a in candidates:
+        for b in candidates:
+            assert (a == b) == alg.realize(a).equals(alg.realize(b)), (a, b)
 
 
 @given(st.integers(1, 5), st.data())
@@ -158,7 +188,7 @@ def test_int_and_fraction_scalars_compare_equal(n, data):
     A = data.draw(hom_matrix(alg, source, target))
     B = HomMatrix(source, target, {rc: HomElement(e.source, e.target, tuple(map(retyped, e.slots)))
                                    for rc, e in A.cells.items()})
-    assert hom_matrix_equal(alg, A, B) and slotwise_equal(alg, A, B)
+    assert A == B and slotwise_equal(alg, A, B)
 
 
 @given(composable_triple(), st.integers(-2, 2))
