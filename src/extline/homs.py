@@ -166,6 +166,7 @@ class LineAlgebra:
         self._projectives = {}
         self._psum_reps = {}
         self._resolutions = {}  # vertex -> (terms, {degree: differential}), see resolutions
+        self._differentials = {}  # (term_k indices, term_{k-1} indices) -> the one differential
         self._exactness = {}  # oracle verdicts of resolutions.verify_resolution, by content
         self._image_checks = {}
         self._generator_cache = {}

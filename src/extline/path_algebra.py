@@ -361,15 +361,20 @@ def verify_chain_relations(alg: LineAlgebra) -> CheckReport:
 
     A mixed relator w1 - w2 through a turnaround holds strictly: the two
     composites agree degreewise.  Every other relator holds up to an
-    explicit homotopy certificate.  Words are named in composition order.
+    explicit homotopy certificate.  Words are named in composition order
+    and a relator c1 w1 + c2 w2 as c1 w1 = -c2 w2: w1 + w2 is "w1 = -w2".
     """
     if alg.n == 1:
         return CheckReport([CheckResult("no degree-1 generators", True, "vacuous")])
+
+    def term(c, arrows):
+        word = " o ".join(f"{kind}_{i}" for kind, i in reversed(arrows))
+        return word if c == 1 else f"-{word}" if c == -1 else f"{c}*{word}"
+
     checks = []
     for rel in standard_relators(alg.n):
-        words = [" o ".join(f"{kind}_{i}" for kind, i in reversed(arrows))
-                 for _, arrows in rel.terms]
-        name = " = ".join(words) if len(words) > 1 else f"{words[0]} = 0"
+        (c1, w1), *rest = rel.terms
+        name = f"{term(c1, w1)} = " + (" + ".join(term(-c, w) for c, w in rest) or "0")
         if ([c for c, _ in rel.terms] == [1, -1]
                 and any(kind == "y" for _, arrows in rel.terms for kind, _ in arrows)):
             lhs, rhs = (_word_chain_map(alg, arrows) for _, arrows in rel.terms)

@@ -139,10 +139,14 @@ class PeriodicComplex:
     """A non-negatively graded complex of projective sums, eventually
     2N-periodic; terms repeat from degree 0, differentials from degree 1.
 
-    Terms are listed eagerly.  Differentials are built on first request
-    and memoized in ``memo`` (degree -> HomMatrix).  The complexes of one
-    vertex share their term objects and one memo, since the closed forms
-    depend on the degree alone."""
+    Terms are listed eagerly; the complexes of one vertex share them and
+    one ``memo`` (degree -> HomMatrix) of differentials built on request.
+    closed_form_differential(alg, i-k, i+k) reads only term(k) and
+    term(k-1), so a memo miss looks it up in ``alg._differentials`` under
+    the pair of index tuples and builds it only for a new pair: d_k and
+    d_{k+2N}, and R_i and R_{N+1-i} on shared terms, share one object.
+    The key is the whole input, so no periodicity is assumed; and the
+    2N-periodicity of the terms proves that of the differentials."""
 
     alg: LineAlgebra
     base_vertex: int
@@ -169,8 +173,11 @@ class PeriodicComplex:
             k -= self.period
         d = self.memo.get(k)
         if d is None:
-            i = self.base_vertex
-            d = self.memo[k] = closed_form_differential(self.alg, i - k, i + k)
+            table, i = self.alg._differentials, self.base_vertex
+            key = (self.term(k).indices, self.term(k - 1).indices)
+            if key not in table:
+                table[key] = closed_form_differential(self.alg, i - k, i + k)
+            d = self.memo[k] = table[key]
         return d
 
 
@@ -245,7 +252,11 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> CheckReport:
     the image check under d_k's key and the expected label.  A key holds
     all that realize_hom_matrix reads, so a verdict is a pure function of
     its key; no periodicity is assumed.  Over R_1..R_N at depth 4N only N^2
-    of the 4N^2 (vertex, degree) pairs hold distinct differentials."""
+    of the 4N^2 (vertex, degree) pairs hold distinct differentials.
+    Differentials are 2N-periodic as their terms are (see
+    ``PeriodicComplex``); the "2N-periodicity" check still compares
+    content, so it still fails a private memo damaged at a degree with a
+    partner one period away within the depth."""
     alg = cx.alg
     F = alg.field
     n = alg.n

@@ -23,7 +23,10 @@ arithmetic only, independently of that system.  Both stop at the one
 That suffices: the resolutions are 2N-periodic (terms from degree 0,
 differentials from degree 1) and a family repeats from its periodic
 start, so every equation past one period and one degree beyond it
-repeats an earlier one; the window covers one more full period.
+repeats an earlier one; the window covers one more full period.  Such a
+repeat is recognized by its operands and not solved or checked again: a
+degree whose differentials, components (or stored degrees) and rhs(m)
+are the very objects of an earlier degree states the same equation.
 
 Null-homotopy is decided exactly, in two stages.  Because the
 resolutions are minimal (all differentials land in radicals), the
@@ -127,14 +130,22 @@ def _first_failure(u: ChainMap, sign: int, rhs=None):
     d o u_m + sign * u_{m-1} o d != rhs(m) (rhs None means zero), or None.
 
     Morphism-matrix arithmetic only: an independent re-check of families
-    that ``_solve_family`` found."""
+    that ``_solve_family`` found.  A degree whose operands are the very
+    objects of one already checked is skipped."""
     alg = u.source.alg
+    seen = {}  # operand ids -> operands, kept alive so that no id is reused
     for m in range(u.shift + 1, u.window + 1):
-        have = hom_matrix_compose(alg, u.target.diff(m - u.shift), u.component(m))
-        want = rhs(m) if rhs else HomMatrix(have.source, have.target, {})
         prev = u.component(m - 1)
+        ops = (u.target.diff(m - u.shift), u.component(m), prev,
+               None if prev is None else u.source.diff(m), rhs(m) if rhs else None)
+        if seen.setdefault(tuple(map(id, ops)), ops) is not ops:
+            continue
+        d, cur, _, d_src, want = ops
+        have = hom_matrix_compose(alg, d, cur)
+        if want is None:
+            want = HomMatrix(have.source, have.target, {})
         if prev is not None:  # sign * u_{m-1} o d, moved to the side where it adds
-            term = hom_matrix_compose(alg, prev, u.source.diff(m))
+            term = hom_matrix_compose(alg, prev, d_src)
             if sign > 0:
                 have = hom_matrix_add(alg, have, term)
             else:
@@ -286,9 +297,12 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
     unknown's column is its basis morphism pushed through the nonzero
     entries of one differential column (d o u) and one differential row
     (u o d).  Equations are keyed and ordered by (row, col, slot) within a
-    degree.  Returns (family, system, index): family is the ChainMap of
-    the particular solution, None when the system is inconsistent; index
-    maps (m, row, col, slot) to the unknown.
+    degree; a degree whose operands repeat those of an earlier one would
+    add the very same rows again, which leaves the pivot rows and so the
+    solution as they were, and is skipped.  Returns (family, system,
+    index): family is the ChainMap of the particular solution, None when
+    the system is inconsistent; index maps (m, row, col, slot) to the
+    unknown.
     """
     alg = source.alg
     F = alg.field
@@ -319,8 +333,15 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
                     cells.append((r, c, elem, len(index) - 1))
 
     system = LinearSystem(F, len(index))
-    eq_lo, eq_hi = shift + 1, family.window
-    for m in range(eq_lo, eq_hi + 1):
+    seen = {}  # operand ids -> operands, kept alive so that no id is reused
+    for m in range(shift + 1, family.window + 1):
+        below = m - 1 >= lo  # whether u_{m-1} o d takes part
+        ops = (target.diff(m - shift), source.diff(m) if below else None,
+               rhs(m) if rhs else None)
+        ids = (*map(id, ops), stored(m), stored(m - 1) if below else None)
+        if seen.setdefault(ids, ops) is not ops:  # the very rows of an earlier degree
+            continue
+        d_tgt, d_src, want = ops
         rows = {}  # (row, col, slot) -> {unknown: coefficient}
 
         def put(r, c, elem, v, scale):
@@ -329,21 +350,21 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
                 row[v] = F.add(row.get(v, F.zero), F.mul(scale, cv))
 
         columns = {}  # column of d -> [(row, cell)], rows increasing
-        for (r2, a), entry in sorted(target.diff(m - shift).cells.items()):
+        for (r2, a), entry in sorted(d_tgt.cells.items()):
             columns.setdefault(a, []).append((r2, entry))
         for r, c, elem, v in unknowns[stored(m)]:
             for r2, entry in columns.get(r, ()):
                 put(r2, c, alg.compose(entry, elem), v, F.one)
-        if m - 1 >= lo:
+        if below:
             nonzero_rows = {}  # row of d -> [(column, cell)], columns increasing
-            for (c, c2), entry in sorted(source.diff(m).cells.items()):
+            for (c, c2), entry in sorted(d_src.cells.items()):
                 nonzero_rows.setdefault(c, []).append((c2, entry))
             for r, c, elem, v in unknowns[stored(m - 1)]:
                 for c2, entry in nonzero_rows.get(c, ()):
                     put(r, c2, alg.compose(elem, entry), v, sgn)
         values = {}  # (row, col, slot) -> nonzero scalar of rhs(m)
-        if rhs is not None:
-            for (r, c), entry in rhs(m).cells.items():
+        if want is not None:
+            for (r, c), entry in want.cells.items():
                 for k, cv in entry.terms():
                     values[(r, c, k)] = cv
                     rows.setdefault((r, c, k), {})

@@ -246,3 +246,19 @@ def test_sign_flipped_relator_fails_its_check(family, n, char, monkeypatch):
     report = pa.verify_chain_relations(algebra(n, char))
     failed = [k for k, c in enumerate(report.checks) if not c.ok]
     assert failed == ([] if char == 2 else [flipped])
+
+
+@pytest.mark.parametrize("family", ["middle", "mixed"])
+def test_relation_check_names_carry_the_coefficients(family, monkeypatch):
+    # a relator w1 + w2 is checked as such, and named w1 = -w2, not w1 = w2
+    n = 3
+    changed = 2 if family == "middle" else n
+    relators = pa.standard_relators(n)
+    (_, w1), (_, w2) = relators[changed].terms
+    relators[changed] = pa.Relator("plus", ((1, w1), (1, w2)))
+    monkeypatch.setattr(pa, "standard_relators", lambda n: relators)
+    names = [c.name for c in pa.verify_chain_relations(algebra(n, 3)).checks]
+    expected = relation_check_names(n)
+    expected[changed] = {"middle": "x_1 o xstar_1 = -xstar_2 o x_2",
+                         "mixed": "y_2 o x_1 = -xstar_2 o y_1"}[family]
+    assert names == expected

@@ -134,18 +134,36 @@ def test_square_zero_symbolically_two_periods():
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_lazy_differentials_equal_closed_form(char):
-    # complexes of one vertex share their memo whatever their depth, and
-    # reads past the depth fold back by the period
+    # complexes of one vertex share their memo whatever their depth, reads
+    # past the depth fold back by the period, and across vertices and
+    # degrees two differentials are one object exactly when their pairs of
+    # terms are equal
     for n in range(1, 7):
         alg = algebra(n, char)
+        by_terms = {}  # (term_k, term_{k-1}) indices -> the differential met
         for i in range(1, n + 1):
             shallow = build_resolution(alg, i, 2 * n + 2)
             deep = build_resolution(alg, i, 4 * n)
             assert shallow.memo is deep.memo
             for cx in (shallow, deep):
                 for k in range(1, cx.depth + 4 * n + 1):
-                    assert cx.diff(k) == closed_form_differential(alg, i - k, i + k), (
+                    d = cx.diff(k)
+                    assert d == closed_form_differential(alg, i - k, i + k), (
                         n, i, k, cx.depth)
+                    terms = (cx.term(k).indices, cx.term(k - 1).indices)
+                    assert by_terms.setdefault(terms, d) is d, (n, i, k, cx.depth)
+        assert len({id(d) for d in by_terms.values()}) == len(by_terms), n
+
+        # a corrupted complex's private memo never reaches the shared
+        # table: the clean complexes built after it still read closed forms
+        alg = algebra(n, char)
+        for i in range(1, n + 1):
+            corrupted_resolution(alg, i)
+            for j in range(1, n + 1):
+                cx = build_resolution(alg, j)
+                for k in range(1, cx.depth + 1):
+                    assert cx.diff(k) == closed_form_differential(alg, j - k, j + k), (
+                        n, i, j, k)
 
 
 def test_ext_table_builds_no_differentials(monkeypatch):

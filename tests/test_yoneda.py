@@ -287,3 +287,47 @@ def test_head_class_reads_bottom_identity_coefficients():
     assert c == alg.field.one
     gen = HomGenerator("id", 1)
     assert gen.source == gen.target == 1
+
+
+def _copies(f, zeroed=None):
+    """f.component as a new matrix on every call, zero at degree ``zeroed``."""
+    def rhs(m):
+        M = f.component(m)
+        return HomMatrix(M.source, M.target, {} if m == zeroed else dict(M.cells))
+
+    return rhs
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_repeated_equations_skip_only_what_was_checked(char):
+    # the right-hand side is wrong at one degree whose equation, but for
+    # it, repeats one of the first period; fresh but equal right-hand sides
+    # pass, and the wrong degree is found by the re-check and makes the
+    # solver's system inconsistent
+    alg = algebra(3, char)
+    f = compose(cached_generator(alg, "xstar", 1), cached_generator(alg, "x", 1))
+    htpy = null_homotopy(f)
+    start = htpy.periodic_start + htpy.period + 2
+    bad = next(m for m in range(start, htpy.window + 1) if f.component(m).cells)
+    assert yoneda._first_failure(htpy, 1, _copies(f)) is None
+    assert yoneda._first_failure(htpy, 1, _copies(f, bad)) == bad
+    args = (f.source, f.target, f.shift - 1, htpy.periodic_start, htpy.period, 1)
+    assert yoneda._solve_family(*args, rhs=_copies(f))[0] is not None
+    assert yoneda._solve_family(*args, rhs=_copies(f, bad))[0] is None
+
+
+def test_generator_check_covers_one_period(monkeypatch):
+    # a generator's squares repeat from one period past the periodic start,
+    # so the re-check composes only up to there, not over its whole window
+    calls = []
+    original = yoneda.hom_matrix_compose
+
+    def counting(alg, A, B):
+        calls.append(1)
+        return original(alg, A, B)
+
+    monkeypatch.setattr(yoneda, "hom_matrix_compose", counting)
+    for i in range(1, 8):
+        calls.clear()
+        x = generator_x(algebra(8, 3), i)
+        assert calls and len(calls) <= 2 * (x.periodic_start + x.period + 2 - x.shift), i
