@@ -151,11 +151,15 @@ class CompositionError(ValueError):
 class LineAlgebra:
     """The algebra of the line with N simples over an exact field.
 
-    Immutable after construction; safe to share.  The quiver presentation
-    used by the representation oracle is reconstructed from the layer
-    structure of the projectives (see ``reps``); it is the unique
-    presentation compatible with head/heart/socle = S_i, S_{i-1}+S_{i+1},
-    S_i, a fact the test suite re-derives rather than assumes.
+    N and the field are fixed at construction.  The seven memos below fill
+    on first use (``projective``, ``resolutions`` and ``yoneda`` write
+    them); each value is a pure function of its key, N and the field, so
+    sharing an algebra changes what is computed again, never a result.
+    The quiver presentation used by the representation oracle is
+    reconstructed from the layer structure of the projectives (see
+    ``reps``); it is the unique presentation compatible with
+    head/heart/socle = S_i, S_{i-1}+S_{i+1}, S_i, a fact the test suite
+    re-derives rather than assumes.
     """
 
     def __init__(self, n: int, field):
@@ -163,13 +167,13 @@ class LineAlgebra:
             raise ValueError("need at least one simple module")
         self.n = n
         self.field = field
-        self._projectives = {}
-        self._psum_reps = {}
-        self._resolutions = {}  # vertex -> (terms, {degree: differential}), see resolutions
+        self._projectives = {}  # vertex i -> the oracle's P_i
+        self._psum_reps = {}  # index tuple of a projective sum -> (oracle direct sum, offsets)
+        self._resolutions = {}  # vertex i -> (terms of R_i so far, {degree: differential})
         self._differentials = {}  # (term_k indices, term_{k-1} indices) -> the one differential
-        self._exactness = {}  # oracle verdicts of resolutions.verify_resolution, by content
-        self._image_checks = {}
-        self._generator_cache = {}
+        self._exactness = {}  # content keys of (d_{k+1}, d_k) -> vertices the oracle finds inexact
+        self._image_checks = {}  # (d_k content key, label) -> image(d_k) iso realize_x(label)
+        self._generator_cache = {}  # (kind, i) -> the verified generator chain map
 
     # ---------------------------------------------------------- structure
     def hom_dimension(self, i: int, j: int) -> int:

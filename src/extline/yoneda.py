@@ -12,21 +12,20 @@ family of shift r-1 whose period is a multiple of 2N.
 
 Both are instances of one equation,
 
-    d o u_m + sign * u_{m-1} o d = rhs(m),
+    d o u_m + sign * u_{m-1} o d = f_m,
 
-with sign -1 and rhs = 0 for a chain map and sign +1 and rhs = f for a
-homotopy s with f = d o s + s o d.  ``_solve_family`` turns one period of
+with sign -1 and f = 0 for a chain map and sign +1 for a homotopy s of a
+chain map f = d o s + s o d.  ``_solve_family`` turns one period of
 unknowns and these equations into a finite linear system over the ground
 field; ``_first_failure`` re-checks a family degreewise with morphism
-arithmetic only, independently of that system.  Both stop at the one
-``ChainMap.window``, two periods and two degrees past the periodic start.
-That suffices: the resolutions are 2N-periodic (terms from degree 0,
-differentials from degree 1) and a family repeats from its periodic
-start, so every equation past one period and one degree beyond it
-repeats an earlier one; the window covers one more full period.  Such a
-repeat is recognized by its operands and not solved or checked again: a
-degree whose differentials, components (or stored degrees) and rhs(m)
-are the very objects of an earlier degree states the same equation.
+arithmetic only, independently of that system.  Both stop at the last
+distinct equation, ``ChainMap.window`` = periodic_start + period + 1
+(with f given, from the larger of the two periodic starts).  Past it
+each equation is the one a period earlier, operand for operand: the
+family's components fold at periodic_start + period; the algebra keeps
+one differential object per pair of terms and the terms are 2N-periodic,
+so d_k is d_{k+2N} (k >= 1); and f, whose period divides the family's,
+folds at its own periodic start.
 
 Null-homotopy is decided exactly, in two stages.  Because the
 resolutions are minimal (all differentials land in radicals), the
@@ -34,11 +33,15 @@ homotopy class of a shift-r map f is faithfully recorded by the induced
 cocycle of its bottom component: the head coefficients of f_r into the
 base projective of the target.  A nonzero readout certifies that no
 homotopy whatsoever exists; a zero readout guarantees one exists (build
-it degreewise through the exact tail).  For the explicit certificate a
-homotopy is then sought among eventually periodic families, and the
-period is widened in multiples of 2N when needed (a forced drift can
-make the minimal certificate period a proper multiple of 2N).  Found
-certificates are re-verified degreewise.
+it degreewise through the exact tail).  The explicit certificate's
+period is decided, not searched.  Let T shift a family by 2N.  For a
+null-homotopy s the homogeneous family Ts - s, its drift, has a class
+delta in Ext^{r-1}, on which T acts as the identity.  A certificate of
+period k*2N forces k*delta = 0; for k invertible, averaging it as
+(1/k) sum_j T^j s gives one of period 2N.  So over Q the period is 2N or
+no periodic certificate exists; over F_p a drift t represented
+periodically gives T^p s = s + p*t = s, so the period is 2N or 2pN.
+Found certificates are re-verified degreewise.
 
 The generator x_i (shift 1, R_i -> R_{i+1}) is the identity on common
 summands away from the special degrees, with
@@ -71,10 +74,6 @@ from .resolutions import (
 from .ext_table import ext_dim_via_x as _ext_dim_via_x
 
 
-# null_homotopy widens the certificate period up to this many full turns
-MAX_PERIOD_MULTIPLE = 4
-
-
 class ChainMapError(AssertionError):
     pass
 
@@ -99,8 +98,8 @@ class ChainMap:
 
     @property
     def window(self) -> int:
-        """The last degree every check of this family reaches."""
-        return self.periodic_start + 2 * self.period + 2
+        """The last degree whose equation is not the one a period earlier."""
+        return self.periodic_start + self.period + 1
 
     def component(self, k: int):
         """The degree-k component (None below degree max(shift, 0));
@@ -125,27 +124,30 @@ class ChainMap:
         return self
 
 
-def _first_failure(u: ChainMap, sign: int, rhs=None):
+def _window(u: ChainMap, f: ChainMap | None) -> int:
+    """The last distinct equation of u against f (None means zero)."""
+    if f is None:
+        return u.window
+    if u.period % f.period:
+        raise ChainMapError("the right-hand side's period does not divide the family's")
+    return max(u.periodic_start, f.periodic_start) + u.period + 1
+
+
+def _first_failure(u: ChainMap, sign: int, f: ChainMap | None = None):
     """The first degree m in shift+1 .. window where
-    d o u_m + sign * u_{m-1} o d != rhs(m) (rhs None means zero), or None.
+    d o u_m + sign * u_{m-1} o d != f_m (f None means zero), or None.
 
     Morphism-matrix arithmetic only: an independent re-check of families
-    that ``_solve_family`` found.  A degree whose operands are the very
-    objects of one already checked is skipped."""
+    that ``_solve_family`` found.  Each later degree states the equation of
+    the degree a period earlier with the same operands (module docstring),
+    so this decides every degree."""
     alg = u.source.alg
-    seen = {}  # operand ids -> operands, kept alive so that no id is reused
-    for m in range(u.shift + 1, u.window + 1):
+    for m in range(u.shift + 1, _window(u, f) + 1):
+        have = hom_matrix_compose(alg, u.target.diff(m - u.shift), u.component(m))
+        want = f.component(m) if f else HomMatrix(have.source, have.target, {})
         prev = u.component(m - 1)
-        ops = (u.target.diff(m - u.shift), u.component(m), prev,
-               None if prev is None else u.source.diff(m), rhs(m) if rhs else None)
-        if seen.setdefault(tuple(map(id, ops)), ops) is not ops:
-            continue
-        d, cur, _, d_src, want = ops
-        have = hom_matrix_compose(alg, d, cur)
-        if want is None:
-            want = HomMatrix(have.source, have.target, {})
         if prev is not None:  # sign * u_{m-1} o d, moved to the side where it adds
-            term = hom_matrix_compose(alg, prev, d_src)
+            term = hom_matrix_compose(alg, prev, u.source.diff(m))
             if sign > 0:
                 have = hom_matrix_add(alg, have, term)
             else:
@@ -280,29 +282,29 @@ def chain_equal_strict(f: ChainMap, g: ChainMap) -> bool:
 
 
 def _solve_family(source, target, shift, periodic_start, period, sign,
-                  rhs=None, pins=()):
+                  f=None, pins=()):
     """The eventually periodic family of morphism matrices
     u_m : term_m(source) -> term_{m-shift}(target) (shift >= -1), stored
     for max(shift, 0) <= m < periodic_start + period and read back as
     u_m = u_{m-period} beyond, with
 
-        d o u_m + sign * u_{m-1} o d = rhs(m)     (shift < m <= window)
+        d o u_m + sign * u_{m-1} o d = f_m     (shift < m <= window)
 
-    (a term is absent where its u or its differential is; rhs None means
-    zero) and pins, pairs ((m, row, col, slot), value) fixing single
-    coefficients.
+    (a term is absent where its u or its differential is; f None means
+    zero, and a given f must fold with the period) and pins, pairs
+    ((m, row, col, slot), value) fixing single coefficients.
 
     There is one scalar unknown per basis morphism of each stored entry,
     numbered by m, row, column, then slot (``alg.basis`` order).  An
     unknown's column is its basis morphism pushed through the nonzero
     entries of one differential column (d o u) and one differential row
     (u o d).  Equations are keyed and ordered by (row, col, slot) within a
-    degree; a degree whose operands repeat those of an earlier one would
-    add the very same rows again, which leaves the pivot rows and so the
-    solution as they were, and is skipped.  Returns (family, system,
-    index): family is the ChainMap of the particular solution, None when
-    the system is inconsistent; index maps (m, row, col, slot) to the
-    unknown.
+    degree, and stop at the family's window against f: each later degree
+    would add the rows of the degree a period earlier again (module
+    docstring), which leaves the solution as it was.  Returns (family,
+    system, index): family is the ChainMap of the particular solution,
+    None when the system is inconsistent; index maps (m, row, col, slot)
+    to the unknown.
     """
     alg = source.alg
     F = alg.field
@@ -333,15 +335,7 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
                     cells.append((r, c, elem, len(index) - 1))
 
     system = LinearSystem(F, len(index))
-    seen = {}  # operand ids -> operands, kept alive so that no id is reused
-    for m in range(shift + 1, family.window + 1):
-        below = m - 1 >= lo  # whether u_{m-1} o d takes part
-        ops = (target.diff(m - shift), source.diff(m) if below else None,
-               rhs(m) if rhs else None)
-        ids = (*map(id, ops), stored(m), stored(m - 1) if below else None)
-        if seen.setdefault(ids, ops) is not ops:  # the very rows of an earlier degree
-            continue
-        d_tgt, d_src, want = ops
+    for m in range(shift + 1, _window(family, f) + 1):
         rows = {}  # (row, col, slot) -> {unknown: coefficient}
 
         def put(r, c, elem, v, scale):
@@ -350,21 +344,21 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
                 row[v] = F.add(row.get(v, F.zero), F.mul(scale, cv))
 
         columns = {}  # column of d -> [(row, cell)], rows increasing
-        for (r2, a), entry in sorted(d_tgt.cells.items()):
+        for (r2, a), entry in sorted(target.diff(m - shift).cells.items()):
             columns.setdefault(a, []).append((r2, entry))
         for r, c, elem, v in unknowns[stored(m)]:
             for r2, entry in columns.get(r, ()):
                 put(r2, c, alg.compose(entry, elem), v, F.one)
-        if below:
+        if m - 1 >= lo:  # u_{m-1} o d takes part
             nonzero_rows = {}  # row of d -> [(column, cell)], columns increasing
-            for (c, c2), entry in sorted(d_src.cells.items()):
+            for (c, c2), entry in sorted(source.diff(m).cells.items()):
                 nonzero_rows.setdefault(c, []).append((c2, entry))
             for r, c, elem, v in unknowns[stored(m - 1)]:
                 for c2, entry in nonzero_rows.get(c, ()):
                     put(r, c2, alg.compose(elem, entry), v, sgn)
-        values = {}  # (row, col, slot) -> nonzero scalar of rhs(m)
-        if want is not None:
-            for (r, c), entry in want.cells.items():
+        values = {}  # (row, col, slot) -> nonzero scalar of f_m
+        if f is not None:
+            for (r, c), entry in f.component(m).cells.items():
                 for k, cv in entry.terms():
                     values[(r, c, k)] = cv
                     rows.setdefault((r, c, k), {})
@@ -404,7 +398,7 @@ def _periodic_homotopy(f: ChainMap, period_multiple: int):
     """Solve for a homotopy with eventual period 2N * period_multiple."""
     start = max(f.periodic_start, f.shift - 1, 1)
     htpy, _, _ = _solve_family(f.source, f.target, f.shift - 1, start,
-                               f.period * period_multiple, 1, rhs=f.component)
+                               f.period * period_multiple, 1, f=f)
     if htpy is not None and not verify_homotopy(f, htpy):
         raise ChainMapError("homotopy certificate failed re-verification")
     return htpy
@@ -416,24 +410,24 @@ def null_homotopy(f: ChainMap):
     The certificate is a ChainMap of shift r-1 for f of shift r.  None
     certifies non-nullity: the induced cocycle (head readout on the
     minimal resolution) is nonzero, so no homotopy of any shape exists.
-    When the readout vanishes a certificate exists and is searched for
-    with eventual periods 2N, 4N, ..., re-verified degreewise.
+    When the readout vanishes the certificate has period 2N, or 2pN over
+    F_p (the drift argument of the module docstring), re-verified
+    degreewise; over Q, none of period 2N means none is periodic.
     """
     if not class_is_zero(f):
         return None
-    for m in range(1, MAX_PERIOD_MULTIPLE + 1):
-        htpy = _periodic_homotopy(f, m)
+    p = f.source.alg.field.characteristic
+    for multiple in (1, p) if p else (1,):
+        htpy = _periodic_homotopy(f, multiple)
         if htpy is not None:
             return htpy
-    raise ChainMapError(
-        "the induced cocycle vanishes but no periodic homotopy was found "
-        f"(eventual period up to {MAX_PERIOD_MULTIPLE} full turns)"
-    )
+    raise ChainMapError("the induced cocycle vanishes but no homotopy of period "
+                        f"{f.period * multiple} exists" + ("" if p else ": its drift is nonzero"))
 
 
 def verify_homotopy(f: ChainMap, htpy: ChainMap) -> bool:
     """Independent degreewise check that f = d o s + s o d."""
-    return htpy.shift == f.shift - 1 and _first_failure(htpy, 1, f.component) is None
+    return htpy.shift == f.shift - 1 and _first_failure(htpy, 1, f) is None
 
 
 def class_difference_scalar(f: ChainMap, g: ChainMap):

@@ -5,7 +5,7 @@ import pytest
 from extline.fields import field_for_characteristic
 from extline.homs import HomGenerator, LineAlgebra
 from extline.path_algebra import verify_chain_relations
-from extline.resolutions import HomMatrix
+from extline.resolutions import HomMatrix, hom_matrix_add, hom_matrix_compose, hom_matrix_scale
 from extline import yoneda
 from extline.yoneda import (
     ChainMap,
@@ -143,6 +143,97 @@ def test_widened_certificates_carry_their_period(n, char):
             h = yoneda._periodic_homotopy(f, m)
             assert h is not None and h.period == h.period_len == 2 * n * m, (rel.name, m)
             assert verify_homotopy(f, h), (rel.name, m)
+
+
+def test_right_hand_side_must_fold_with_the_certificate():
+    # the one-period window is sound only when f repeats with the
+    # certificate's period
+    alg = algebra(3)
+    f = compose(cached_generator(alg, "xstar", 1), cached_generator(alg, "x", 1))
+    htpy = null_homotopy(f)
+    wide = ChainMap(f.source, f.target, f.shift, f.periodic_start, f.component, 2 * f.period)
+    with pytest.raises(ChainMapError, match="period"):
+        verify_homotopy(wide, htpy)
+
+
+def _drift_map(alg, kind, i, start):
+    """d o s + s o d for s_m = w(m) * (-1)^m * g_m, g a generator and w(m)
+    the full turns since degree start: a null-homotopic map whose
+    null-homotopies all drift by the nonzero class of (-1)^m * g_m."""
+    g = cached_generator(alg, kind, i)
+    F = alg.field
+
+    def s(m):
+        turns = max(m - start, 0) // g.period
+        return hom_matrix_scale(alg, F.from_int((-1) ** m * turns), g.component(m))
+
+    def maker(m):
+        f = hom_matrix_compose(alg, g.target.diff(m - g.shift), s(m))
+        if m - 1 >= g.shift:
+            f = hom_matrix_add(alg, f, hom_matrix_compose(alg, s(m - 1), g.source.diff(m)))
+        return f
+
+    f = ChainMap(g.source, g.target, g.shift + 1, start, maker)
+    for m in range(start + g.period + 1, start + 3 * g.period):  # f folds as stated
+        assert maker(m) == maker(m - g.period), m
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n,kind,i,start", [(3, "x", 1, 3), (4, "y", 1, 5)])
+def test_drifting_certificate_has_period_2pN(n, kind, i, start, p):
+    # a certificate of period k * 2N forces k * drift = 0, so over F_p the
+    # first period that works is 2pN, and null_homotopy goes straight to it
+    f = _drift_map(algebra(n, p), kind, i, start)
+    assert class_is_zero(f)
+    assert yoneda._periodic_homotopy(f, 1) is None
+    h = null_homotopy(f)
+    assert h.period == 2 * p * n and verify_homotopy(f, h)
+
+
+@pytest.mark.parametrize("n,kind,i,start", [(3, "x", 1, 3), (4, "y", 1, 5)])
+def test_drifting_map_has_no_periodic_certificate_over_q(n, kind, i, start):
+    # over Q the drift class is not killed by any multiple of the period
+    f = _drift_map(algebra(n, 0), kind, i, start)
+    assert class_is_zero(f)
+    with pytest.raises(ChainMapError, match="drift"):
+        null_homotopy(f)
+
+
+def _zero_words(alg, count):
+    """The chain maps of the first ``count`` two-arrow words whose class is zero."""
+    from extline.path_algebra import _word_chain_map, all_arrows, arrow_source, arrow_target
+
+    arrows = all_arrows(alg.n)
+    maps = [_word_chain_map(alg, (a, b)) for a in arrows for b in arrows
+            if arrow_target(alg.n, a) == arrow_source(alg.n, b)]
+    return [f for f in maps if class_is_zero(f)][:count]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_equations_past_the_window_repeat_one_period_earlier(n, char):
+    # the premise of the one-period window, on the families the program
+    # builds: every operand of an equation past it is the very object of
+    # the equation one period earlier
+    from extline.path_algebra import evaluate_relator, standard_relators
+
+    alg = algebra(n, char)
+    pairs = [(cached_generator(alg, kind, i), None)
+             for kind, top in (("x", n - 1), ("xstar", n - 1), ("y", n))
+             for i in range(1, top + 1)]
+    for f in [evaluate_relator(alg, rel) for rel in standard_relators(n)] + _zero_words(alg, 3):
+        pairs += [(f, None), (null_homotopy(f), f)]
+    pairs += [(lift_cocycle(alg, 1, j, k).chain_map, None)
+              for j, k in ((1, 2 * n), (min(2, n), 1), (n, n))]
+    for u, f in pairs:
+        last, p = yoneda._window(u, f), u.period
+        for m in range(last + 1, last + p + 1):
+            assert u.component(m) is u.component(m - p)
+            assert u.component(m - 1) is u.component(m - 1 - p)
+            assert u.target.diff(m - u.shift) is u.target.diff(m - u.shift - p)
+            assert u.source.diff(m) is u.source.diff(m - p)
+            assert f is None or f.component(m) is f.component(m - p)
 
 
 @pytest.mark.parametrize("char", [0, 3])
@@ -289,31 +380,56 @@ def test_head_class_reads_bottom_identity_coefficients():
     assert gen.source == gen.target == 1
 
 
-def _copies(f, zeroed=None):
-    """f.component as a new matrix on every call, zero at degree ``zeroed``."""
-    def rhs(m):
-        M = f.component(m)
-        return HomMatrix(M.source, M.target, {} if m == zeroed else dict(M.cells))
+def _damaged(alg, u, d):
+    """u with its degree-d component zeroed, or given a first basis
+    morphism where it is zero."""
+    M = u.component(d)
+    cells = {} if M.cells else next(
+        {(r, c): b[0]} for r, t in enumerate(M.target.indices)
+        for c, s in enumerate(M.source.indices) if (b := alg.basis(s, t)))
+    bad = HomMatrix(M.source, M.target, cells)
+    return ChainMap(u.source, u.target, u.shift, u.periodic_start,
+                    lambda k: bad if k == d else u.component(k), u.period)
 
-    return rhs
 
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_one_period_decides_every_equation(char):
+    # damage at one stored degree is found by the first equation reading
+    # that degree, and the solver's system becomes inconsistent; fresh but
+    # equal copies of f pass, so nothing rests on object identity, and a
+    # copy folding two degrees later is checked up to its own fold
+    from extline.path_algebra import evaluate_relator, standard_relators
 
-@pytest.mark.parametrize("char", [0, 3, 5])
-def test_repeated_equations_skip_only_what_was_checked(char):
-    # the right-hand side is wrong at one degree whose equation, but for
-    # it, repeats one of the first period; fresh but equal right-hand sides
-    # pass, and the wrong degree is found by the re-check and makes the
-    # solver's system inconsistent
     alg = algebra(3, char)
-    f = compose(cached_generator(alg, "xstar", 1), cached_generator(alg, "x", 1))
+    f = evaluate_relator(alg, standard_relators(3)[2])  # x1*.x1 - x2.x2*
     htpy = null_homotopy(f)
-    start = htpy.periodic_start + htpy.period + 2
-    bad = next(m for m in range(start, htpy.window + 1) if f.component(m).cells)
-    assert yoneda._first_failure(htpy, 1, _copies(f)) is None
-    assert yoneda._first_failure(htpy, 1, _copies(f, bad)) == bad
     args = (f.source, f.target, f.shift - 1, htpy.periodic_start, htpy.period, 1)
-    assert yoneda._solve_family(*args, rhs=_copies(f))[0] is not None
-    assert yoneda._solve_family(*args, rhs=_copies(f, bad))[0] is None
+
+    def fresh(k):
+        M = f.component(k)
+        return HomMatrix(M.source, M.target, dict(M.cells))
+
+    late = ChainMap(f.source, f.target, f.shift, f.periodic_start + 2, fresh)
+    assert yoneda._first_failure(htpy, 1, late) is None
+    assert yoneda._solve_family(*args, f=late)[0] is not None
+    for g in (f, late):
+        for d in range(g.shift, g.periodic_start + g.period + 1):  # g's stored degrees
+            bad = _damaged(alg, g, d)
+            assert yoneda._first_failure(htpy, 1, bad) == d
+            assert yoneda._solve_family(*args, f=bad)[0] is None, d
+    ps, p = htpy.periodic_start, htpy.period
+    zeroed = 0
+    for k in range(max(htpy.shift, 0), ps + p):  # the certificate's stored degrees
+        M = htpy.component(k)
+        if not M.cells:
+            continue
+        bad = ChainMap(htpy.source, htpy.target, htpy.shift, ps, htpy.component, p)
+        bad.components[k] = HomMatrix(M.source, M.target, {})
+        if k == ps:  # degree ps + p is read back from the stored degree ps
+            bad.components[ps + p] = bad.components[k]
+        assert yoneda._first_failure(bad, 1, f) == max(k, htpy.shift + 1)
+        zeroed += 1
+    assert zeroed
 
 
 def test_generator_check_covers_one_period(monkeypatch):
