@@ -31,8 +31,8 @@ for k in range(1, 2 * N + 1):
         print("      [" + ", ".join(row) + "]")
 
 print("\ncertification:")
-report = verify_resolution(cx, I)
-for check in report.checks:
+checks = verify_resolution(cx, I)
+for check in checks:
     mark = "ok " if check.ok else "FAIL"
     print(f"  [{mark}] {check.name}" + (f" ({check.detail})" if check.detail else ""))
-print("\nall checks passed" if report.ok else "\nsome checks FAILED")
+print("\nall checks passed" if all(c.ok for c in checks) else "\nsome checks FAILED")

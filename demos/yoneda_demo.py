@@ -57,6 +57,6 @@ print(f"  x1 x1* - x2* x2: certificate found and verified = "
       f"{h is not None and verify_homotopy(diff, h)}")
 
 print("\nfull relation check:")
-report = verify_chain_relations(alg)
-for check in report.checks:
+checks = verify_chain_relations(alg)
+for check in checks:
     print(f"  [{'ok ' if check.ok else 'FAIL'}] {check.name}")

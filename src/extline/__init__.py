@@ -46,7 +46,6 @@ from .resolutions import (
 from .ext_table import (
     ExtTable,
     RouteMismatchError,
-    ext_dim_via_resolution,
     ext_dim_via_x,
     ext_table,
     poincare_series,

@@ -186,7 +186,7 @@ def cmd_resolve(args) -> int:
         cx = corrupted_resolution(alg, args.i, depth)
     else:
         cx = build_resolution(alg, args.i, depth)
-    report = verify_resolution(cx, args.i)
+    checks = verify_resolution(cx, args.i)
     terms = [psum_str(cx.term(k)) for k in range(depth + 1)]
     diffs = []
     for k in range(1, depth + 1):
@@ -199,20 +199,20 @@ def cmd_resolve(args) -> int:
                 "matrix": [[format_hom(alg, e) for e in row] for row in d.entries],
             }
         )
-    _emit_report(args, depth, {}, report.checks,
+    _emit_report(args, depth, {}, checks,
                  terms=" | ".join(terms) + f" | period {2 * args.n}", differentials=diffs)
-    return 0 if report.ok else 1
+    return 0 if all(c.ok for c in checks) else 1
 
 
 # suite -> (alg, args) -> (name prefix, checks) groups, in the order "all" runs them
 _SUITES = {
-    "syzygy": lambda alg, args: [("", verify_syzygies(alg).checks)],
+    "syzygy": lambda alg, args: [("", verify_syzygies(alg))],
     "resolution": lambda alg, args: (
-        (f"R_{i}: ", verify_resolution(build_resolution(alg, i, args.max_deg), i).checks)
+        (f"R_{i}: ", verify_resolution(build_resolution(alg, i, args.max_deg), i))
         for i in range(1, args.n + 1)),
-    "relations": lambda alg, args: [("relation: ", path_algebra.verify_chain_relations(alg).checks)],
+    "relations": lambda alg, args: [("relation: ", path_algebra.verify_chain_relations(alg))],
     "gamma": lambda alg, args: [("presentation: ", path_algebra.verify_presentation(
-        alg, args.max_deg if args.max_deg is not None else 2 * args.n + 2).checks)],
+        alg, args.max_deg if args.max_deg is not None else 2 * args.n + 2))],
 }
 
 

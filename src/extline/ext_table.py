@@ -82,12 +82,6 @@ def ext_dim_via_x(n: int, i: int, j: int, k: int) -> int:
     return 1 if j in _syzygy_head(n, i, k) else 0
 
 
-def ext_dim_via_resolution(alg: LineAlgebra, i: int, j: int, k: int) -> int:
-    """Multiplicity of P_j in degree k of the minimal resolution of S_i."""
-    cx = build_resolution(alg, i, depth=max(k, 2 * alg.n + 2))
-    return cx.term(k).multiplicity(j)
-
-
 @dataclass
 class ExtTable:
     n: int

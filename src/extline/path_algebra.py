@@ -11,9 +11,10 @@ factor traversed first)
     (d)  x_i^* y_i = y_{i+1} x_{N-i}              (1 <= i <= N-1)
 
 ``standard_relators`` states these relations once: the graded quotient
-and the gamma and chain-level relations suites all read it.  The
-relations suite checks (c) and (d) strictly, as equalities of chain
-maps, and the others up to a certified null-homotopy.
+and the gamma and chain-level relations suites all read it.
+``relator_holds`` is the one relator decision, and both suites read it:
+(c) and (d) hold strictly, as equalities of chain maps, and the others
+up to a certified null-homotopy.
 
 Graded dimensions are computed degree by degree by an incremental
 quotient: the degree-k space is (degree k-1 basis) x (arrows) modulo the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from . import linalg
 from .ext_table import ext_dim_via_x, ext_table
 from .homs import LineAlgebra
-from .resolutions import CheckReport, CheckResult
+from .resolutions import CheckResult
 from .yoneda import (
     ExtClass,
     cached_generator,
@@ -356,16 +357,32 @@ def evaluate_relator(alg: LineAlgebra, rel: Relator):
     return total
 
 
-def verify_chain_relations(alg: LineAlgebra) -> CheckReport:
+def _strict(rel: Relator) -> bool:
+    """A relator w1 - w2 through a turnaround: its words agree degreewise."""
+    return ([c for c, _ in rel.terms] == [1, -1]
+            and any(kind == "y" for _, arrows in rel.terms for kind, _ in arrows))
+
+
+def relator_holds(alg: LineAlgebra, rel: Relator) -> bool:
+    """Whether the relator vanishes at chain level; the one relator decision.
+
+    A strict relator is decided by comparing its two word maps; every
+    other one by a null-homotopy certificate, which null_homotopy
+    re-verifies degreewise before returning it."""
+    if _strict(rel):
+        lhs, rhs = (_word_chain_map(alg, arrows) for _, arrows in rel.terms)
+        return chain_equal_strict(lhs, rhs)
+    return null_homotopy(evaluate_relator(alg, rel)) is not None
+
+
+def verify_chain_relations(alg: LineAlgebra) -> list[CheckResult]:
     """Machine check of the relators at chain level, one check each.
 
-    A mixed relator w1 - w2 through a turnaround holds strictly: the two
-    composites agree degreewise.  Every other relator holds up to an
-    explicit homotopy certificate.  Words are named in composition order
-    and a relator c1 w1 + c2 w2 as c1 w1 = -c2 w2: w1 + w2 is "w1 = -w2".
+    Words are named in composition order and a relator c1 w1 + c2 w2 as
+    c1 w1 = -c2 w2: w1 + w2 is "w1 = -w2".  Strict relators are marked.
     """
     if alg.n == 1:
-        return CheckReport([CheckResult("no degree-1 generators", True, "vacuous")])
+        return [CheckResult("no degree-1 generators", True, "vacuous")]
 
     def term(c, arrows):
         word = " o ".join(f"{kind}_{i}" for kind, i in reversed(arrows))
@@ -375,17 +392,12 @@ def verify_chain_relations(alg: LineAlgebra) -> CheckReport:
     for rel in standard_relators(alg.n):
         (c1, w1), *rest = rel.terms
         name = f"{term(c1, w1)} = " + (" + ".join(term(-c, w) for c, w in rest) or "0")
-        if ([c for c, _ in rel.terms] == [1, -1]
-                and any(kind == "y" for _, arrows in rel.terms for kind, _ in arrows)):
-            lhs, rhs = (_word_chain_map(alg, arrows) for _, arrows in rel.terms)
-            checks.append(CheckResult(name + " (strict)", chain_equal_strict(lhs, rhs)))
-        else:
-            # null_homotopy re-verifies every certificate it returns
-            checks.append(CheckResult(name, null_homotopy(evaluate_relator(alg, rel)) is not None))
-    return CheckReport(checks)
+        checks.append(CheckResult(name + (" (strict)" if _strict(rel) else ""),
+                                  relator_holds(alg, rel)))
+    return checks
 
 
-def verify_presentation(alg: LineAlgebra, max_degree: int) -> CheckReport:
+def verify_presentation(alg: LineAlgebra, max_degree: int) -> list[CheckResult]:
     """Certify that the presented algebra matches the Ext computation:
     graded dimensions agree entrywise, relators die at chain level, and
     every normal-form word evaluates to a certified nonzero class."""
@@ -401,10 +413,8 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> CheckReport:
         )
     )
 
-    for rel in standard_relators(n):
-        # null_homotopy re-verifies every certificate it returns
-        ok = null_homotopy(evaluate_relator(alg, rel)) is not None
-        checks.append(CheckResult(f"relator {rel.name} vanishes", ok))
+    checks += [CheckResult(f"relator {rel.name} vanishes", relator_holds(alg, rel))
+               for rel in standard_relators(n)]
 
     bad = []
     for i in range(1, n + 1):
@@ -423,4 +433,4 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> CheckReport:
             f"zero classes at {bad}" if bad else "",
         )
     )
-    return CheckReport(checks)
+    return checks

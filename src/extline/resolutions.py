@@ -231,19 +231,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
-class CheckReport:
-    checks: list  # CheckResult
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
-
-
-def verify_resolution(cx: PeriodicComplex, i: int) -> CheckReport:
+def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
     """Certify the resolution: d o d = 0, minimality, oracle exactness and
     the identification of each image with the expected string module.
 
@@ -343,10 +331,10 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> CheckReport:
     checks.append(CheckResult("images are the expected string modules", not bad,
                               f"degrees {bad}" if bad else ""))
 
-    return CheckReport(checks)
+    return checks
 
 
-def verify_syzygies(alg: LineAlgebra) -> CheckReport:
+def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
     """Certify the syzygy formula on the oracle and derive periodicity.
 
     The first check computes, on the oracle, Omega(realize_x(l)) for every
@@ -389,7 +377,7 @@ def verify_syzygies(alg: LineAlgebra) -> CheckReport:
         if not (proven and label == strings.simple_label(i)):
             bad.append(f"full period at S_{i}")
     checks.append(CheckResult("syzygy periodicity", not bad, ", ".join(bad)))
-    return CheckReport(checks)
+    return checks
 
 
 def _content_key(A: HomMatrix):

@@ -18,14 +18,17 @@ with sign -1 and f = 0 for a chain map and sign +1 for a homotopy s of a
 chain map f = d o s + s o d.  ``_solve_family`` turns one period of
 unknowns and these equations into a finite linear system over the ground
 field; ``_first_failure`` re-checks a family degreewise with morphism
-arithmetic only, independently of that system.  Both stop at the last
-distinct equation, ``ChainMap.window`` = periodic_start + period + 1
-(with f given, from the larger of the two periodic starts).  Past it
-each equation is the one a period earlier, operand for operand: the
-family's components fold at periodic_start + period; the algebra keeps
-one differential object per pair of terms and the terms are 2N-periodic,
-so d_k is d_{k+2N} (k >= 1); and f, whose period divides the family's,
-folds at its own periodic start.
+arithmetic only, independently of that system.  The re-check stops at
+the last distinct equation, ``ChainMap.window`` = periodic_start +
+period + 1 (with f given, from the larger of the two periodic starts).
+Past it each equation is the one a period earlier, operand for operand:
+the family's components fold at periodic_start + period; the algebra
+keeps one differential object per pair of terms and the terms are
+2N-periodic, so d_k is d_{k+2N} (k >= 1); and f, whose period divides
+the family's, folds at its own periodic start.  A solved family also
+reads its degree periodic_start + period from the stored degree
+periodic_start, so the solver stops one degree earlier; the re-check
+cannot, since an arbitrary family makes that degree on its own.
 
 Null-homotopy is decided exactly, in two stages.  Because the
 resolutions are minimal (all differentials land in radicals), the
@@ -299,9 +302,14 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
     unknown's column is its basis morphism pushed through the nonzero
     entries of one differential column (d o u) and one differential row
     (u o d).  Equations are keyed and ordered by (row, col, slot) within a
-    degree, and stop at the family's window against f: each later degree
-    would add the rows of the degree a period earlier again (module
-    docstring), which leaves the solution as it was.  Returns (family,
+    degree, and stop one degree before the family's window W against f.
+    The rows of degree W repeat those of W - period exactly: u_W and
+    u_{W-1} read the unknowns of the stored degrees of W - period and
+    W - 1 - period, since every degree past periodic_start + period - 1
+    is read back by whole periods; d_k is d_{k+period} (module
+    docstring), and f folds at its own periodic start, which is at most
+    W - 1 - period.  The same holds for every later degree, so no further
+    row changes the solution.  Returns (family,
     system, index): family is the ChainMap of the particular solution,
     None when the system is inconsistent; index maps (m, row, col, slot)
     to the unknown.
@@ -335,7 +343,7 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
                     cells.append((r, c, elem, len(index) - 1))
 
     system = LinearSystem(F, len(index))
-    for m in range(shift + 1, _window(family, f) + 1):
+    for m in range(shift + 1, _window(family, f)):
         rows = {}  # (row, col, slot) -> {unknown: coefficient}
 
         def put(r, c, elem, v, scale):

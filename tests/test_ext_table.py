@@ -5,7 +5,6 @@ import pytest
 
 from extline.ext_table import (
     RouteMismatchError,
-    ext_dim_via_resolution,
     ext_dim_via_x,
     ext_table,
     poincare_numerator,
@@ -14,6 +13,7 @@ from extline.ext_table import (
 )
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
+from extline.resolutions import build_resolution
 from extline import reps
 
 
@@ -75,12 +75,13 @@ def test_head_route_values():
 
 
 def test_resolution_route_values():
+    # dim Ext^k(S_i, S_j) is the multiplicity of P_j in degree k of R_i
     alg = LineAlgebra(2, field_for_characteristic(2))
-    assert ext_dim_via_resolution(alg, 1, 1, 3) == 1
-    assert ext_dim_via_resolution(alg, 1, 2, 1) == 1
+    assert build_resolution(alg, 1).term(3).multiplicity(1) == 1
+    assert build_resolution(alg, 1).term(1).multiplicity(2) == 1
     for i in (1, 2):
         for j in (1, 2):
-            assert ext_dim_via_resolution(alg, i, j, 0) == (1 if i == j else 0)
+            assert build_resolution(alg, i).term(0).multiplicity(j) == (1 if i == j else 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -146,8 +147,6 @@ def test_reflection_identity():
 
 def test_row_sums_match_term_sizes():
     alg = LineAlgebra(4, field_for_characteristic(2))
-    from extline.resolutions import build_resolution
-
     table = ext_table(4, 12)
     for i in range(1, 5):
         cx = build_resolution(alg, i, 12)

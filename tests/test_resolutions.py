@@ -93,7 +93,7 @@ def test_verify_resolution_passes(n, char):
     alg = algebra(n, char)
     for i in range(1, n + 1):
         report = verify_resolution(build_resolution(alg, i, 4 * n), i)
-        assert report.ok, [(c.name, c.detail) for c in report.failures()]
+        assert not [(c.name, c.detail) for c in report if not c.ok]
 
 
 def test_term_multiset_equals_string_head():
@@ -110,9 +110,9 @@ def test_corrupted_sign_breaks_square_zero():
     alg = algebra(3, char=0)
     bad = corrupted_resolution(alg, 2, 12)
     report = verify_resolution(bad, 2)
-    names = {c.name for c in report.failures()}
+    names = {c.name for c in report if not c.ok}
     assert "d o d = 0" in names
-    detail = [c.detail for c in report.failures() if c.name == "d o d = 0"][0]
+    detail = [c.detail for c in report if not c.ok and c.name == "d o d = 0"][0]
     assert "degrees" in detail
 
 
@@ -120,7 +120,7 @@ def test_corrupted_entry_detected_in_char_two():
     alg = algebra(3, char=2)
     bad = corrupted_resolution(alg, 2, 12)
     report = verify_resolution(bad, 2)
-    assert not report.ok
+    assert not all(c.ok for c in report)
 
 
 def test_square_zero_symbolically_two_periods():
@@ -183,7 +183,7 @@ def test_ext_table_builds_no_differentials(monkeypatch):
 
 
 def outcome(report):
-    return [(c.name, c.ok, c.detail) for c in report.checks]
+    return [(c.name, c.ok, c.detail) for c in report]
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -210,7 +210,7 @@ def test_shared_algebra_reports_as_fresh_ones(char):
                 shared = verify_resolution(build_resolution(alg, i, depth), i)
                 fresh = verify_resolution(build_resolution(algebra(n, char), i, depth), i)
                 assert outcome(shared) == outcome(fresh), (n, depth, i)
-                assert shared.ok
+                assert all(c.ok for c in shared)
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -219,7 +219,7 @@ def test_corruption_one_period_on_is_checked_again(char):
     # verdict memoized for d_2 must not stand in for d_8
     alg = algebra(3, char)
     cx = build_resolution(alg, 2, 12)
-    assert verify_resolution(cx, 2).ok  # memoizes the clean verdicts first
+    assert all(c.ok for c in verify_resolution(cx, 2))  # memoizes the clean verdicts first
     d = cx.diff(8)
     assert sorted(d.cells) == [(0, 0), (1, 0)]
     memo = dict(cx.memo)  # a private memo: the shared one stays intact
@@ -242,7 +242,7 @@ def test_image_verdicts_are_keyed_by_the_expected_label(char, monkeypatch):
     # R_1's verdicts are memoized first; then Omega(S_1) is expected to be
     # S_2, and the same differentials must fail against the new labels
     alg = algebra(3, char)
-    assert verify_resolution(build_resolution(alg, 1), 1).ok
+    assert all(c.ok for c in verify_resolution(build_resolution(alg, 1), 1))
     real = strings.syzygy_label
     monkeypatch.setattr(strings, "syzygy_label", lambda n, label: (
         strings.simple_label(2) if label == strings.simple_label(1) else real(n, label)))
@@ -284,10 +284,10 @@ def test_identity_in_a_differential_fails_minimality(char):
     memo = dict(cx.memo)  # a private memo: the shared one stays intact
     memo[3] = HomMatrix(d.source, d.target, {(0, 0): alg.add(d.entry(0, 0), alg.identity_hom(3))})
     report = verify_resolution(PeriodicComplex(alg, 1, cx.depth, cx.terms, memo), 1)
-    (check,) = [c for c in report.checks if c.name == "minimality"]
+    (check,) = [c for c in report if c.name == "minimality"]
     assert not check.ok
     assert check.detail == "identity component at degrees [3]"
-    assert verify_resolution(build_resolution(alg, 1, 12), 1).ok
+    assert all(c.ok for c in verify_resolution(build_resolution(alg, 1, 12), 1))
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -301,9 +301,9 @@ def test_dropped_cell_of_d1_fails_the_degree_zero_check(char):
     memo = dict(cx.memo)  # a private memo: the shared one stays intact
     memo[1] = HomMatrix(d.source, d.target, {(0, 0): d.entry(0, 0)})
     report = verify_resolution(PeriodicComplex(alg, 2, cx.depth, cx.terms, memo), 2)
-    (check,) = [c for c in report.checks if c.name == "cokernel in degree 0 is the simple"]
+    (check,) = [c for c in report if c.name == "cokernel in degree 0 is the simple"]
     assert not check.ok
-    assert verify_resolution(build_resolution(alg, 2, 12), 2).ok
+    assert all(c.ok for c in verify_resolution(build_resolution(alg, 2, 12), 2))
 
 
 # ------------------------------------------------------------ syzygy suite
@@ -315,8 +315,8 @@ SYZYGY_CHECKS = ["syzygies of all canonical strings match their labels", "syzygy
 def test_syzygy_suite_passes(char):
     for n in range(1, 9):
         report = resolutions.verify_syzygies(algebra(n, char))
-        assert [c.name for c in report.checks] == SYZYGY_CHECKS
-        assert report.ok, (n, [(c.name, c.detail) for c in report.failures()])
+        assert [c.name for c in report] == SYZYGY_CHECKS
+        assert not [(c.name, c.detail) for c in report if not c.ok], n
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -354,7 +354,7 @@ def test_refuted_second_half_label_fails_the_full_period(char, monkeypatch):
         return reps.zero_rep(n, F) if (M.dims, M.arrows) == (V.dims, V.arrows) else real(M)
 
     monkeypatch.setattr(reps, "syzygy", refuting)
-    first, periodicity = resolutions.verify_syzygies(algebra(n, char)).checks
+    first, periodicity = resolutions.verify_syzygies(algebra(n, char))
     assert (first.ok, first.detail) == (False, str(victim))
     assert (periodicity.ok, periodicity.detail) == (
         False, "full period at S_1, half-period at S_4, full period at S_4")
