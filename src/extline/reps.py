@@ -218,17 +218,6 @@ class RepMorphism:
             return linalg.zeros(self.source.field, self.target.dim(v), self.source.dim(v))
         return B
 
-    def is_intertwiner(self) -> bool:
-        F = self.source.field
-        for key in self.source.arrows.keys() | self.target.arrows.keys():
-            s, t = arrow_endpoints(self.source.n, key)
-            cols = self.source.dim(s)
-            lhs = linalg.mat_mul(F, self.block(t), self.source.arrow(key), out_cols=cols)
-            rhs = linalg.mat_mul(F, self.target.arrow(key), self.block(s), out_cols=cols)
-            if not linalg.mat_eq(F, lhs, rhs):
-                return False
-        return True
-
     def is_zero(self) -> bool:
         F = self.source.field
         return all(linalg.is_zero_mat(F, B) for B in self.blocks.values())

@@ -21,6 +21,10 @@ the radical), exactness against the representation oracle, and that the
 image of d_k is the expected string module at every degree.  The syzygy
 suite certifies the label formula for Omega on the oracle and derives
 Omega-periodicity of the simples from it.
+
+Differentials, and the partial identities that are the generic
+components of the generator chain maps (``common_factor_matrix``), are
+shared objects, one per pair of terms on the algebra: never edit cells.
 """
 
 from __future__ import annotations
@@ -42,11 +46,18 @@ class HomMatrix:
     are nonzero, scalars canonical and slot counts fixed by shape, ``==``
     is equality of morphism matrices; it compares index tuples, as the
     PSums' generated ``__eq__`` costs two Python calls per comparison.
+
+    ``pairing`` (column -> row), when set, says the cells are exactly the
+    identities at (pairing[c], c): at most one per row and per column.
+    ``common_factor_matrix`` sets it (canonical terms have distinct
+    indices), and ``hom_matrix_compose`` then re-keys the other operand's
+    cells.  It is a fact about the cells, so ``==`` ignores it.
     """
 
     source: PSum
     target: PSum
     cells: dict  # (row, col) -> nonzero HomElement
+    pairing: dict | None = None  # column -> row, for a partial identity
 
     def __post_init__(self):
         self.cells = {rc: e for rc, e in self.cells.items() if e}
@@ -76,8 +87,18 @@ def _accumulate(alg: LineAlgebra, cells: dict, key, elem: HomElement) -> None:
 
 
 def hom_matrix_compose(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
+    """A o B (B acts first).  Id o a = a o Id = a, so a paired operand
+    (see ``HomMatrix``) only moves the other one's cells."""
     if B.target.indices != A.source.indices:
         raise ValueError("shape mismatch composing morphism matrices")
+    if B.pairing is not None:  # column m of A becomes column col[m]
+        col = {m: c for c, m in B.pairing.items()}
+        return HomMatrix(B.source, A.target,
+                         {(r, col[m]): a for (r, m), a in A.cells.items() if m in col})
+    if A.pairing is not None:  # row m of B becomes row pairing[m]
+        row = A.pairing
+        return HomMatrix(B.source, A.target,
+                         {(row[m], c): b for (m, c), b in B.cells.items() if m in row})
     b_rows = {}  # row of B -> [(col, cell)]
     for (m, c), b in B.cells.items():
         b_rows.setdefault(m, []).append((c, b))
@@ -102,13 +123,18 @@ def hom_matrix_scale(alg: LineAlgebra, c, A: HomMatrix) -> HomMatrix:
 
 
 def common_factor_matrix(alg: LineAlgebra, source: PSum, target: PSum) -> HomMatrix:
-    """Identity on the summands the two canonical sums share, zero elsewhere."""
-    return HomMatrix(source, target, {
-        (r, c): alg.identity_hom(s)
-        for r, t in enumerate(target.indices)
-        for c, s in enumerate(source.indices)
-        if s == t
-    })
+    """Identity on the summands the two canonical sums share, zero elsewhere;
+    one paired object per pair of index tuples, kept in ``alg._common_factors``."""
+    key = (source.indices, target.indices)
+    M = alg._common_factors.get(key)
+    if M is None:
+        rows = {t: r for r, t in enumerate(target.indices)}  # canonical: distinct
+        pairing = {c: rows[s] for c, s in enumerate(source.indices) if s in rows}
+        M = alg._common_factors[key] = HomMatrix(
+            source, target,
+            {(r, c): alg.identity_hom(source.indices[c]) for c, r in pairing.items()},
+            pairing)
+    return M
 
 
 def plateau_loop(alg: LineAlgebra, j: int) -> HomElement:
@@ -237,9 +263,10 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
 
     The two costly oracle verdicts are memoized on the algebra: exactness
     at k (its failing vertices) under the content keys of d_{k+1} and d_k,
-    the image check under d_k's key and the expected label.  A key holds
-    all that realize_hom_matrix reads, so a verdict is a pure function of
-    its key; no periodicity is assumed.  Over R_1..R_N at depth 4N only N^2
+    the image check under d_k's key and the expected label; so is
+    d o d = 0, under the keys of d_k and d_{k-1}.  A key holds all that
+    realize_hom_matrix and a product read, so a verdict is a pure function
+    of its key; no periodicity is assumed.  Over R_1..R_N at depth 4N only N^2
     of the 4N^2 (vertex, degree) pairs hold distinct differentials.
     Differentials are 2N-periodic as their terms are (see
     ``PeriodicComplex``); the "2N-periodicity" check still compares
@@ -251,7 +278,8 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
     checks = []
     depth = cx.depth
 
-    bad = _square_zero_failures(cx, depth)
+    keys = {k: _content_key(cx.diff(k)) for k in range(1, depth + 1)}
+    bad = _square_zero_failures(cx, keys)
     checks.append(
         CheckResult("d o d = 0", not bad, f"failing at degrees {bad}" if bad else "")
     )
@@ -282,7 +310,6 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
             per.append(k)
     checks.append(CheckResult("2N-periodicity", not per, f"degrees {per}" if per else ""))
 
-    keys = {k: _content_key(cx.diff(k)) for k in range(1, depth + 1)}
     realized = {}
 
     def real(k):  # realized once per call, and only where a verdict is missing
@@ -387,10 +414,18 @@ def _content_key(A: HomMatrix):
     return A.source.indices, A.target.indices, tuple(cells)
 
 
-def _square_zero_failures(cx: PeriodicComplex, depth: int):
-    """The degrees 2 <= k <= depth where d_{k-1} o d_k is not zero."""
-    return [k for k in range(2, depth + 1)
-            if hom_matrix_compose(cx.alg, cx.diff(k - 1), cx.diff(k)).cells]
+def _square_zero_failures(cx: PeriodicComplex, keys: dict):
+    """The degrees 2 <= k <= depth where d_{k-1} o d_k is not zero, given
+    the content key of each d_k; decided once per pair of keys, as the
+    product reads only what the keys hold (memoized on the algebra)."""
+    memo, bad = cx.alg._square_zero, []
+    for k in range(2, cx.depth + 1):
+        pair = (keys[k], keys[k - 1])
+        if pair not in memo:
+            memo[pair] = bool(hom_matrix_compose(cx.alg, cx.diff(k - 1), cx.diff(k)).cells)
+        if memo[pair]:
+            bad.append(k)
+    return bad
 
 
 def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> PeriodicComplex:
@@ -406,6 +441,7 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
     zeroed instead, which the verifier catches as an exactness failure.
     """
     cx = build_resolution(alg, i, depth)
+    keys = {k: _content_key(cx.diff(k)) for k in range(1, cx.depth + 1)}
     F = alg.field
 
     def with_entry(k, rc, new_entry):
@@ -427,7 +463,7 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
                 cand = with_entry(k, rc, alg.zero_hom(e.source, e.target))
             else:
                 cand = with_entry(k, rc, alg.scale(F.from_int(-1), e))
-            if _square_zero_failures(cand, cand.depth):
+            if _square_zero_failures(cand, {**keys, k: _content_key(cand.diff(k))}):
                 return cand
 
     # fallback for the tiny cases: kill a plateau loop (exactness failure)

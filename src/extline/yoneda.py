@@ -519,28 +519,3 @@ def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
         raise ChainMapError("lifted representative is null-homotopic")
     return ExtClass(i, j, k, chain, True)
 
-
-def ext_class_dimension(alg: LineAlgebra, i: int, j: int, k: int) -> int:
-    """dim Hom modulo homotopy of shift-k maps R_i -> R_j, computed as the
-    rank of the induced-cocycle readout on the space of eventually
-    periodic chain maps.
-
-    The readout identifies homotopic maps and nothing more (minimality),
-    so this is the Ext dimension provided every cocycle lifts to a
-    periodic chain map; agreement with the combinatorial table is exactly
-    what the test suite certifies.
-    """
-    source = build_resolution(alg, i)
-    target = build_resolution(alg, j)
-    # ansatz: components repeat from k+1 on
-    _, system, index = _solve_family(source, target, k, k + 1, source.period, -1)
-    head_vars = [
-        index[(k, 0, c, ID_SLOT)]
-        for c, s in enumerate(source.term(k).indices)
-        if s == j
-    ]
-    readout = LinearSystem(alg.field, len(head_vars))
-    for vec in system.nullspace_basis():
-        readout.add_equation({pos: vec[v] for pos, v in enumerate(head_vars)}, alg.field.zero)
-    return readout.rank
-

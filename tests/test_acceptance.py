@@ -3,6 +3,7 @@
 Each test prints one PASS line on success; any failure is a hard assert.
 """
 
+from helpers import is_intertwiner
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
 from extline.ext_table import ext_table, poincare_series
@@ -45,7 +46,7 @@ def test_criterion_2_syzygy_formula_with_witnesses():
             expected = strings.realize_x(n, F2, strings.syzygy_label(n, lab))
             witness = reps.iso_witness(omega, expected)
             assert witness is not None, (n, lab)
-            assert witness.is_invertible() and witness.is_intertwiner()
+            assert witness.is_invertible() and is_intertwiner(witness)
     _report(2, "syzygies of every canonical string match their labels, N <= 6")
 
 

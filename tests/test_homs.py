@@ -3,6 +3,7 @@ and agreement with the concrete representation oracle."""
 
 import pytest
 
+from helpers import is_intertwiner
 from extline.fields import field_for_characteristic
 from extline.homs import CompositionError, LineAlgebra
 from extline import linalg, reps
@@ -103,7 +104,7 @@ def test_realization_is_functorial(n, char):
     alg = algebra(n, char)
     gens = all_generators(alg)
     for g in gens:
-        assert alg.realize(as_element(alg, g)).is_intertwiner()
+        assert is_intertwiner(alg.realize(as_element(alg, g)))
         for h in gens:
             if h.target != g.source:
                 continue
@@ -128,7 +129,7 @@ def test_realized_basis_is_an_oracle_hom_basis(n, char):
     for s in range(1, n + 1):
         for t in range(1, n + 1):
             realized = [alg.realize(h) for h in alg.basis(s, t)]
-            assert all(phi.is_intertwiner() for phi in realized), (s, t)
+            assert all(is_intertwiner(phi) for phi in realized), (s, t)
             rows = [flat(phi) for phi in realized]
             assert linalg.rank(F, rows) == len(rows), (s, t)
             oracle = [flat(phi) for phi in reps.hom_space(alg.projective(s), alg.projective(t))]

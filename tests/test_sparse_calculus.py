@@ -14,12 +14,23 @@ from extline.homs import HomElement, LineAlgebra
 from extline.resolutions import (
     HomMatrix,
     build_resolution,
+    common_factor_matrix,
     hom_matrix_add,
     hom_matrix_compose,
     hom_matrix_scale,
     realize_hom_matrix,
 )
-from extline.yoneda import cached_generator, chain_head_class, compose
+from extline.yoneda import (
+    ChainMap,
+    ChainMapError,
+    cached_generator,
+    chain_head_class,
+    compose,
+    generator_x,
+    generator_xstar,
+    generator_y,
+    identity_chain_map,
+)
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None,
                           max_examples=60)
@@ -259,3 +270,90 @@ def test_components_past_the_window_fold_to_memoized_ones(char):
             assert p.component(k + turns * p.period) is M
         assert p.components == built
     assert max(p.components) == top
+
+
+# --------------------------------------------------------- partial identities
+
+
+def unpaired(M):
+    """The same cells without the pairing, so products take the per-cell path."""
+    return HomMatrix(M.source, M.target, dict(M.cells))
+
+
+def generators(alg):
+    n = alg.n
+    return ([generator_x(alg, i) for i in range(1, n)]
+            + [generator_xstar(alg, i) for i in range(1, n)]
+            + [generator_y(alg, i) for i in range(1, n + 1)]
+            + [identity_chain_map(alg, i) for i in range(1, n + 1)])
+
+
+def stored(u):
+    """(degree, component) for the degrees u builds; later ones fold back."""
+    return [(k, u.component(k)) for k in range(max(u.shift, 0), u.periodic_start + u.period + 1)]
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_pairing_branches_equal_the_generic_product(char):
+    # every product a generator component meets: with the differentials on
+    # either side (the chain-map squares) and with the components of the
+    # generators it composes with (Yoneda products)
+    met = {"paired o d": 0, "d o paired": 0, "paired o paired": 0}
+
+    def check(alg, A, B, kind):
+        product = hom_matrix_compose(alg, A, B)
+        assert product == hom_matrix_compose(alg, unpaired(A), unpaired(B))
+        met[kind] += 1
+
+    for n in range(1, 9):
+        alg = algebra(n, char)
+        gens = generators(alg)
+        for u in gens:
+            for k, M in stored(u):
+                if M.pairing is None:
+                    continue
+                check(alg, M, u.source.diff(k + 1), "paired o d")
+                if k - u.shift >= 1:
+                    check(alg, u.target.diff(k - u.shift), M, "d o paired")
+        for g in gens:
+            for f in gens:
+                if f.source.base_vertex != g.target.base_vertex:
+                    continue
+                for k, B in stored(g):
+                    A = f.component(k - g.shift)
+                    if A is not None and A.pairing is not None and B.pairing is not None:
+                        check(alg, A, B, "paired o paired")
+    assert all(met.values()), met
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_common_factor_matrix_is_shared_and_paired(char):
+    for n in range(1, 9):
+        alg = algebra(n, char)
+        terms = {strings.normalize_p(n, i - k, i + k).indices
+                 for i in range(1, n + 1) for k in range(2 * n + 1)}
+        for s in terms:
+            assert len(set(s)) == len(s)  # canonical terms have distinct indices
+            for t in terms:
+                M = common_factor_matrix(alg, strings.PSum(s), strings.PSum(t))
+                assert common_factor_matrix(alg, strings.PSum(s), strings.PSum(t)) is M
+                assert M.cells == {(r, c): alg.identity_hom(a) for r, b in enumerate(t)
+                                   for c, a in enumerate(s) if a == b}
+                assert sorted(M.cells) == sorted((r, c) for c, r in M.pairing.items())
+                assert len(set(M.pairing.values())) == len(M.pairing)
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_unpaired_component_with_a_dropped_cell_fails_verify(char):
+    # the damaged copy takes the per-cell path between paired neighbours
+    alg = algebra(4, char)
+    for u in generators(alg):
+        for d, M in stored(u):
+            if M.pairing is None:
+                continue
+            for rc in M.cells:
+                bad = HomMatrix(M.source, M.target, {k: e for k, e in M.cells.items() if k != rc})
+                damaged = ChainMap(u.source, u.target, u.shift, u.periodic_start,
+                                   lambda k, d=d, bad=bad: bad if k == d else u.component(k))
+                with pytest.raises(ChainMapError):
+                    damaged.verify()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import ext_class_dimension
 from extline.fields import field_for_characteristic
 from extline.homs import HomGenerator, LineAlgebra
 from extline.path_algebra import verify_chain_relations
@@ -17,7 +18,6 @@ from extline.yoneda import (
     class_difference_scalar,
     class_is_zero,
     compose,
-    ext_class_dimension,
     generator_x,
     generator_y,
     identity_chain_map,
@@ -468,3 +468,27 @@ def test_generator_check_covers_one_period(monkeypatch):
         calls.clear()
         x = generator_x(algebra(8, 3), i)
         assert calls and len(calls) <= 2 * (x.periodic_start + x.period + 2 - x.shift), i
+
+
+def test_generator_check_composes_only_special_components(monkeypatch):
+    # away from the special degrees a generator component is a paired
+    # partial identity, and a product with it moves cells without composing
+    # morphisms: only the one-cell special components reach LineAlgebra.compose
+    # (8 calls at most where the per-cell path made up to 112 for x, 132 for y)
+    calls = []
+    original = LineAlgebra.compose
+
+    def counting(self, g, h):
+        calls.append(1)
+        return original(self, g, h)
+
+    monkeypatch.setattr(LineAlgebra, "compose", counting)
+    for i in range(1, 8):
+        for build in (generator_x, yoneda.generator_xstar):
+            calls.clear()
+            build(algebra(8, 3), i)
+            assert 0 < len(calls) <= 8, (build.__name__, i)
+    for i in range(1, 9):
+        calls.clear()
+        generator_y(algebra(8, 3), i)
+        assert not calls, i
