@@ -191,14 +191,8 @@ def cmd_resolve(args) -> int:
     diffs = []
     for k in range(1, depth + 1):
         d = cx.diff(k)
-        diffs.append(
-            {
-                "degree": k,
-                "source": psum_str(d.source),
-                "target": psum_str(d.target),
-                "matrix": [[format_hom(alg, e) for e in row] for row in d.entries],
-            }
-        )
+        diffs.append({"degree": k, "source": psum_str(d.source), "target": psum_str(d.target),
+                      "matrix": [[format_hom(alg, e) for e in row] for row in d.entries]})
     _emit_report(args, depth, {}, checks,
                  terms=" | ".join(terms) + f" | period {2 * args.n}", differentials=diffs)
     return 0 if all(c.ok for c in checks) else 1

@@ -26,10 +26,6 @@ def nonzero_columns(field, M):
     return [list(col) for col in zip(*M) if not all(map(field.is_zero, col))]
 
 
-def mat_copy(M):
-    return [row[:] for row in M]
-
-
 def mat_mul(field, A, B, out_cols: int | None = None):
     """A @ B.  When B has no rows its column count is unrecoverable from
     the nested-list encoding, so pass out_cols explicitly in that case."""
@@ -80,7 +76,7 @@ def rref(field, M):
     Entries must be canonical scalars (reduced residues over F_p), as every
     caller passes them, so that the entries left alone need no reduction.
     """
-    R = mat_copy(M)
+    R = [row[:] for row in M]
     m = len(R)
     n = len(R[0]) if m else 0
     is_zero, mul, sub = field.is_zero, field.mul, field.sub

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import linalg
 from .ext_table import ext_dim_via_x, ext_table
 from .homs import LineAlgebra
-from .resolutions import CheckResult
+from .resolutions import CheckResult, hom_matrix_compose
 from .yoneda import (
     ExtClass,
     cached_generator,
@@ -39,6 +39,7 @@ from .yoneda import (
     chain_equal_strict,
     chain_scale,
     compose,
+    head_class,
     identity_chain_map,
     normalize_class,
     null_homotopy,
@@ -49,20 +50,12 @@ from .yoneda import (
 
 def arrow_source(n: int, arrow) -> int:
     kind, i = arrow
-    if kind == "x":
-        return i
-    if kind == "xstar":
-        return i + 1
-    return i
+    return i + 1 if kind == "xstar" else i
 
 
 def arrow_target(n: int, arrow) -> int:
     kind, i = arrow
-    if kind == "x":
-        return i + 1
-    if kind == "xstar":
-        return i
-    return n + 1 - i
+    return i + 1 if kind == "x" else i if kind == "xstar" else n + 1 - i
 
 
 def arrow_degree(n: int, arrow) -> int:
@@ -70,18 +63,8 @@ def arrow_degree(n: int, arrow) -> int:
 
 
 def all_arrows(n: int):
-    out = []
-    for i in range(1, n):
-        out.append(("x", i))
-        out.append(("xstar", i))
-    for i in range(1, n + 1):
-        out.append(("y", i))
-    return out
-
-
-def arrow_name(arrow) -> str:
-    kind, i = arrow
-    return {"x": f"x{i}", "xstar": f"x{i}*", "y": f"y{i}"}[kind]
+    return ([a for i in range(1, n) for a in (("x", i), ("xstar", i))]
+            + [("y", i) for i in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -117,7 +100,8 @@ class PathWord:
     def __repr__(self):
         if not self.arrows:
             return f"e{self.vertex}"
-        return ".".join(arrow_name(a) for a in self.arrows)
+        names = {"x": "x{}", "xstar": "x{}*", "y": "y{}"}
+        return ".".join(names[kind].format(i) for kind, i in self.arrows)
 
 
 @dataclass(frozen=True)
@@ -129,11 +113,8 @@ class Relator:
 def standard_relators(n: int):
     if n == 1:
         return []
-    rel = []
-    rel.append(Relator("x1.x1*", ((1, (("x", 1), ("xstar", 1))),)))
-    rel.append(
-        Relator(f"x{n-1}*.x{n-1}", ((1, (("xstar", n - 1), ("x", n - 1))),))
-    )
+    rel = [Relator("x1.x1*", ((1, (("x", 1), ("xstar", 1))),)),
+           Relator(f"x{n-1}*.x{n-1}", ((1, (("xstar", n - 1), ("x", n - 1))),))]
     for i in range(1, n - 1):
         rel.append(
             Relator(
@@ -334,6 +315,23 @@ def _word_chain_map(alg: LineAlgebra, arrows):
     return chain
 
 
+def word_head(alg: LineAlgebra, bottoms: dict, arrows):
+    """The head class of a nonempty arrow sequence's word map, read through
+    ``bottoms`` (arrow suffix -> bottom component of its word map), which
+    this fills from the longest suffix there, one product per new suffix."""
+    n, t = alg.n, 0
+    while t < len(arrows) and arrows[t:] not in bottoms:
+        t += 1
+    degree = sum(arrow_degree(n, a) for a in arrows[t:])
+    for t in range(t - 1, -1, -1):
+        degree += arrow_degree(n, arrows[t])
+        M = cached_generator(alg, *arrows[t]).component(degree)
+        if t + 1 < len(arrows):
+            M = hom_matrix_compose(alg, bottoms[arrows[t + 1:]], M)
+        bottoms[arrows[t:]] = M
+    return head_class(alg.field, bottoms[arrows], arrow_target(n, arrows[-1]))
+
+
 def evaluate_word(alg: LineAlgebra, word: PathWord) -> ExtClass:
     """Map each arrow to its chain-map generator, compose in function
     order (reverse of concatenation), and decide zero/nonzero."""
@@ -400,7 +398,18 @@ def verify_chain_relations(alg: LineAlgebra) -> list[CheckResult]:
 def verify_presentation(alg: LineAlgebra, max_degree: int) -> list[CheckResult]:
     """Certify that the presented algebra matches the Ext computation:
     graded dimensions agree entrywise, relators die at chain level, and
-    every normal-form word evaluates to a certified nonzero class."""
+    every normal-form word evaluates to a nonzero class.
+
+    A word a_1 ... a_L maps to g_L o ... o g_1 (g_t the generator of a_t,
+    of shift s_t).  Its class is zero iff the head of its bottom component
+    vanishes (``null_homotopy``; comparison theorem, Weibel 2.2.6).  Since
+    (f o g)_k = f_{k - shift(g)} o g_k, that component, at degree
+    s_1 + ... + s_L, reads g_t at degree s_t + ... + s_L, fixed by the
+    arrows from a_t on.  So the bottom component of a_t ... a_L is that of
+    a_{t+1} ... a_L after g_t's component there; ``word_head`` memoizes it
+    per arrow suffix, in a dict local to this call, and each word costs one
+    product on top of a shorter one (normal-form words are suffix-closed).
+    """
     n = alg.n
     checks = []
     table = ext_table(n, max_degree)
@@ -416,15 +425,14 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> list[CheckResult]:
     checks += [CheckResult(f"relator {rel.name} vanishes", relator_holds(alg, rel))
                for rel in standard_relators(n)]
 
-    bad = []
+    bad, bottoms = [], {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(max_degree + 1):
                 if table.entry(i, j, k) == 0:
                     continue
-                word = normal_form_monomial(n, i, j, k)
-                cls = evaluate_word(alg, word)
-                if not cls.nonzero:
+                arrows = normal_form_monomial(n, i, j, k).arrows  # () is an identity
+                if arrows and not any(word_head(alg, bottoms, arrows)):
                     bad.append((i, j, k))
     checks.append(
         CheckResult(

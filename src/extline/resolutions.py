@@ -25,6 +25,8 @@ Omega-periodicity of the simples from it.
 Differentials, and the partial identities that are the generic
 components of the generator chain maps (``common_factor_matrix``), are
 shared objects, one per pair of terms on the algebra: never edit cells.
+A ``HomMatrix`` stores nonzero cells only; the producers that can make a
+zero cell drop it, and the constructor does not look (see ``HomMatrix``).
 """
 
 from __future__ import annotations
@@ -41,11 +43,16 @@ class HomMatrix:
     """Matrix of morphisms between sums of projectives, stored sparsely.
 
     cells[(r, c)] : P_{source.indices[c]} -> P_{target.indices[r]} holds
-    only nonzero entries (the constructor drops zero ones); an absent cell
-    is zero, so a matrix is zero exactly when ``not cells``.  Since cells
-    are nonzero, scalars canonical and slot counts fixed by shape, ``==``
-    is equality of morphism matrices; it compares index tuples, as the
-    PSums' generated ``__eq__`` costs two Python calls per comparison.
+    only nonzero entries; an absent cell is zero, so a matrix is zero
+    exactly when ``not cells``.  The constructor takes cells as given: the
+    producers that can make a zero drop it (the generic product, ``add``,
+    ``scale`` by zero, a solved family's ``read`` and a corrupted entry),
+    and the others (paired re-keys, partial identities, differentials,
+    generator components) only place nonzero cells.  The calculus returns
+    every zero as (), so ``e.slots`` decides.  Since cells are nonzero,
+    scalars canonical and slot counts fixed by shape, ``==`` is equality
+    of morphism matrices; it compares index tuples, as the PSums'
+    generated ``__eq__`` costs two Python calls per comparison.
 
     ``pairing`` (column -> row), when set, says the cells are exactly the
     identities at (pairing[c], c): at most one per row and per column.
@@ -58,9 +65,6 @@ class HomMatrix:
     target: PSum
     cells: dict  # (row, col) -> nonzero HomElement
     pairing: dict | None = None  # column -> row, for a partial identity
-
-    def __post_init__(self):
-        self.cells = {rc: e for rc, e in self.cells.items() if e}
 
     def __eq__(self, other):
         return isinstance(other, HomMatrix) and (
@@ -86,6 +90,11 @@ def _accumulate(alg: LineAlgebra, cells: dict, key, elem: HomElement) -> None:
     cells[key] = alg.add(cells[key], elem) if key in cells else elem
 
 
+def nonzero_cells(cells: dict) -> dict:
+    """The cells that are not zero (the calculus returns every zero as ())."""
+    return {rc: e for rc, e in cells.items() if e.slots}
+
+
 def hom_matrix_compose(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
     """A o B (B acts first).  Id o a = a o Id = a, so a paired operand
     (see ``HomMatrix``) only moves the other one's cells."""
@@ -106,7 +115,7 @@ def hom_matrix_compose(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatri
     for (r, m), a in A.cells.items():
         for c, b in b_rows.get(m, ()):
             _accumulate(alg, cells, (r, c), alg.compose(a, b))
-    return HomMatrix(B.source, A.target, cells)
+    return HomMatrix(B.source, A.target, nonzero_cells(cells))
 
 
 def hom_matrix_add(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
@@ -115,11 +124,13 @@ def hom_matrix_add(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
     cells = dict(A.cells)
     for rc, b in B.cells.items():
         _accumulate(alg, cells, rc, b)
-    return HomMatrix(A.source, A.target, cells)
+    return HomMatrix(A.source, A.target, nonzero_cells(cells))
 
 
 def hom_matrix_scale(alg: LineAlgebra, c, A: HomMatrix) -> HomMatrix:
-    return HomMatrix(A.source, A.target, {rc: alg.scale(c, e) for rc, e in A.cells.items()})
+    """c * A; a nonzero scalar keeps every cell nonzero (a field has no zero divisors)."""
+    cells = {rc: alg.scale(c, e) for rc, e in A.cells.items()} if c else {}
+    return HomMatrix(A.source, A.target, cells)
 
 
 def common_factor_matrix(alg: LineAlgebra, source: PSum, target: PSum) -> HomMatrix:
@@ -137,11 +148,6 @@ def common_factor_matrix(alg: LineAlgebra, source: PSum, target: PSum) -> HomMat
     return M
 
 
-def plateau_loop(alg: LineAlgebra, j: int) -> HomElement:
-    sign = alg.loop_sign(j)  # (-1)^j, with the boundary convention at j = N
-    return alg.scale(alg.field.from_int(sign), alg.loop_hom(j))
-
-
 def closed_form_differential(alg: LineAlgebra, i: int, j: int) -> HomMatrix:
     """The differential with source the canonical sum of (i, j) and target
     that of (i+1, j-1), given by the uniform band/plateau pattern."""
@@ -149,7 +155,9 @@ def closed_form_differential(alg: LineAlgebra, i: int, j: int) -> HomMatrix:
     src = strings.normalize_p(n, i, j)
     tgt = strings.normalize_p(n, i + 1, j - 1)
     if src.indices == tgt.indices and len(src.indices) == 1:
-        return HomMatrix(src, tgt, {(0, 0): plateau_loop(alg, src.indices[0])})
+        v = src.indices[0]
+        sign = alg.field.from_int(alg.loop_sign(v))  # (-1)^v, with the boundary convention at v = N
+        return HomMatrix(src, tgt, {(0, 0): alg.scale(sign, alg.loop_hom(v))})
     cells = {}
     for r, t in enumerate(tgt.indices):
         for c, s in enumerate(src.indices):
@@ -230,10 +238,7 @@ def psum_rep(alg: LineAlgebra, psum: PSum):
     if cached is not None:
         return cached
     summands = [alg.projective(j) for j in psum.indices]
-    if summands:
-        result = reps.direct_sum(summands)
-    else:
-        result = (reps.zero_rep(alg.n, alg.field), [])
+    result = reps.direct_sum(summands) if summands else (reps.zero_rep(alg.n, alg.field), [])
     alg._psum_reps[key] = result
     return result
 
@@ -448,7 +453,7 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
         # a private memo: the shared one of build_resolution stays intact
         A = cx.diff(k)
         memo = dict(cx.memo)
-        memo[k] = HomMatrix(A.source, A.target, {**A.cells, rc: new_entry})
+        memo[k] = HomMatrix(A.source, A.target, nonzero_cells({**A.cells, rc: new_entry}))
         return PeriodicComplex(alg, i, cx.depth, cx.terms, memo)
 
     for k in range(1, cx.depth + 1):

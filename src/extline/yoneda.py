@@ -73,6 +73,7 @@ from .resolutions import (
     hom_matrix_add,
     hom_matrix_compose,
     hom_matrix_scale,
+    nonzero_cells,
 )
 from .ext_table import ext_dim_via_x as _ext_dim_via_x
 
@@ -329,7 +330,7 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
         cells = {}
         for r, c, elem, v in unknowns[m]:
             _accumulate(alg, cells, (r, c), alg.scale(sol[v], elem))
-        return HomMatrix(source.term(m), target.term(m - shift), cells)
+        return HomMatrix(source.term(m), target.term(m - shift), nonzero_cells(cells))
 
     family = ChainMap(source, target, shift, periodic_start, read, period)
     index = {}
@@ -387,14 +388,13 @@ def chain_head_class(f: ChainMap):
     the resolutions: differentials land in radicals, so precomposition
     and postcomposition with them die in the head).
     """
-    F = f.source.alg.field
-    j = f.target.base_vertex
-    bottom = f.component(f.shift)
-    return [
-        bottom.entry(0, c).identity_coefficient(F)
-        for c, s in enumerate(bottom.source.indices)
-        if s == j
-    ]
+    return head_class(f.source.alg.field, f.component(f.shift), f.target.base_vertex)
+
+
+def head_class(F, bottom: HomMatrix, j: int):
+    """The head coefficients of a bottom component into P_j, one per P_j summand."""
+    return [bottom.entry(0, c).identity_coefficient(F)
+            for c, s in enumerate(bottom.source.indices) if s == j]
 
 
 def class_is_zero(f: ChainMap) -> bool:

@@ -268,3 +268,57 @@ def test_relation_check_names_carry_the_coefficients(family, monkeypatch):
     expected[changed] = {"middle": "x_1 o xstar_1 = -xstar_2 o x_2",
                          "mixed": "y_2 o x_1 = -xstar_2 o y_1"}[family]
     assert names == expected
+
+
+def normal_form_words(n, max_degree):
+    """(i, j, k, arrows) of every nonempty normal-form word up to max_degree."""
+    table = ext_table(n, max_degree)
+    return [(i, j, k, w.arrows)
+            for i in range(1, n + 1) for j in range(1, n + 1) for k in range(max_degree + 1)
+            if table.entry(i, j, k) and (w := pa.normal_form_monomial(n, i, j, k)).arrows]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_suffix_memo_reads_the_head_of_the_whole_word_map(n, char):
+    # the word check reads each head through one memo of bottom components
+    # per arrow suffix; it must agree with the head of the composed chain map
+    from extline.yoneda import chain_head_class
+
+    alg = algebra(n, char)
+    words = normal_form_words(n, 2 * n + 2)
+    bottoms = {}
+    for i, j, k, arrows in words:
+        assert pa.word_head(alg, bottoms, arrows) == chain_head_class(pa._word_chain_map(alg, arrows))
+    # normal-form words are suffix-closed: one memo entry, so one product, per word
+    assert sorted(bottoms) == sorted(arrows for *_, arrows in words)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("kind,i,degree,read", [
+    ("x", 1, 4, False), ("xstar", 2, 8, False),  # the special degrees N and 2N
+    ("x", 1, 1, True), ("xstar", 3, 2, True), ("y", 2, 4, True)])
+def test_zeroed_generator_component_reads_zero_in_both_readouts(kind, i, degree, read, char,
+                                                                  monkeypatch):
+    # normal-form words read an x or x* factor only inside a hook, at a degree
+    # 1..N-1 mod 2N, never at its special degrees; a component they do read,
+    # zeroed, makes the same words zero in the memo and in the whole word map,
+    # and the check reports them without a homotopy solve
+    from extline.resolutions import HomMatrix
+    from extline.yoneda import ChainMap, cached_generator, class_is_zero
+
+    n = 4
+    alg = algebra(n, char)
+    g = cached_generator(alg, kind, i)
+    M = g.component(degree)
+    damaged = ChainMap(g.source, g.target, g.shift, g.periodic_start,
+                       lambda k: HomMatrix(M.source, M.target, {}) if k == degree else g.maker(k))
+    monkeypatch.setitem(alg._generator_cache, (kind, i), damaged)
+    monkeypatch.setattr(pa, "relator_holds", lambda alg, rel: True)  # not under test here
+    zero = [(u, v, k) for u, v, k, arrows in normal_form_words(n, 2 * n + 2)
+            if class_is_zero(pa._word_chain_map(alg, arrows))]
+    assert bool(zero) == read
+    (check,) = [c for c in pa.verify_presentation(alg, 2 * n + 2)
+                if c.name == "normal-form words are nonzero classes"]
+    assert check.ok == (not zero)
+    assert check.detail == (f"zero classes at {zero}" if zero else "")

@@ -15,6 +15,7 @@ from extline.resolutions import (
     HomMatrix,
     build_resolution,
     common_factor_matrix,
+    corrupted_resolution,
     hom_matrix_add,
     hom_matrix_compose,
     hom_matrix_scale,
@@ -30,7 +31,9 @@ from extline.yoneda import (
     generator_xstar,
     generator_y,
     identity_chain_map,
+    null_homotopy,
 )
+from extline.path_algebra import evaluate_relator, standard_relators
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None,
                           max_examples=60)
@@ -57,18 +60,23 @@ def scalar(draw, alg):
     return alg.field.from_int(v)
 
 
+def without_zeros(cells):
+    """The drawn cells that are not zero: the constructor keeps what it is
+    given, and a matrix stores only nonzero cells."""
+    return {rc: e for rc, e in cells.items() if any(e.slots)}
+
+
 @st.composite
 def hom_matrix(draw, alg, source, target):
     """A random matrix with about half its cells left empty.  Drawn cells
-    are not normalized and may come out zero, which the constructor must
-    drop."""
+    are not normalized; those that come out zero are dropped here."""
     cells = {}
     for r, t in enumerate(target.indices):
         for c, s in enumerate(source.indices):
             gens = alg.generators(s, t)
             if gens and draw(st.booleans()):
                 cells[(r, c)] = HomElement(s, t, tuple(draw(scalar(alg)) for g in gens))
-    return HomMatrix(source, target, cells)
+    return HomMatrix(source, target, without_zeros(cells))
 
 
 @st.composite
@@ -165,7 +173,7 @@ def matrix_pair(draw):
         if how == "reshaped":
             source = draw(canonical_sum(alg.n))
         return alg, A, draw(hom_matrix(alg, source, target))
-    return alg, A, HomMatrix(source, target, cells)
+    return alg, A, HomMatrix(source, target, without_zeros(cells))
 
 
 @given(matrix_pair())
@@ -204,13 +212,54 @@ def test_int_and_fraction_scalars_compare_equal(n, data):
 
 @given(composable_triple(), st.integers(-2, 2))
 def test_no_stored_cell_is_zero(data, c):
-    alg, A, B, _ = data
+    # the constructor keeps its cells as given, so every producer that can
+    # make a zero must drop it: the generic product, add and scale; the
+    # paired branches only re-key nonzero cells.  d_1 o d_2 of R_2 sums two
+    # cancelling paths through the two summands of its degree-1 term (N >= 3)
+    alg, A, B, C = data
     F = alg.field
-    for M in (A, B, hom_matrix_compose(alg, A, B), hom_matrix_scale(alg, F.from_int(c), A),
-              hom_matrix_add(alg, A, hom_matrix_scale(alg, F.from_int(-1), A))):
+    minus_A = hom_matrix_scale(alg, F.from_int(-1), A)
+    P, Q = common_factor_matrix(alg, A.source, A.target), common_factor_matrix(alg, B.source, B.target)
+    d = build_resolution(alg, min(2, alg.n)).diff
+    products = [hom_matrix_compose(alg, A, B), hom_matrix_compose(alg, P, B),
+                hom_matrix_compose(alg, A, Q), hom_matrix_compose(alg, d(1), d(2))]
+    for M in (A, B, C, *products, hom_matrix_scale(alg, F.from_int(c), A),
+              hom_matrix_scale(alg, F.zero, A), hom_matrix_add(alg, A, minus_A),
+              hom_matrix_add(alg, A, hom_matrix_scale(alg, F.from_int(c), A))):
         assert no_zero_cells(alg, M)
-    assert not hom_matrix_add(alg, A, hom_matrix_scale(alg, F.from_int(-1), A)).cells
+    assert not hom_matrix_add(alg, A, minus_A).cells
     assert not hom_matrix_scale(alg, F.zero, A).cells
+    assert not products[3].cells
+    assert products[1:3] == [hom_matrix_compose(alg, unpaired(P), B),
+                             hom_matrix_compose(alg, A, unpaired(Q))]
+    if not F.is_zero(F.from_int(c)):  # a nonzero scalar keeps every cell
+        assert hom_matrix_scale(alg, F.from_int(c), A).cells.keys() == A.cells.keys()
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_no_stored_cell_is_zero_in_a_solved_family(char):
+    # a solved family reads each cell as a sum of solution values times basis
+    # morphisms, and most of those values are zero
+    alg = algebra(4, char)
+    for rel in standard_relators(4):
+        f = evaluate_relator(alg, rel)
+        h = null_homotopy(f)
+        if h is None:
+            continue
+        for k in range(max(h.shift, 0), h.periodic_start + h.period + 1):
+            assert no_zero_cells(alg, h.component(k)), (rel.name, k)
+
+
+@pytest.mark.parametrize("n,i", [(2, 1), (3, 2), (4, 2), (5, 3)])
+def test_corrupted_entry_is_dropped_over_f2(n, i):
+    # over F_2 the corrupted entry is zeroed, so its cell must be gone
+    alg = algebra(n, 2)
+    clean, bad = build_resolution(alg, i), corrupted_resolution(alg, i)
+    changed = [k for k in range(1, bad.depth + 1) if bad.diff(k) is not clean.diff(k)]
+    assert len(changed) == 1
+    (k,) = changed
+    assert no_zero_cells(alg, bad.diff(k))
+    assert len(bad.diff(k).cells) == len(clean.diff(k).cells) - 1
 
 
 @given(st.integers(1, 5), st.sampled_from(CHARS), st.data())
