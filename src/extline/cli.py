@@ -255,6 +255,8 @@ def parse_word(n: int, text: str):
             raise ValueError(f"arrow {tok!r} does not exist for N={n} "
                              f"(x and x* take 1..{n - 1}, y takes 1..{n})")
         arrows.append(("xstar" if star else kind, idx))
+    if not arrows:
+        raise ValueError("--word names no arrow")
     return path_algebra.PathWord(n, tuple(arrows))
 
 

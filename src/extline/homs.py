@@ -151,9 +151,10 @@ class CompositionError(ValueError):
 class LineAlgebra:
     """The algebra of the line with N simples over an exact field.
 
-    N and the field are fixed at construction.  The nine memos below fill
+    N and the field are fixed at construction.  The seven memos below fill
     on first use (``projective``, ``resolutions`` and ``yoneda`` write
-    them); each value is a pure function of its key, N and the field, so
+    them); each value is a pure function of its key, N and the field (a
+    ``_verdicts`` key names differentials, which are never edited), so
     sharing an algebra changes what is computed again, never a result.
     The quiver presentation used by the representation oracle is
     reconstructed from the layer structure of the projectives (see
@@ -172,9 +173,7 @@ class LineAlgebra:
         self._resolutions = {}  # vertex i -> (terms of R_i so far, {degree: differential})
         self._differentials = {}  # (term_k indices, term_{k-1} indices) -> the one differential
         self._common_factors = {}  # (source indices, target indices) -> the one partial identity
-        self._square_zero = {}  # content keys of (d_k, d_{k-1}) -> d_{k-1} o d_k is nonzero
-        self._exactness = {}  # content keys of (d_{k+1}, d_k) -> vertices the oracle finds inexact
-        self._image_checks = {}  # (d_k content key, label) -> image(d_k) iso realize_x(label)
+        self._verdicts = {}  # (check, ids of differentials, extras) -> (differentials, verdict)
         self._generator_cache = {}  # (kind, i) -> the verified generator chain map
 
     # ---------------------------------------------------------- structure

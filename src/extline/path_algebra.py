@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .ext_table import ext_dim_via_x, ext_table
+from .ext_table import ext_table
 from .homs import LineAlgebra
 from .resolutions import CheckResult, hom_matrix_compose
 from .yoneda import (
@@ -285,34 +285,32 @@ def hook_word(n: int, u: int, v: int, m: int):
 
 
 def normal_form_monomial(n: int, i: int, j: int, k: int):
-    """The canonical basis word of the (i, j, k) component, if nonzero:
-    an optional turnaround, a hook, then full-period loops at the target."""
-    if ext_dim_via_x(n, i, j, k) == 0:
-        return None
+    """The canonical basis word of the (i, j, k) component, or None if no
+    hook exists (the component is zero): an optional turnaround, a hook,
+    then full-period loops at the target."""
+    if not (1 <= i <= n and 1 <= j <= n) or k < 0:
+        raise ValueError(f"no component ({i},{j}) in degree {k} for N={n}")
     k0 = k % (2 * n)
     b = k // (2 * n)
     a = 1 if k0 >= n else 0
     m = k0 - a * n
     u = (n + 1 - i) if a else i
-    arrows = []
-    if a:
-        arrows.append(("y", i))
-    arrows += hook_word(n, u, j, m)
-    for _ in range(b):
-        arrows.append(("y", j))
-        arrows.append(("y", n + 1 - j))
-    if not arrows:
-        return PathWord(n, (), vertex=i)
-    return PathWord(n, tuple(arrows))
+    try:
+        arrows = [("y", i)] * a + hook_word(n, u, j, m)
+    except ValueError:
+        return None
+    arrows += [("y", j), ("y", n + 1 - j)] * b
+    return PathWord(n, tuple(arrows), vertex=None if arrows else i)
 
 
 def _word_chain_map(alg: LineAlgebra, arrows):
     """The generators of a nonempty arrow sequence, composed in function
-    order (the reverse of concatenation)."""
-    chain = cached_generator(alg, *arrows[0])
-    for arrow in arrows[1:]:
-        chain = compose(cached_generator(alg, *arrow), chain)
-    return chain
+    order (the reverse of concatenation) as a balanced tree, so that reading
+    a component recurses only log2(len(arrows)) deep."""
+    if len(arrows) == 1:
+        return cached_generator(alg, *arrows[0])
+    half = len(arrows) // 2
+    return compose(_word_chain_map(alg, arrows[half:]), _word_chain_map(alg, arrows[:half]))
 
 
 def word_head(alg: LineAlgebra, bottoms: dict, arrows):

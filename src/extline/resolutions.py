@@ -266,25 +266,21 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
     """Certify the resolution: d o d = 0, minimality, oracle exactness and
     the identification of each image with the expected string module.
 
-    The two costly oracle verdicts are memoized on the algebra: exactness
-    at k (its failing vertices) under the content keys of d_{k+1} and d_k,
-    the image check under d_k's key and the expected label; so is
-    d o d = 0, under the keys of d_k and d_{k-1}.  A key holds all that
-    realize_hom_matrix and a product read, so a verdict is a pure function
-    of its key; no periodicity is assumed.  Over R_1..R_N at depth 4N only N^2
-    of the 4N^2 (vertex, degree) pairs hold distinct differentials.
-    Differentials are 2N-periodic as their terms are (see
-    ``PeriodicComplex``); the "2N-periodicity" check still compares
-    content, so it still fails a private memo damaged at a degree with a
-    partner one period away within the depth."""
+    d o d = 0, exactness (its failing vertices) and the image check (under
+    the expected label) are memoized on the algebra by ``_verdict``, keyed
+    on the differential objects they read: one per pair of terms and never
+    edited, so no periodicity is assumed, and a damaged copy in a private
+    memo is decided on its own.  Only N^2 of the 4N^2 (vertex, degree)
+    pairs of R_1..R_N at depth 4N hold distinct differentials.  The
+    "2N-periodicity" check compares content, so it still fails a private
+    memo damaged one period from a partner within the depth."""
     alg = cx.alg
     F = alg.field
     n = alg.n
     checks = []
     depth = cx.depth
 
-    keys = {k: _content_key(cx.diff(k)) for k in range(1, depth + 1)}
-    bad = _square_zero_failures(cx, keys)
+    bad = _square_zero_failures(cx)
     checks.append(
         CheckResult("d o d = 0", not bad, f"failing at degrees {bad}" if bad else "")
     )
@@ -315,50 +311,49 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
             per.append(k)
     checks.append(CheckResult("2N-periodicity", not per, f"degrees {per}" if per else ""))
 
-    realized = {}
+    realized = {}  # id -> realization, once per call and only where a verdict is missing
 
-    def real(k):  # realized once per call, and only where a verdict is missing
-        if keys[k] not in realized:
-            realized[keys[k]] = realize_hom_matrix(alg, cx.diff(k))
-        return realized[keys[k]]
+    def real(d):
+        if id(d) not in realized:
+            realized[id(d)] = realize_hom_matrix(alg, d)
+        return realized[id(d)]
+
+    def inexact(d_img, d_ker):  # the vertices where image(d_img) != kernel(d_ker)
+        img, ker_of, fails = real(d_img), real(d_ker), []
+        for v in range(1, n + 1):
+            img_cols = linalg.nonzero_columns(F, img.block(v))
+            ker_rows = linalg.nullspace(
+                F, ker_of.block(v) if ker_of.target.dim(v) else [],
+                ncols=ker_of.source.dim(v),
+            )
+            # a nullspace basis is independent (each vector has a 1 at its
+            # own free column): its rank is its length, so two ranks decide
+            r = linalg.rank(F, img_cols) if img_cols else 0
+            if r != len(ker_rows) or (r and linalg.rank(F, img_cols + ker_rows) != r):
+                fails.append(v)
+        return fails
 
     # exactness: image of d_{k+1} equals kernel of d_k, vertex by vertex
     bad = []
     for k in range(1, depth):
-        pair = (keys[k + 1], keys[k])
-        if pair not in alg._exactness:
-            img, ker_of, fails = real(k + 1), real(k), []
-            for v in range(1, n + 1):
-                img_cols = linalg.nonzero_columns(F, img.block(v))
-                ker_rows = linalg.nullspace(
-                    F, ker_of.block(v) if ker_of.target.dim(v) else [],
-                    ncols=ker_of.source.dim(v),
-                )
-                # a nullspace basis is independent (each vector has a 1 at its
-                # own free column): its rank is its length, so two ranks decide
-                r = linalg.rank(F, img_cols) if img_cols else 0
-                if r != len(ker_rows) or (r and linalg.rank(F, img_cols + ker_rows) != r):
-                    fails.append(v)
-            alg._exactness[pair] = fails
-        bad += [(k, v) for v in alg._exactness[pair]]
+        bad += [(k, v) for v in _verdict(alg, "exactness", (cx.diff(k + 1), cx.diff(k)), inexact)]
     checks.append(CheckResult("exactness in positive degrees", not bad,
                               f"(degree, vertex) pairs {bad}" if bad else ""))
 
     # degree 0: the cokernel of d_1 is S_i, i.e. the image is rad P_i
-    rad = reps.radical_span(alg.projective(i))
-    ok0 = all(linalg.span_equal(F, linalg.nonzero_columns(F, real(1).block(v)), rad.get(v, []))
+    rad, d1 = reps.radical_span(alg.projective(i)), real(cx.diff(1))
+    ok0 = all(linalg.span_equal(F, linalg.nonzero_columns(F, d1.block(v)), rad.get(v, []))
               for v in range(1, n + 1))
     checks.append(CheckResult("cokernel in degree 0 is the simple", ok0))
+
+    def is_image(d, label):
+        return reps.is_isomorphic(reps.image_subrep(real(d))[0], strings.realize_x(n, F, label))
 
     bad = []
     label = strings.simple_label(i)
     for k in range(1, depth + 1):
         label = strings.syzygy_label(n, label)
-        key = (keys[k], label)
-        if key not in alg._image_checks:
-            img_rep, _ = reps.image_subrep(real(k))
-            alg._image_checks[key] = reps.is_isomorphic(img_rep, strings.realize_x(n, F, label))
-        if not alg._image_checks[key]:
+        if not _verdict(alg, "image", (cx.diff(k),), is_image, label):
             bad.append(k)
     checks.append(CheckResult("images are the expected string modules", not bad,
                               f"degrees {bad}" if bad else ""))
@@ -412,25 +407,23 @@ def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
     return checks
 
 
-def _content_key(A: HomMatrix):
-    """All that realize_hom_matrix reads of A, hashable.  Over Q an int and
-    an equal Fraction hash alike, so equal content gets equal keys."""
-    cells = sorted((rc, e.source, e.target, e.slots) for rc, e in A.cells.items())
-    return A.source.indices, A.target.indices, tuple(cells)
+def _verdict(alg: LineAlgebra, name: str, operands: tuple, decide, *extra):
+    """decide(*operands, *extra), memoized in ``alg._verdicts`` on the check
+    name, the id of each differential operand and the hashable extras.  The
+    entry holds the operands, so no id is reused while it is a key."""
+    key = (name, *map(id, operands), *extra)
+    if key not in alg._verdicts:
+        alg._verdicts[key] = operands, decide(*operands, *extra)
+    return alg._verdicts[key][1]
 
 
-def _square_zero_failures(cx: PeriodicComplex, keys: dict):
-    """The degrees 2 <= k <= depth where d_{k-1} o d_k is not zero, given
-    the content key of each d_k; decided once per pair of keys, as the
-    product reads only what the keys hold (memoized on the algebra)."""
-    memo, bad = cx.alg._square_zero, []
-    for k in range(2, cx.depth + 1):
-        pair = (keys[k], keys[k - 1])
-        if pair not in memo:
-            memo[pair] = bool(hom_matrix_compose(cx.alg, cx.diff(k - 1), cx.diff(k)).cells)
-        if memo[pair]:
-            bad.append(k)
-    return bad
+def _square_zero_failures(cx: PeriodicComplex):
+    """The degrees 2 <= k <= depth where d_{k-1} o d_k is not zero, decided
+    once per pair of differential objects (memoized on the algebra)."""
+    def nonzero(a, b):
+        return bool(hom_matrix_compose(cx.alg, a, b).cells)
+    return [k for k in range(2, cx.depth + 1)
+            if _verdict(cx.alg, "d o d", (cx.diff(k - 1), cx.diff(k)), nonzero)]
 
 
 def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> PeriodicComplex:
@@ -446,7 +439,6 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
     zeroed instead, which the verifier catches as an exactness failure.
     """
     cx = build_resolution(alg, i, depth)
-    keys = {k: _content_key(cx.diff(k)) for k in range(1, cx.depth + 1)}
     F = alg.field
 
     def with_entry(k, rc, new_entry):
@@ -468,7 +460,7 @@ def corrupted_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> 
                 cand = with_entry(k, rc, alg.zero_hom(e.source, e.target))
             else:
                 cand = with_entry(k, rc, alg.scale(F.from_int(-1), e))
-            if _square_zero_failures(cand, {**keys, k: _content_key(cand.diff(k))}):
+            if _square_zero_failures(cand):
                 return cand
 
     # fallback for the tiny cases: kill a plateau loop (exactness failure)

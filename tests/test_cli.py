@@ -125,6 +125,15 @@ def test_yoneda_product_command():
     assert "zero" in r.stdout
 
 
+def test_yoneda_product_of_a_long_word():
+    # 600 arrows: a word map composed one arrow at a time recursed two
+    # frames per arrow on a component read and overflowed the stack
+    for word, verdict in (("x1 x1*", "class is zero"), ("y1 y3", "class is nonzero")):
+        r = run_cli(["yoneda-product", "--n", "3", "--word", " ".join([word] * 300)])
+        assert r.returncode == 0, (word, r.stderr)
+        assert r.stdout.rstrip().endswith(verdict)
+
+
 def test_word_parsing():
     w = parse_word(3, "x1, x2  y3")
     assert w.arrows == (("x", 1), ("x", 2), ("y", 3))
@@ -152,6 +161,9 @@ def test_usage_errors_exit_two():
         r = run_cli(["yoneda-product", "--n", "3", "--word", word])
         assert r.returncode == 2, word
         assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    for word in ("", " , "):
+        r = run_cli(["yoneda-product", "--n", "3", "--word", word])
+        assert r.returncode == 2 and r.stderr == "error: --word names no arrow\n", word
     # (2^31 - 1)^2 is composite with no small factor; 2^89 - 1 is a prime
     # above the range where primality is decided exactly
     for char in ((2**31 - 1) ** 2, 2**89 - 1):

@@ -1,11 +1,13 @@
 """The presented graded algebra: dimensions by incremental quotient,
 normal-form words, and evaluation into chain-level classes."""
 
+import itertools
+
 import pytest
 
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
-from extline.ext_table import ext_table
+from extline.ext_table import ext_dim_via_x, ext_table
 from extline import path_algebra as pa
 
 
@@ -117,6 +119,19 @@ def test_normal_form_examples():
     w = pa.normal_form_monomial(3, 2, 2, 0)
     assert w.arrows == () and w.vertex == 2
     assert pa.normal_form_monomial(3, 1, 1, 1) is None
+
+
+def test_normal_form_word_exists_where_the_head_criterion_says():
+    # normal_form_monomial decides a zero component by the missing hook;
+    # the head criterion reads the syzygy's string, an independent route
+    for n in range(1, 13):
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            for k in range(6 * n):
+                w = pa.normal_form_monomial(n, i, j, k)
+                assert (w is not None) == bool(ext_dim_via_x(n, i, j, k)), (n, i, j, k)
+    for bad in ((3, 0, 1, 0), (3, 1, 4, 2), (3, 4, 4, 2), (3, 1, 1, -1)):
+        with pytest.raises(ValueError):
+            pa.normal_form_monomial(*bad)
 
 
 def test_normal_form_degree_and_endpoints():

@@ -252,26 +252,57 @@ def test_image_verdicts_are_keyed_by_the_expected_label(char, monkeypatch):
     assert not ok and detail.startswith("degrees [1, ")
 
 
+def record_calls(monkeypatch, module, name, log):
+    """Replace module.name by a wrapper that appends each call's arguments to log."""
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        log.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_resolution_suite_checks_each_differential_once(monkeypatch, capsys):
     # over R_1..R_N at depth 4N there are N^2 distinct differentials among
     # the 4N^2 (vertex, degree) pairs; the oracle sees each once.  d_1 is
     # realized once more for the degree-0 check of each R_i whose d_1 was
     # met before (as d_{N+1} of R_{N+1-i}) and so has no oracle miss: N/2.
-    n, calls = 8, {"realize": 0, "image": 0}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(resolutions, "realize_hom_matrix",
-                        counting("realize", resolutions.realize_hom_matrix))
-    monkeypatch.setattr(reps, "image_subrep", counting("image", reps.image_subrep))
+    # d o d is computed once per distinct pair (d_{k-1}, d_k) of objects.
+    n, realized, images, products = 8, [], [], []
+    record_calls(monkeypatch, resolutions, "realize_hom_matrix", realized)
+    record_calls(monkeypatch, reps, "image_subrep", images)
+    record_calls(monkeypatch, resolutions, "hom_matrix_compose", products)
     assert main(["verify", "--suite", "resolution", "--n", str(n), "--char", "3"]) == 0
     capsys.readouterr()
-    assert calls["image"] <= n * n
-    assert calls["realize"] <= n * n + n // 2
+    assert len(images) <= n * n
+    assert len(realized) <= n * n + n // 2
+    alg = algebra(n, 3)  # one object per pair of terms, so distinct pairs of terms count
+    pairs = {(cx.term(k).indices, cx.term(k - 1).indices, cx.term(k - 2).indices)
+             for cx in (build_resolution(alg, i) for i in range(1, n + 1))
+             for k in range(2, cx.depth + 1)}
+    assert len({(id(a), id(b)) for _, a, b in products}) == len(products) == len(pairs)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_equal_copy_of_a_shared_differential_is_decided_again(char, monkeypatch):
+    # verdicts are keyed on differential objects: a new, equal-content copy
+    # of a shared d_k in a private memo gets verdicts of its own, and they
+    # read as the shared one's do
+    alg = algebra(3, char)
+    cx = build_resolution(alg, 2, 12)
+    clean = outcome(verify_resolution(cx, 2))
+    d = cx.diff(5)
+    memo = dict(cx.memo)  # a private memo: the shared one stays intact
+    memo[5] = copy = HomMatrix(d.source, d.target, dict(d.cells))
+    assert copy == d and copy is not d
+    realized, products = [], []
+    record_calls(monkeypatch, resolutions, "realize_hom_matrix", realized)
+    record_calls(monkeypatch, resolutions, "hom_matrix_compose", products)
+    report = outcome(verify_resolution(PeriodicComplex(alg, 2, cx.depth, cx.terms, memo), 2))
+    assert report == clean and all(ok for _, ok, _ in report)
+    assert [(a is copy, b is copy) for _, a, b in products] == [(False, True), (True, False)]
+    assert [A is copy for _, A in realized] == [True, False, False]  # then d_4 and d_6 beside it
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
