@@ -180,7 +180,7 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    alg = LineAlgebra(args.n, field_for_characteristic(args.char))
+    alg = LineAlgebra(args.n, args.field)
     depth = args.max_deg
     if args.debug_corrupt_sign:
         cx = corrupted_resolution(alg, args.i, depth)
@@ -211,7 +211,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    alg = LineAlgebra(args.n, field_for_characteristic(args.char))
+    alg = LineAlgebra(args.n, args.field)
     checks = []
     for suite in list(_SUITES) if args.suite == "all" else [args.suite]:
         for prefix, group in _SUITES[suite](alg, args):
@@ -223,9 +223,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gamma_dims(args) -> int:
-    alg = LineAlgebra(args.n, field_for_characteristic(args.char))
     K = args.max_deg
-    gd = path_algebra.graded_dimension(args.n, K, alg.field)
+    gd = path_algebra.graded_dimension(args.n, K, args.field)
     data = {
         f"{i},{j}": [gd.dim(i, j, k) for k in range(K + 1)]
         for i in range(1, args.n + 1)
@@ -261,7 +260,7 @@ def parse_word(n: int, text: str):
 
 
 def cmd_yoneda_product(args) -> int:
-    alg = LineAlgebra(args.n, field_for_characteristic(args.char))
+    alg = LineAlgebra(args.n, args.field)
     try:
         word = parse_word(args.n, args.word)
     except ValueError as exc:
@@ -331,13 +330,10 @@ def build_parser():
 def validate(parser, args):
     if args.n < 1:
         parser.error("--n must be at least 1")
-    if args.char != 0:
-        from .fields import PRIME_TEST_LIMIT, _is_prime
-
-        if args.char >= PRIME_TEST_LIMIT:
-            parser.error(f"--char must be below {PRIME_TEST_LIMIT}")
-        if not _is_prime(args.char):
-            parser.error("--char must be 0 or a prime")
+    try:
+        args.field = field_for_characteristic(args.char)
+    except ValueError as exc:
+        parser.error(f"--char: {exc}")
     if args.max_deg is None:
         if args.command != "verify":
             args.max_deg = 4 * args.n

@@ -133,16 +133,6 @@ def nullspace(field, M, ncols: int | None = None):
     return basis
 
 
-def span_equal(field, rows_a, rows_b) -> bool:
-    ra = rank(field, rows_a) if rows_a else 0
-    rb = rank(field, rows_b) if rows_b else 0
-    if ra != rb:
-        return False
-    if ra == 0:
-        return True
-    return rank(field, list(rows_a) + list(rows_b)) == ra
-
-
 class LinearSystem:
     """Sparse exact linear system  A u = b  built row by row.
 

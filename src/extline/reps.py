@@ -28,9 +28,9 @@ zero matrix of the right shape.  Every operation walks the stored arrows
 and blocks, not all N vertices and 2(N-1) arrows.
 
 One function, ``radical_span``, is the oracle's radical: the radical
-submodule, heads, projective covers and the degree-0 check of a
-resolution all read it.  ``projective_rep`` alone writes the shape of P_v;
-a cover's surjection walks that shape from the head, arrow by arrow.
+submodule, heads and projective covers all read it.  ``projective_rep``
+alone writes the shape of P_v; a cover's surjection walks that shape from
+the head, arrow by arrow.
 """
 
 from __future__ import annotations

@@ -164,10 +164,6 @@ class PSum:
 
     indices: tuple
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.indices
-
     def multiplicity(self, j: int) -> int:
         return self.indices.count(j)
 

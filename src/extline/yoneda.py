@@ -236,14 +236,12 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(g.source, f.target, shift, ps, maker)
 
 
-def chain_add(f: ChainMap, g: ChainMap, c=None) -> ChainMap:
-    """f + c*g (default c = 1)."""
+def chain_add(f: ChainMap, g: ChainMap, c) -> ChainMap:
+    """f + c*g."""
     alg = f.source.alg
     if (f.shift != g.shift or f.source.base_vertex != g.source.base_vertex
             or f.target.base_vertex != g.target.base_vertex):
         raise ChainMapError("adding chain maps of different type")
-    if c is None:
-        c = alg.field.one
     ps = max(f.periodic_start, g.periodic_start)
 
     def maker(k):

@@ -1,6 +1,6 @@
 """Cross-checks that only the tests call: Hom modulo homotopy as a
-linear-algebra computation (against the combinatorial table), and the
-intertwiner test of an oracle morphism."""
+linear-algebra computation (against the combinatorial table), the
+intertwiner test of an oracle morphism, and equality of row spans."""
 
 from extline import linalg
 from extline.homs import ID_SLOT, LineAlgebra
@@ -8,6 +8,17 @@ from extline.linalg import LinearSystem
 from extline.reps import RepMorphism, arrow_endpoints
 from extline.resolutions import build_resolution
 from extline.yoneda import _solve_family
+
+
+def span_equal(field, rows_a, rows_b) -> bool:
+    """Whether two lists of row vectors span the same space."""
+    ra = linalg.rank(field, rows_a) if rows_a else 0
+    rb = linalg.rank(field, rows_b) if rows_b else 0
+    if ra != rb:
+        return False
+    if ra == 0:
+        return True
+    return linalg.rank(field, list(rows_a) + list(rows_b)) == ra
 
 
 def is_intertwiner(phi: RepMorphism) -> bool:

@@ -147,7 +147,6 @@ def test_word_parsing():
 
 def test_usage_errors_exit_two():
     assert run_cli(["ext-table", "--n", "0"]).returncode == 2
-    assert run_cli(["ext-table", "--n", "2", "--char", "6"]).returncode == 2
     assert run_cli(["poincare", "--n", "2", "--i", "3", "--j", "1"]).returncode == 2
     assert run_cli(["resolve", "--n", "2"]).returncode == 2
     assert run_cli(["ext-table", "--n", "2", "--seed", "5"]).returncode == 2
@@ -166,9 +165,18 @@ def test_usage_errors_exit_two():
         assert r.returncode == 2 and r.stderr == "error: --word names no arrow\n", word
     # (2^31 - 1)^2 is composite with no small factor; 2^89 - 1 is a prime
     # above the range where primality is decided exactly
-    for char in ((2**31 - 1) ** 2, 2**89 - 1):
-        r = run_cli(["ext-table", "--n", "2", "--char", str(char)], timeout=30)
+    for char in (6, 1, -3, (2**31 - 1) ** 2, 2**89 - 1):
+        r = run_cli(["ext-table", "--n", "2", f"--char={char}"], timeout=30)
         assert r.returncode == 2, char
+        errors = [line for line in r.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("extline: error: --char: "), char
+        assert "Traceback" not in r.stderr, char
+
+
+def test_zero_and_small_prime_characteristics_accepted(capsys):
+    for char in (0, 7):
+        assert main(["ext-table", "--n", "2", "--char", str(char)]) == 0, char
+        assert not capsys.readouterr().err, char
 
 
 def test_large_prime_characteristic_accepted():

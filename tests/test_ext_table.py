@@ -1,6 +1,9 @@
 """Ext dimensions and Poincare series: formula instantiations and full
 cross-route agreement."""
 
+import importlib
+import re
+
 import pytest
 
 from extline.ext_table import (
@@ -14,7 +17,11 @@ from extline.ext_table import (
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
 from extline.resolutions import build_resolution
+from extline.strings import PSum
 from extline import reps
+
+# the package re-exports the function ext_table under the module's name
+ext_table_module = importlib.import_module("extline.ext_table")
 
 
 def test_q_polynomial_values():
@@ -88,6 +95,49 @@ def test_resolution_route_values():
 def test_three_routes_agree(n):
     table = ext_table(n, 4 * n)  # raises RouteMismatchError on disagreement
     assert table.max_degree == 4 * n
+
+
+def _toggled(indices, j):
+    """indices with j removed if present, else added: a 0/1 entry flipped."""
+    return tuple(x for x in indices if x != j) if j in indices else tuple(sorted((*indices, j)))
+
+
+@pytest.mark.parametrize("route", ["head", "resolution", "series"])
+@pytest.mark.parametrize("n,i,j,k", [(4, 2, 3, 5), (4, 1, 1, 0), (5, 3, 2, 9)])
+def test_each_route_is_compared(route, n, i, j, k, monkeypatch):
+    # one route is wrong at one cell (i, j, k); the table must name that cell
+    if route == "head":
+        real = ext_table_module._syzygy_head
+
+        def broken(n_, i_, k_):
+            head = real(n_, i_, k_)
+            return dict.fromkeys(_toggled(tuple(head), j)) if (i_, k_) == (i, k) else head
+
+        monkeypatch.setattr(ext_table_module, "_syzygy_head", broken)
+    elif route == "resolution":
+        real = ext_table_module.build_resolution
+
+        def broken(alg, i_, depth):
+            cx = real(alg, i_, depth=depth)  # its terms list is a copy of the shared store
+            if i_ == i:
+                cx.terms[k] = PSum(_toggled(cx.terms[k].indices, j))
+            return cx
+
+        monkeypatch.setattr(ext_table_module, "build_resolution", broken)
+    else:
+        real = ext_table_module.poincare_series
+
+        def broken(n_, i_, j_, max_degree):
+            series = real(n_, i_, j_, max_degree)
+            if (i_, j_) == (i, j):
+                series[k] = 1 - series[k]
+            return series
+
+        monkeypatch.setattr(ext_table_module, "poincare_series", broken)
+    with pytest.raises(RouteMismatchError, match=re.escape(f"(i={i}, j={j}, k={k})")):
+        ext_table(n, 4 * n)
+    monkeypatch.undo()
+    assert ext_table(n, 4 * n).max_degree == 4 * n  # the store is intact
 
 
 def test_table_structure():

@@ -3,7 +3,7 @@ and agreement with the concrete representation oracle."""
 
 import pytest
 
-from helpers import is_intertwiner
+from helpers import is_intertwiner, span_equal
 from extline.fields import field_for_characteristic
 from extline.homs import CompositionError, LineAlgebra
 from extline import linalg, reps
@@ -133,7 +133,7 @@ def test_realized_basis_is_an_oracle_hom_basis(n, char):
             rows = [flat(phi) for phi in realized]
             assert linalg.rank(F, rows) == len(rows), (s, t)
             oracle = [flat(phi) for phi in reps.hom_space(alg.projective(s), alg.projective(t))]
-            assert linalg.span_equal(F, rows, oracle), (s, t)
+            assert span_equal(F, rows, oracle), (s, t)
             for u in range(1, n + 1):
                 for g in alg.basis(t, u):
                     for h, phi in zip(alg.basis(s, t), realized):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import span_equal
 from extline import linalg
 from extline.fields import field_for_characteristic
 
@@ -135,5 +136,5 @@ def test_int_backed_rationals_match_all_fraction_arithmetic():
         assert linalg.nullspace(Q, M, ncols=n) == linalg.nullspace(old, as_fractions, ncols=n)
         for other in (M2, R, M[::-1]):
             if other and M and len(other[0]) == len(M[0]):
-                assert linalg.span_equal(Q, M, other) == \
-                    linalg.span_equal(old, as_fractions, [[Fraction(x) for x in row] for row in other])
+                assert span_equal(Q, M, other) == \
+                    span_equal(old, as_fractions, [[Fraction(x) for x in row] for row in other])

@@ -4,6 +4,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from extline.cli import main
 from extline.fields import field_for_characteristic
@@ -96,6 +97,13 @@ def test_verify_resolution_passes(n, char):
         assert not [(c.name, c.detail) for c in report if not c.ok]
 
 
+@given(st.integers(1, 8), st.sampled_from([0, 2, 3, 5]), st.data())
+def test_verify_resolution_passes_on_drawn_cases(n, char, data):
+    i, depth = data.draw(st.integers(1, n)), data.draw(st.integers(2 * n + 2, 6 * n + 1))
+    report = verify_resolution(build_resolution(algebra(n, char), i, depth), i)
+    assert [c.name for c in report if not c.ok] == []
+
+
 def test_term_multiset_equals_string_head():
     for n in (2, 3, 4):
         alg = algebra(n)
@@ -121,6 +129,23 @@ def test_corrupted_entry_detected_in_char_two():
     bad = corrupted_resolution(alg, 2, 12)
     report = verify_resolution(bad, 2)
     assert not all(c.ok for c in report)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_end_vertex_control_fails_exactness_not_square_zero(n, char, capsys):
+    # R_1 and R_N have only 1x1 differentials, so no single entry breaks
+    # d o d; the control zeroes the plateau loop d_N on P_{N+1-i} instead,
+    # and exactness fails at both ends of that loop, at vertex N+1-i
+    for i in (1, n):
+        report = verify_resolution(corrupted_resolution(algebra(n, char), i), i)
+        failed = {c.name: c.detail for c in report if not c.ok}
+        assert "d o d = 0" not in failed
+        v = n + 1 - i
+        assert failed["exactness in positive degrees"] == f"(degree, vertex) pairs {[(n - 1, v), (n, v)]}"
+        argv = ["resolve", "--n", str(n), "--i", str(i), "--char", str(char), "--debug-corrupt-sign"]
+        assert main(argv) == 1
+    capsys.readouterr()
 
 
 def test_square_zero_symbolically_two_periods():

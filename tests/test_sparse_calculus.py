@@ -1,12 +1,13 @@
 """Property tests of the sparse morphism calculus, and laziness of chain maps.
 
-Hypothesis runs derandomized, so every run draws the same examples.
+Hypothesis runs derandomized (``conftest.py``), so every run draws the
+same examples.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from extline import strings
 from extline.fields import field_for_characteristic
@@ -34,10 +35,6 @@ from extline.yoneda import (
     null_homotopy,
 )
 from extline.path_algebra import evaluate_relator, standard_relators
-
-settings.register_profile("deterministic", derandomize=True, database=None, deadline=None,
-                          max_examples=60)
-settings.load_profile("deterministic")
 
 CHARS = (0, 2, 3, 5)
 

@@ -1,8 +1,10 @@
 """Chain-level Ext: generators, products, homotopy certificates, lifts."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import ext_class_dimension
+from extline.ext_table import ext_dim_via_x
 from extline.fields import field_for_characteristic
 from extline.homs import HomGenerator, LineAlgebra
 from extline.path_algebra import verify_chain_relations
@@ -29,6 +31,39 @@ from extline.yoneda import (
 
 def algebra(n, char=2):
     return LineAlgebra(n, field_for_characteristic(char))
+
+
+@st.composite
+def generator_triple(draw):
+    """Three composable generator chain maps g1, g2, g3 (g1 acts first)."""
+    n = draw(st.integers(1, 5))
+    alg, v, maps = algebra(n, draw(st.sampled_from([0, 2, 3, 5]))), draw(st.integers(1, n)), []
+    for _ in range(3):
+        steps = [("y", v, n + 1 - v)]  # (kind, index, target vertex)
+        if v < n:
+            steps.append(("x", v, v + 1))
+        if v > 1:
+            steps.append(("xstar", v - 1, v - 1))
+        kind, idx, v = draw(st.sampled_from(steps))
+        maps.append(cached_generator(alg, kind, idx))
+    return maps
+
+
+@given(generator_triple())
+def test_composition_of_generators_is_associative(maps):
+    g1, g2, g3 = maps
+    assert chain_equal_strict(compose(g3, compose(g2, g1)), compose(compose(g3, g2), g1))
+
+
+@given(st.integers(1, 6), st.sampled_from([0, 2, 3, 5]), st.data())
+def test_lift_cocycle_certifies_a_nonzero_class(n, char, data):
+    i, j = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    k = data.draw(st.sampled_from([k for k in range(4 * n + 1) if ext_dim_via_x(n, i, j, k)]))
+    cls = lift_cocycle(algebra(n, char), i, j, k)
+    f = cls.chain_map.verify()
+    assert cls.nonzero and f.shift == k
+    assert (f.source.base_vertex, f.target.base_vertex) == (i, j)
+    assert not class_is_zero(f) and null_homotopy(f) is None
 
 
 def test_generator_components_generic_and_special():
