@@ -2,8 +2,9 @@
 serialized as JSON, aligned text, or LaTeX.
 
 Subcommands: ext-table, poincare, resolve, verify, gamma-dims,
-yoneda-product.  Exit codes: 0 all checks pass, 1 verification failure,
-2 usage error.
+yoneda-product.  Exit codes (also in --help): 0 every check passed, 1 a
+check failed, 2 usage error, 3 internal error.  Exits 2 and 3 explain
+themselves on stderr, never with a traceback.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .resolutions import (
     verify_resolution,
     verify_syzygies,
 )
+from .yoneda import ChainMapError
 
 
 def poly_str(coeffs) -> str:
@@ -292,6 +294,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="extline",
         description="Exact Ext-algebra computations for the Brauer line algebra.",
+        epilog="exit codes: 0 every check passed; 1 a check failed; 2 usage error; "
+               "3 internal error",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,10 +351,21 @@ def validate(parser, args):
 
 
 def main(argv=None) -> int:
+    """Run one command.  An exception ends it with one stderr line: exit 1
+    for a chain map that failed its verification, exit 3 for any other,
+    which is a fault of the run and not a verdict."""
     parser = build_parser()
     args = parser.parse_args(argv)
     validate(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        text = " ".join(str(exc).split())
+        if isinstance(exc, ChainMapError):
+            print(f"extline: verification failed: {text}", file=sys.stderr)
+            return 1
+        print(f"extline: internal error: {type(exc).__name__}: {text}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

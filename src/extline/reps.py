@@ -231,13 +231,6 @@ class RepMorphism:
         }
         return RepMorphism(other.source, self.target, blocks)
 
-    def equals(self, other: "RepMorphism") -> bool:
-        F = self.source.field
-        return all(
-            linalg.mat_eq(F, self.block(v), other.block(v))
-            for v in self.blocks.keys() | other.blocks.keys()
-        )
-
     def is_invertible(self) -> bool:
         if self.source.dims != self.target.dims:
             return False

@@ -161,6 +161,15 @@ def _first_failure(u: ChainMap, sign: int, f: ChainMap | None = None):
     return None
 
 
+def turn_sign(n: int, i: int, k: int):
+    """The sign of the special component of x_i and x_i^* at degree k:
+    (-1)^(N-i) at k = N and (-1)^i at k = 0 mod 2N; None at other degrees."""
+    m = k % (2 * n)
+    if m not in (0, n):
+        return None
+    return -1 if (n - i if m else i) % 2 else 1
+
+
 def _step_generator(alg, i, name, src, tgt, half_turn_hom, full_turn_hom) -> ChainMap:
     """Identity on common summands, with the signed special components
     half_turn_hom(N-i) at degrees N mod 2N and full_turn_hom(i) at 0 mod 2N."""
@@ -169,18 +178,14 @@ def _step_generator(alg, i, name, src, tgt, half_turn_hom, full_turn_hom) -> Cha
     n = alg.n
     source = build_resolution(alg, src)
     target = build_resolution(alg, tgt)
-    F = alg.field
 
     def maker(k):
-        m = k % (2 * n)
-        if m == n % (2 * n):
-            e, hom = n - i, half_turn_hom
-        elif m == 0:
-            e, hom = i, full_turn_hom
-        else:
+        sign = turn_sign(n, i, k)
+        if sign is None:
             return common_factor_matrix(alg, source.term(k), target.term(k - 1))
-        sign = F.from_int(-1 if e % 2 else 1)
-        return HomMatrix(source.term(k), target.term(k - 1), {(0, 0): alg.scale(sign, hom(e))})
+        hom = half_turn_hom(n - i) if k % (2 * n) else full_turn_hom(i)
+        return HomMatrix(source.term(k), target.term(k - 1),
+                         {(0, 0): alg.scale(alg.field.from_int(sign), hom)})
 
     return ChainMap(source, target, 1, 1, maker).verify()
 

@@ -1,6 +1,7 @@
 """Cross-checks that only the tests call: Hom modulo homotopy as a
 linear-algebra computation (against the combinatorial table), the
-intertwiner test of an oracle morphism, and equality of row spans."""
+intertwiner test of an oracle morphism, equality of oracle morphisms,
+and equality of row spans."""
 
 from extline import linalg
 from extline.homs import ID_SLOT, LineAlgebra
@@ -19,6 +20,15 @@ def span_equal(field, rows_a, rows_b) -> bool:
     if ra == 0:
         return True
     return linalg.rank(field, list(rows_a) + list(rows_b)) == ra
+
+
+def morphisms_equal(phi: RepMorphism, psi: RepMorphism) -> bool:
+    """Whether two oracle morphisms agree blockwise (an absent block is zero)."""
+    F = phi.source.field
+    return all(
+        linalg.mat_eq(F, phi.block(v), psi.block(v))
+        for v in phi.blocks.keys() | psi.blocks.keys()
+    )
 
 
 def is_intertwiner(phi: RepMorphism) -> bool:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from extline import path_algebra
 from extline.cli import main, parse_word, poly_str
+from extline.yoneda import ChainMapError
 
 
 def run_cli(args, **kw):
@@ -171,6 +173,31 @@ def test_usage_errors_exit_two():
         errors = [line for line in r.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("extline: error: --char: "), char
         assert "Traceback" not in r.stderr, char
+
+
+@pytest.mark.parametrize("error,code,line", [
+    (RuntimeError("boom\nsecond line"), 3, "extline: internal error: RuntimeError: boom second line"),
+    (MemoryError(), 3, "extline: internal error: MemoryError: "),
+    (ChainMapError("square fails at degree 4"), 1,
+     "extline: verification failed: square fails at degree 4"),
+])
+def test_an_exception_in_a_layer_exits_with_one_line(error, code, line, monkeypatch, capsys):
+    # a crash is not a verdict: it must not exit 1 as a failed check would,
+    # except a chain map that failed its verification, which is one
+    def broken(alg):
+        raise error
+
+    monkeypatch.setattr(path_algebra, "verify_chain_relations", broken)
+    assert main(["verify", "--suite", "relations", "--n", "3"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n" and not captured.out
+
+
+def test_help_lists_the_exit_codes():
+    r = run_cli(["--help"])
+    assert r.returncode == 0
+    assert " ".join(r.stdout.split()).endswith(
+        "exit codes: 0 every check passed; 1 a check failed; 2 usage error; 3 internal error")
 
 
 def test_zero_and_small_prime_characteristics_accepted(capsys):

@@ -1,9 +1,12 @@
 """Import rules: the package needs nothing outside the standard library,
-and the representation oracle in ``reps`` imports no other part of the
-package than ``linalg``, so that it stays an independent route."""
+the representation oracle in ``reps`` imports no other part of the
+package than ``linalg``, so that it stays an independent route, and the
+modules are the API: the package re-exports none of their names."""
 
 import ast
+import importlib
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,15 @@ def test_imports_only_the_standard_library_and_extline(path):
 
 def test_the_oracle_imports_only_linalg():
     assert imported(PACKAGE / "reps.py") <= {"__future__", "extline.linalg"}
+
+
+def test_a_module_is_not_shadowed_by_a_package_attribute():
+    # a re-exported function ext_table would replace the module of that name
+    # on the package, and a patch through extline.ext_table would miss
+    import extline
+    import extline.ext_table
+
+    assert isinstance(extline.ext_table, types.ModuleType)
+    assert extline.ext_table is importlib.import_module("extline.ext_table")
+    public = {name for name in vars(extline) if not name.startswith("_")}
+    assert public <= {path.stem for path in MODULES}

@@ -337,3 +337,102 @@ def test_zeroed_generator_component_reads_zero_in_both_readouts(kind, i, degree,
                 if c.name == "normal-form words are nonzero classes"]
     assert check.ok == (not zero)
     assert check.detail == (f"zero classes at {zero}" if zero else "")
+
+
+def non_strict_relators(n):
+    """(v, relator) for the relators (a) and (b): shift-2 maps R_v -> R_v."""
+    return [(pa.arrow_source(n, rel.terms[0][1][0]), rel)
+            for rel in pa.standard_relators(n) if not pa._strict(rel)]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The number of periodic linear solves made so far."""
+    from extline import yoneda
+
+    count = [0]
+    solve = yoneda._solve_family
+
+    def counted(*args, **kw):
+        count[0] += 1
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(yoneda, "_solve_family", counted)
+    return count
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_closed_form_certifies_every_non_strict_relator_without_a_solve(n, char, solves):
+    # a wrong sign would be hidden by the fallback's solve, so count the solves
+    from extline.yoneda import verify_homotopy
+
+    alg = algebra(n, char)
+    F = alg.field
+    relators = non_strict_relators(n)
+    assert len(relators) == n
+    for v, rel in relators:
+        h = pa.relator_homotopy(alg, rel)
+        assert verify_homotopy(pa.evaluate_relator(alg, rel), h), rel.name
+        assert pa.relator_holds(alg, rel), rel.name
+        # the plateau constants: c_0 = -1 at v = 1 and -(-1)^v for v >= 2,
+        # on P_v at degree 2N, and c_N = (-1)^N c_0 on P_{N+1-v} at degree N
+        c0 = -1 if v == 1 else -(-1) ** v
+        for m, u, c in ((2 * n, v, c0), (n, n + 1 - v, (-1) ** n * c0)):
+            assert h.component(m).cells == {(0, 0): alg.scale(F.from_int(c), alg.identity_hom(u))}
+        assert all(not h.component(m).cells for m in range(1, 4 * n + 2) if m % n)
+    assert solves[0] == 0
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("plateau", ["N", "2N"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_sign_flipped_closed_form_fails_and_the_fallback_decides(n, plateau, char, solves,
+                                                                   monkeypatch):
+    from extline.resolutions import hom_matrix_scale
+    from extline.yoneda import ChainMap, verify_homotopy
+
+    closed_form = pa.relator_homotopy
+    flip = n if plateau == "N" else 0
+
+    def flipped(alg, rel):
+        h = closed_form(alg, rel)
+
+        def maker(m):
+            M = h.maker(m)
+            return hom_matrix_scale(alg, alg.field.from_int(-1), M) if m % (2 * n) == flip else M
+
+        return ChainMap(h.source, h.target, h.shift, h.periodic_start, maker)
+
+    monkeypatch.setattr(pa, "relator_homotopy", flipped)
+    alg = algebra(n, char)
+    for _, rel in non_strict_relators(n):
+        assert not verify_homotopy(pa.evaluate_relator(alg, rel), flipped(alg, rel)), rel.name
+        before = solves[0]
+        assert pa.relator_holds(alg, rel), rel.name  # the fallback's certificate
+        assert solves[0] > before, rel.name
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("family", ["middle", "mixed"])
+def test_a_sign_flipped_relator_is_refused_by_the_head_readout(family, char, solves,
+                                                               monkeypatch):
+    # the closed form is offered only to a shift-2 endomorphism of one R_v,
+    # and a relator it does not certify is decided by null_homotopy, which
+    # refuses a nonzero head readout without a solve
+    from extline.yoneda import class_is_zero, verify_homotopy
+
+    n = 4
+    alg = algebra(n, char)
+    flipped = 2 if family == "middle" else n
+    (c1, w1), (c2, w2) = pa.standard_relators(n)[flipped].terms
+    rel = pa.Relator("flipped", ((c1, w1), (-c2, w2)))
+    f = pa.evaluate_relator(alg, rel)
+    if family == "middle":
+        assert not verify_homotopy(f, pa.relator_homotopy(alg, rel))
+    else:
+        assert f.shift == n + 1
+        monkeypatch.setattr(pa, "relator_homotopy", None)  # never called
+    assert not class_is_zero(f)
+    assert not pa.relator_holds(alg, rel)
+    assert solves[0] == 0
