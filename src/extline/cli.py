@@ -50,49 +50,69 @@ def poly_str(coeffs) -> str:
 
 
 def psum_str(psum) -> str:
-    if not psum.indices:
-        return "0"
-    return "+".join(f"P{j}" for j in psum.indices)
+    return "+".join(f"P{j}" for j in psum.indices) or "0"
 
 
 # --------------------------------------------------------------- emitters
 
 
+def _write_json(write, obj, pad: str = "\n") -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` byte for byte.  With
+    an indent the stdlib encodes one scalar per step in pure Python; here each
+    list of scalars is one C-encoder call, its item separator holding the indent."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return write(json.dumps(obj))
+    inner, brackets = pad + "  ", "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        return write(brackets)
+    if isinstance(obj, dict):
+        # the stdlib writes a non-str key (int, float, bool, None) as its JSON text, quoted
+        items = [(json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
+                 for k, v in sorted(obj.items())]
+    elif any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+        items = [("", v) for v in obj]
+    else:
+        return write("[" + inner + json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+                     + pad + "]")
+    for q, (key, value) in enumerate(items):
+        write(("," if q else brackets[0]) + inner + key)
+        _write_json(write, value, inner)
+    write(pad + brackets[1])
+
+
+def _write(stream, payload: dict, fmt: str) -> None:
+    if fmt != "json":
+        return stream.write(to_latex(payload) if fmt == "latex" else to_table(payload))
+    _write_json(stream.write, payload)
+    stream.write("\n")
+
+
 def emit(payload: dict, fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "latex":
-        text = to_latex(payload)
-    else:
-        text = to_table(payload)
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
-            raise SystemExit(2)
-    else:
-        sys.stdout.write(text)
+    if not out_path:
+        return _write(sys.stdout, payload, fmt)
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            _write(fh, payload, fmt)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def to_table(payload: dict) -> str:
-    lines = [
-        f"n={payload['n']} characteristic={payload['characteristic']} "
-        f"max_degree={payload['max_degree']}"
-    ]
+    lines = [f"n={payload['n']} characteristic={payload['characteristic']} "
+             f"max_degree={payload['max_degree']}"]
     data = payload.get("data", {})
     if data:
         width = max(len(key) for key in data) + 2
         header = "cell".ljust(width) + " ".join(
             f"k={k}" for k in range(payload["max_degree"] + 1)
         )
-        if all(isinstance(v, list) for v in data.values()):
+        if all(isinstance(v, (list, tuple)) for v in data.values()):
             lines.append(header)
+            # the entry of degree k is right-aligned under its "k=<k>" heading
+            widths = [3 + len(str(k)) for k in range(max(map(len, data.values())))]
             for key in sorted(data, key=_cell_key):
-                row = data[key]
-                cells = " ".join(str(x).rjust(3 + len(str(k)))
-                                 for k, x in enumerate(row))
+                cells = " ".join(map(str.rjust, map(str, data[key]), widths))
                 lines.append(key.ljust(width) + cells)
         else:
             for key in sorted(data, key=_cell_key):
@@ -126,8 +146,8 @@ def to_latex(payload: dict) -> str:
     lines.append("cell & " + " & ".join(f"$k={k}$" for k in range(K + 1)) + " \\\\ \\hline")
     for key in sorted(data, key=_cell_key):
         row = data[key]
-        if isinstance(row, list):
-            lines.append(f"$({key})$ & " + " & ".join(str(x) for x in row) + " \\\\")
+        if isinstance(row, (list, tuple)):
+            lines.append(f"$({key})$ & " + " & ".join(map(str, row)) + " \\\\")
         else:
             lines.append(f"$({key})$ & \\multicolumn{{{K + 1}}}{{l}}{{{row}}} \\\\")
     lines.append("\\end{tabular}")
@@ -159,11 +179,7 @@ def cmd_ext_table(args) -> int:
     try:
         table = ext_table(args.n, args.max_deg)
         check = CheckResult("route agreement", True)
-        data = {
-            f"{i},{j}": list(table.row(i, j))
-            for i in range(1, args.n + 1)
-            for j in range(1, args.n + 1)
-        }
+        data = {f"{i},{j}": row for (i, j), row in table.data.items()}
     except RouteMismatchError as exc:
         check = CheckResult("route agreement", False, str(exc))
         data = {}
@@ -227,11 +243,7 @@ def cmd_verify(args) -> int:
 def cmd_gamma_dims(args) -> int:
     K = args.max_deg
     gd = path_algebra.graded_dimension(args.n, K, args.field)
-    data = {
-        f"{i},{j}": [gd.dim(i, j, k) for k in range(K + 1)]
-        for i in range(1, args.n + 1)
-        for j in range(1, args.n + 1)
-    }
+    data = {f"{i},{j}": row for (i, j), row in gd.rows.items()}
     bad = path_algebra.dimension_mismatches(gd, ext_table(args.n, K))
     check = CheckResult("graded dimensions match Ext table", not bad, str(bad) if bad else "")
     _emit_report(args, K, data, [check])

@@ -57,23 +57,17 @@ def poincare_numerator(n: int, i: int, j: int):
 
 
 def poincare_series(n: int, i: int, j: int, max_degree: int):
-    """Coefficients 0..max_degree of the Ext Poincare series."""
+    """Coefficients 0..max_degree of the Ext Poincare series: the numerator
+    has degree < 2N, so dividing by 1 - t^(2N) repeats it with period 2N."""
     num = poincare_numerator(n, i, j)
-    out = []
-    for k in range(max_degree + 1):
-        c = num[k] if k < len(num) else 0
-        if k >= 2 * n:
-            c += out[k - 2 * n]
-        out.append(c)
-    return out
+    return (num * (max_degree // (2 * n) + 1))[:max_degree + 1]
 
 
 def _syzygy_head(n: int, i: int, k: int) -> dict:
     """Head constituents of the k-th syzygy of S_i, read off its string."""
     if k < 0:
         raise ValueError("negative degree")
-    label = strings.normalize_x(n, strings.upper_label(i - k, i + k))
-    return strings.structure_of(n, label)[0]
+    return strings.structure_of(n, strings.upper_label(i - k, i + k))[0]
 
 
 def ext_dim_via_x(n: int, i: int, j: int, k: int) -> int:
@@ -95,10 +89,20 @@ class ExtTable:
         return self.data[(i, j)]
 
 
+def _route_rows(n: int, columns: list):
+    """Rows 0..n of one route: entry k of row j counts j in the k-th column."""
+    rows = [[0] * len(columns) for _ in range(n + 1)]
+    for k, column in enumerate(columns):
+        for j in column:
+            rows[j][k] += 1
+    return rows
+
+
 def ext_table(n: int, max_degree: int | None = None) -> ExtTable:
-    """Fill the table by the head criterion and cross-check every entry
-    against the series expansion and the resolution terms.  A mismatch is
-    an implementation bug and raises RouteMismatchError."""
+    """Fill the table by the head criterion and cross-check it against the
+    series expansion and the resolution terms, a whole (i, j) row over
+    k = 0..max_degree at a time.  A mismatch is an implementation bug and
+    raises RouteMismatchError at its first (i, j, k)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if max_degree is None:
@@ -106,23 +110,21 @@ def ext_table(n: int, max_degree: int | None = None) -> ExtTable:
     # the resolution route needs an algebra; dimensions are field-free, so
     # any exact field works and F_2 is the cheapest
     alg = LineAlgebra(n, field_for_characteristic(2))
+    degrees = range(max_degree + 1)
     data = {}
     for i in range(1, n + 1):
+        via_x = _route_rows(n, [_syzygy_head(n, i, k) for k in degrees])
         # one complex per vertex; only its terms are read
         cx = build_resolution(alg, i, depth=max_degree)
-        heads = [_syzygy_head(n, i, k) for k in range(max_degree + 1)]
+        via_res = _route_rows(n, [term.indices for term in cx.terms[:max_degree + 1]])
         for j in range(1, n + 1):
-            series = poincare_series(n, i, j, max_degree)
-            row = []
-            for k in range(max_degree + 1):
-                via_x = 1 if j in heads[k] else 0
-                via_res = cx.term(k).multiplicity(j)
-                via_series = series[k]
-                if not (via_x == via_res == via_series):
-                    raise RouteMismatchError(
-                        f"routes disagree at (i={i}, j={j}, k={k}): "
-                        f"head={via_x}, resolution={via_res}, series={via_series}"
-                    )
-                row.append(via_x)
-            data[(i, j)] = tuple(row)
+            head, res = tuple(via_x[j]), tuple(via_res[j])
+            series = tuple(poincare_series(n, i, j, max_degree))
+            if not head == res == series:
+                k = next(k for k in degrees if not head[k] == res[k] == series[k])
+                raise RouteMismatchError(
+                    f"routes disagree at (i={i}, j={j}, k={k}): "
+                    f"head={head[k]}, resolution={res[k]}, series={series[k]}"
+                )
+            data[(i, j)] = head
     return ExtTable(n, max_degree, data)

@@ -155,10 +155,11 @@ def standard_relators(n: int):
 class GradedDims:
     n: int
     max_degree: int
-    dims: dict  # (i, j, k) -> int
+    rows: dict  # (i, j) -> dimensions over k = 0..max_degree, for all 1 <= i, j <= n
 
     def dim(self, i: int, j: int, k: int) -> int:
-        return self.dims.get((i, j, k), 0)
+        row = self.rows.get((i, j))
+        return row[k] if row and 0 <= k <= self.max_degree else 0
 
 
 def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedDims:
@@ -192,7 +193,8 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedDim
     # rmul[(k, arrow)]: basis index at degree k ending at the arrow's source
     # -> its product with the arrow, expanded at degree k + deg(arrow)
     rmul = {}
-    dims = {(v, v, 0): 1 for v in range(1, n + 1)}
+    dims = {(i, j): [int(i == j)] + [0] * max_degree
+            for i in range(1, n + 1) for j in range(1, n + 1)}
 
     def multiply_through(k_start, vec, word):
         """Right-multiply a coefficient dict along all of word but its last
@@ -269,18 +271,19 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedDim
         ending[k] = {}
         for q, (src, tgt) in enumerate(tags[k]):
             ending[k].setdefault(tgt, []).append(q)
-            dims[(src, tgt, k)] = dims.get((src, tgt, k), 0) + 1
+            dims[(src, tgt)][k] += 1
     return GradedDims(n, max_degree, dims)
 
 
 def dimension_mismatches(gd: GradedDims, table) -> list:
     """The (i, j, k), k <= gd.max_degree, where gd and the Ext table differ."""
-    n = gd.n
-    return [(i, j, k)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            for k in range(gd.max_degree + 1)
-            if gd.dim(i, j, k) != table.entry(i, j, k)]
+    degrees = range(gd.max_degree + 1)
+    bad = []
+    for (i, j), row in sorted(gd.rows.items()):
+        ext = table.row(i, j)[:len(degrees)]
+        if tuple(row) != ext:
+            bad += [(i, j, k) for k in degrees if row[k] != ext[k]]
+    return bad
 
 
 def hook_word(n: int, u: int, v: int, m: int):

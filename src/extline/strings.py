@@ -164,9 +164,6 @@ class PSum:
 
     indices: tuple
 
-    def multiplicity(self, j: int) -> int:
-        return self.indices.count(j)
-
     def __repr__(self):
         if not self.indices:
             return "P[]"

@@ -1,0 +1,104 @@
+"""The emitters: pinned bytes of --format table and --format latex, and the
+JSON writer against the stdlib encoder.
+
+Each pinned case runs one command for N = 1..6 and hashes the exit codes
+and outputs together.  The hashes were recorded before the emitters were
+rewritten row by row, so any change to the text a command prints shows
+here; the JSON bytes of the benchmark jobs are pinned by
+perfbench/reference.json.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from extline.cli import _write_json, main
+
+COMMANDS = {
+    "ext-table": lambda n: ["ext-table"],
+    "poincare": lambda n: ["poincare", "--i", "1", "--j", str(n)],
+    "gamma-dims": lambda n: ["gamma-dims"],
+    "resolve": lambda n: ["resolve", "--i", str((n + 1) // 2)],
+    "resolve-corrupt": lambda n: ["resolve", "--i", "1", "--debug-corrupt-sign"],
+    "verify": lambda n: ["verify"],
+}
+
+PINNED = {
+    ("ext-table", "table"):
+        "19ed27492a1683306d271432a4a511de1b52d899cfb52ae5ba9932c6800cdd48",
+    ("ext-table", "latex"):
+        "504d4f9bffb8abba43f95e702cda5775d0836dc53635c0657aa617c8a178e429",
+    ("poincare", "table"):
+        "912c147a6f8c42ad1844d17e0797138e3b79c0b5102891fd16096be70cc733a3",
+    ("poincare", "latex"):
+        "a3aae480b81286df54eac2faddcb3701e72135f1b58ff63cb7442e864f22ef69",
+    ("gamma-dims", "table"):
+        "0629c6906419345bc2b26fca3012e92d3b9fbdfeed03aa84de30b1e8e372bbaa",
+    ("gamma-dims", "latex"):
+        "504d4f9bffb8abba43f95e702cda5775d0836dc53635c0657aa617c8a178e429",
+    ("resolve", "table"):
+        "b22a2aa5eed7cd6eee4c6b82af189365817a5ad0e003cc4d8018ea5d790f88a2",
+    ("resolve", "latex"):
+        "3bcfb50aebc57e02437f760095e34daf7e2d4362160a9a6645efcfa72205999b",
+    ("resolve-corrupt", "table"):
+        "9a83bf4e50eccb9ac158d3e23ffb7835d24547e77e37645e62f4aeec2b039a6d",
+    ("resolve-corrupt", "latex"):
+        "56ac51428724caff80a6d241871e6a2fd0de37add33255b552a5a697aebb746e",
+    ("verify", "table"):
+        "6dbb15c36138f2cf24e6d1482834dfedc9e35927c6dd1e2a091e4a599015c404",
+    ("verify", "latex"):
+        "3bcfb50aebc57e02437f760095e34daf7e2d4362160a9a6645efcfa72205999b",
+}
+
+
+def outputs_digest(command: str, fmt: str) -> str:
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main([*COMMANDS[command](n), "--n", str(n), "--format", fmt])
+        digest.update(f"{n} {rc}\n".encode())
+        digest.update(buf.getvalue().encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("command,fmt", sorted(PINNED))
+def test_text_output_is_pinned(command, fmt):
+    assert outputs_digest(command, fmt) == PINNED[(command, fmt)]
+
+
+# ------------------------------------------------------------ JSON writer
+
+TRICKY_TEXT = st.sampled_from(['"', "\\", "\n", "a\"b\nc", "\u00e9", "\u2603", "\U0001f600", ""])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(2 ** 70), st.just(-(2 ** 70)),
+    st.floats(), st.text(), TRICKY_TEXT,
+)
+KEYS = st.one_of(st.text(), TRICKY_TEXT)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=6),
+        st.dictionaries(st.integers(), inner, max_size=3),
+        st.lists(st.one_of(st.integers(0, 3), st.booleans()), max_size=8),  # bools in int rows
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300)
+@given(PAYLOADS)
+@example({"data": {"1,1": (1, 0, True), "1,2": [0, None, 2 ** 70]}, "checks": [], "e": {}})
+@example([1, [2, (3, {})], "x", {"k": ()}, [], 1.5, -0.0, float("inf"), float("nan")])
+@example({"\u00e9\"\n": ["\u2603", "a\\b"], "": [[[]]], "z": False})
+def test_json_writer_equals_the_stdlib(payload):
+    buf = io.StringIO()
+    _write_json(buf.write, payload)
+    assert buf.getvalue() == json.dumps(payload, sort_keys=True, indent=2)

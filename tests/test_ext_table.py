@@ -20,7 +20,6 @@ from extline.resolutions import build_resolution
 from extline.strings import PSum
 from extline import reps
 
-# the package re-exports the function ext_table under the module's name
 ext_table_module = importlib.import_module("extline.ext_table")
 
 
@@ -84,11 +83,11 @@ def test_head_route_values():
 def test_resolution_route_values():
     # dim Ext^k(S_i, S_j) is the multiplicity of P_j in degree k of R_i
     alg = LineAlgebra(2, field_for_characteristic(2))
-    assert build_resolution(alg, 1).term(3).multiplicity(1) == 1
-    assert build_resolution(alg, 1).term(1).multiplicity(2) == 1
+    assert build_resolution(alg, 1).term(3).indices.count(1) == 1
+    assert build_resolution(alg, 1).term(1).indices.count(2) == 1
     for i in (1, 2):
         for j in (1, 2):
-            assert build_resolution(alg, i).term(0).multiplicity(j) == (1 if i == j else 0)
+            assert build_resolution(alg, i).term(0).indices.count(j) == (1 if i == j else 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -102,16 +101,14 @@ def _toggled(indices, j):
     return tuple(x for x in indices if x != j) if j in indices else tuple(sorted((*indices, j)))
 
 
-@pytest.mark.parametrize("route", ["head", "resolution", "series"])
-@pytest.mark.parametrize("n,i,j,k", [(4, 2, 3, 5), (4, 1, 1, 0), (5, 3, 2, 9)])
-def test_each_route_is_compared(route, n, i, j, k, monkeypatch):
-    # one route is wrong at one cell (i, j, k); the table must name that cell
+def _break_route(monkeypatch, route, i, j, degrees):
+    """Make one route wrong in row (i, j) at each of the given degrees."""
     if route == "head":
         real = ext_table_module._syzygy_head
 
         def broken(n_, i_, k_):
             head = real(n_, i_, k_)
-            return dict.fromkeys(_toggled(tuple(head), j)) if (i_, k_) == (i, k) else head
+            return dict.fromkeys(_toggled(tuple(head), j)) if i_ == i and k_ in degrees else head
 
         monkeypatch.setattr(ext_table_module, "_syzygy_head", broken)
     elif route == "resolution":
@@ -120,7 +117,8 @@ def test_each_route_is_compared(route, n, i, j, k, monkeypatch):
         def broken(alg, i_, depth):
             cx = real(alg, i_, depth=depth)  # its terms list is a copy of the shared store
             if i_ == i:
-                cx.terms[k] = PSum(_toggled(cx.terms[k].indices, j))
+                for k in degrees:
+                    cx.terms[k] = PSum(_toggled(cx.terms[k].indices, j))
             return cx
 
         monkeypatch.setattr(ext_table_module, "build_resolution", broken)
@@ -130,14 +128,58 @@ def test_each_route_is_compared(route, n, i, j, k, monkeypatch):
         def broken(n_, i_, j_, max_degree):
             series = real(n_, i_, j_, max_degree)
             if (i_, j_) == (i, j):
-                series[k] = 1 - series[k]
+                for k in degrees:
+                    series[k] = 1 - series[k]
             return series
 
         monkeypatch.setattr(ext_table_module, "poincare_series", broken)
+
+
+@pytest.mark.parametrize("route", ["head", "resolution", "series"])
+@pytest.mark.parametrize("n,i,j,k", [(4, 2, 3, 5), (4, 1, 1, 0), (5, 3, 2, 9)])
+def test_each_route_is_compared(route, n, i, j, k, monkeypatch):
+    # one route is wrong at one cell (i, j, k); the table must name that cell
+    _break_route(monkeypatch, route, i, j, {k})
     with pytest.raises(RouteMismatchError, match=re.escape(f"(i={i}, j={j}, k={k})")):
         ext_table(n, 4 * n)
     monkeypatch.undo()
     assert ext_table(n, 4 * n).max_degree == 4 * n  # the store is intact
+
+
+@pytest.mark.parametrize("route", ["head", "resolution", "series"])
+@pytest.mark.parametrize("n,i,j,ks", [(4, 2, 3, (5, 11)), (5, 3, 2, (2, 9)), (3, 1, 1, (0, 12))])
+def test_a_row_broken_twice_names_its_first_degree(route, n, i, j, ks, monkeypatch):
+    # the whole row is compared at once, then scanned for its first bad degree
+    k = ks[0]
+    right = ext_table(n, 4 * n).entry(i, j, k)
+    values = {r: (1 - right if r == route else right) for r in ("head", "resolution", "series")}
+    _break_route(monkeypatch, route, i, j, set(ks))
+    expected = (f"routes disagree at (i={i}, j={j}, k={k}): head={values['head']}, "
+                f"resolution={values['resolution']}, series={values['series']}")
+    with pytest.raises(RouteMismatchError) as info:
+        ext_table(n, 4 * n)
+    assert str(info.value) == expected
+
+
+def _recurrence_series(n, i, j, max_degree):
+    """The series by its recurrence c_k = num_k + c_{k-2N}, term by term."""
+    num = poincare_numerator(n, i, j)
+    out = []
+    for k in range(max_degree + 1):
+        c = num[k] if k < len(num) else 0
+        if k >= 2 * n:
+            c += out[k - 2 * n]
+        out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_periodic_series_equals_the_recurrence(n):
+    # every max_degree from 0 to 10N, so also every one below 2N - 1
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for max_degree in range(10 * n + 1):
+                assert poincare_series(n, i, j, max_degree) == _recurrence_series(n, i, j, max_degree)
 
 
 def test_table_structure():

@@ -80,6 +80,21 @@ def test_dropping_any_relator_inflates_dimensions(char):
         assert any(partial.dim(*c) > full.dim(*c) for c in cells), rel.name
 
 
+def test_dimension_mismatches_list_every_differing_cell():
+    # the row-wise comparison reports exactly the cells of a cell-by-cell scan
+    F2 = field_for_characteristic(2)
+    K = 10
+    rels = pa.standard_relators(4)
+    table = ext_table(4, K)
+    assert pa.dimension_mismatches(pa.graded_dimension(4, K, F2), table) == []
+    for rel in rels:
+        partial = pa.graded_dimension(4, K, F2, relators=[r for r in rels if r is not rel])
+        cells = [(i, j, k) for i in range(1, 5) for j in range(1, 5) for k in range(K + 1)
+                 if partial.dim(i, j, k) != table.entry(i, j, k)]
+        assert cells, rel.name
+        assert pa.dimension_mismatches(partial, table) == cells, rel.name
+
+
 @pytest.mark.parametrize("terms", [
     ((1, (("x", 1), ("x", 2))), (1, (("xstar", 2), ("x", 2)))),  # sources 1, 3
     ((1, (("x", 1), ("xstar", 1))), (1, (("x", 1), ("x", 2)))),  # targets 1, 3
