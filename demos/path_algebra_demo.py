@@ -27,7 +27,7 @@ print(f"\ngraded dimensions vs Ext table (N = {N}, degrees 0..{K}):")
 ok = True
 for i in range(1, N + 1):
     for j in range(i, N + 1):
-        left = [gd.dim(i, j, k) for k in range(K + 1)]
+        left = [gd.entry(i, j, k) for k in range(K + 1)]
         right = list(table.row(i, j))
         ok = ok and (left == right)
         print(f"  ({i},{j}): {left}  {'==' if left == right else '!='}  Ext row")
@@ -48,7 +48,7 @@ partial = pa.graded_dimension(
     2, 4, F, relators=[r for r in pa.standard_relators(2) if r.name != "x1.x1*"]
 )
 for k in range(5):
-    a = sum(full.dim(i, j, k) for i in (1, 2) for j in (1, 2))
-    b = sum(partial.dim(i, j, k) for i in (1, 2) for j in (1, 2))
+    a = sum(full.entry(i, j, k) for i in (1, 2) for j in (1, 2))
+    b = sum(partial.entry(i, j, k) for i in (1, 2) for j in (1, 2))
     marker = "  <- strictly larger" if b > a else ""
     print(f"  degree {k}: {a} vs {b}{marker}")

@@ -82,7 +82,7 @@ def _write_json(write, obj, pad: str = "\n") -> None:
 
 def _write(stream, payload: dict, fmt: str) -> None:
     if fmt != "json":
-        return stream.write(to_latex(payload) if fmt == "latex" else to_table(payload))
+        return (to_latex if fmt == "latex" else to_table)(stream.write, payload)
     _write_json(stream.write, payload)
     stream.write("\n")
 
@@ -98,60 +98,58 @@ def emit(payload: dict, fmt: str, out_path: str | None) -> None:
         raise SystemExit(2)
 
 
-def to_table(payload: dict) -> str:
-    lines = [f"n={payload['n']} characteristic={payload['characteristic']} "
-             f"max_degree={payload['max_degree']}"]
+def to_table(write, payload: dict) -> None:
+    """Write the payload as aligned text, one line per call of ``write``."""
+    write(f"n={payload['n']} characteristic={payload['characteristic']} "
+          f"max_degree={payload['max_degree']}\n")
     data = payload.get("data", {})
     if data:
         width = max(len(key) for key in data) + 2
-        header = "cell".ljust(width) + " ".join(
-            f"k={k}" for k in range(payload["max_degree"] + 1)
-        )
         if all(isinstance(v, (list, tuple)) for v in data.values()):
-            lines.append(header)
+            write("cell".ljust(width) + " ".join(
+                f"k={k}" for k in range(payload["max_degree"] + 1)) + "\n")
             # the entry of degree k is right-aligned under its "k=<k>" heading
             widths = [3 + len(str(k)) for k in range(max(map(len, data.values())))]
             for key in sorted(data, key=_cell_key):
                 cells = " ".join(map(str.rjust, map(str, data[key]), widths))
-                lines.append(key.ljust(width) + cells)
+                write(key.ljust(width) + cells + "\n")
         else:
             for key in sorted(data, key=_cell_key):
-                lines.append(f"{key}: {data[key]}")
+                write(f"{key}: {data[key]}\n")
     for extra in ("numerator", "denominator", "terms", "word", "classinfo"):
         if extra in payload:
-            lines.append(f"{extra}: {payload[extra]}")
+            write(f"{extra}: {payload[extra]}\n")
     if "differentials" in payload:
-        lines.append("differentials:")
+        write("differentials:\n")
         for d in payload["differentials"]:
-            lines.append(f"  d_{d['degree']}: {d['source']} -> {d['target']}")
+            write(f"  d_{d['degree']}: {d['source']} -> {d['target']}\n")
             for row in d["matrix"]:
-                lines.append("    [" + ", ".join(row) + "]")
+                write("    [" + ", ".join(row) + "]\n")
     checks = payload.get("checks", [])
     if checks:
-        lines.append("checks:")
+        write("checks:\n")
         for c in checks:
             detail = f"  ({c['detail']})" if c.get("detail") else ""
-            lines.append(f"  [{c['status'].upper():4}] {c['name']}{detail}")
-    return "\n".join(lines) + "\n"
+            write(f"  [{c['status'].upper():4}] {c['name']}{detail}\n")
 
 
 def _cell_key(key: str):
     return tuple(int(x) for x in re.findall(r"-?\d+", key)) or (0,)
 
 
-def to_latex(payload: dict) -> str:
+def to_latex(write, payload: dict) -> None:
+    """Write the payload's data as a LaTeX tabular, one line per call of ``write``."""
     data = payload.get("data", {})
     K = payload["max_degree"]
-    lines = ["\\begin{tabular}{l" + "r" * (K + 1) + "}"]
-    lines.append("cell & " + " & ".join(f"$k={k}$" for k in range(K + 1)) + " \\\\ \\hline")
+    write("\\begin{tabular}{l" + "r" * (K + 1) + "}\n")
+    write("cell & " + " & ".join(f"$k={k}$" for k in range(K + 1)) + " \\\\ \\hline\n")
     for key in sorted(data, key=_cell_key):
         row = data[key]
         if isinstance(row, (list, tuple)):
-            lines.append(f"$({key})$ & " + " & ".join(map(str, row)) + " \\\\")
+            write(f"$({key})$ & " + " & ".join(map(str, row)) + " \\\\\n")
         else:
-            lines.append(f"$({key})$ & \\multicolumn{{{K + 1}}}{{l}}{{{row}}} \\\\")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines) + "\n"
+            write(f"$({key})$ & \\multicolumn{{{K + 1}}}{{l}}{{{row}}} \\\\\n")
+    write("\\end{tabular}\n")
 
 
 def checks_payload(checks) -> list:
@@ -243,7 +241,7 @@ def cmd_verify(args) -> int:
 def cmd_gamma_dims(args) -> int:
     K = args.max_deg
     gd = path_algebra.graded_dimension(args.n, K, args.field)
-    data = {f"{i},{j}": row for (i, j), row in gd.rows.items()}
+    data = {f"{i},{j}": row for (i, j), row in gd.data.items()}
     bad = path_algebra.dimension_mismatches(gd, ext_table(args.n, K))
     check = CheckResult("graded dimensions match Ext table", not bad, str(bad) if bad else "")
     _emit_report(args, K, data, [check])

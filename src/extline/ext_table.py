@@ -67,7 +67,7 @@ def _syzygy_head(n: int, i: int, k: int) -> dict:
     """Head constituents of the k-th syzygy of S_i, read off its string."""
     if k < 0:
         raise ValueError("negative degree")
-    return strings.structure_of(n, strings.upper_label(i - k, i + k))[0]
+    return strings.structure_of(n, (i - k, i + k))[0]
 
 
 def ext_dim_via_x(n: int, i: int, j: int, k: int) -> int:
@@ -77,10 +77,13 @@ def ext_dim_via_x(n: int, i: int, j: int, k: int) -> int:
 
 
 @dataclass
-class ExtTable:
+class GradedTable:
+    """Dimensions indexed by (i, j, k): the Ext table, or the graded pieces
+    e_i A_k e_j of a quotient path algebra."""
+
     n: int
     max_degree: int
-    data: dict  # (i, j) -> tuple of 0/1 over k = 0..max_degree
+    data: dict  # (i, j) -> tuple over k = 0..max_degree, for all 1 <= i, j <= n
 
     def entry(self, i: int, j: int, k: int) -> int:
         return self.data[(i, j)][k]
@@ -98,7 +101,7 @@ def _route_rows(n: int, columns: list):
     return rows
 
 
-def ext_table(n: int, max_degree: int | None = None) -> ExtTable:
+def ext_table(n: int, max_degree: int | None = None) -> GradedTable:
     """Fill the table by the head criterion and cross-check it against the
     series expansion and the resolution terms, a whole (i, j) row over
     k = 0..max_degree at a time.  A mismatch is an implementation bug and
@@ -127,4 +130,4 @@ def ext_table(n: int, max_degree: int | None = None) -> ExtTable:
                     f"head={head[k]}, resolution={res[k]}, series={series[k]}"
                 )
             data[(i, j)] = head
-    return ExtTable(n, max_degree, data)
+    return GradedTable(n, max_degree, data)

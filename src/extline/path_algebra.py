@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .ext_table import ext_table
+from .ext_table import GradedTable, ext_table
 from .homs import LineAlgebra
 from .resolutions import (
     CheckResult,
@@ -151,18 +151,7 @@ def standard_relators(n: int):
     return rel
 
 
-@dataclass
-class GradedDims:
-    n: int
-    max_degree: int
-    rows: dict  # (i, j) -> dimensions over k = 0..max_degree, for all 1 <= i, j <= n
-
-    def dim(self, i: int, j: int, k: int) -> int:
-        row = self.rows.get((i, j))
-        return row[k] if row and 0 <= k <= self.max_degree else 0
-
-
-def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedDims:
+def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTable:
     """Exact graded dimensions of the quotient algebra, degree by degree.
 
     Degree k is spanned by (basis of degree k - deg(arrow)) x (arrow),
@@ -272,16 +261,16 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedDim
         for q, (src, tgt) in enumerate(tags[k]):
             ending[k].setdefault(tgt, []).append(q)
             dims[(src, tgt)][k] += 1
-    return GradedDims(n, max_degree, dims)
+    return GradedTable(n, max_degree, {ij: tuple(row) for ij, row in dims.items()})
 
 
-def dimension_mismatches(gd: GradedDims, table) -> list:
+def dimension_mismatches(gd: GradedTable, table: GradedTable) -> list:
     """The (i, j, k), k <= gd.max_degree, where gd and the Ext table differ."""
     degrees = range(gd.max_degree + 1)
     bad = []
-    for (i, j), row in sorted(gd.rows.items()):
+    for (i, j), row in sorted(gd.data.items()):
         ext = table.row(i, j)[:len(degrees)]
-        if tuple(row) != ext:
+        if row != ext:
             bad += [(i, j, k) for k in degrees if row[k] != ext[k]]
     return bad
 

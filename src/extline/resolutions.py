@@ -348,7 +348,7 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
         return reps.is_isomorphic(reps.image_subrep(real(d))[0], strings.realize_x(n, F, label))
 
     bad = []
-    label = strings.simple_label(i)
+    label = (i, i)
     for k in range(1, depth + 1):
         label = strings.syzygy_label(n, label)
         if not _verdict(alg, "image", (cx.diff(k),), is_image, label):
@@ -368,13 +368,13 @@ def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
 
     The second check proves Omega^N(S_i) ~ S_{N+1-i} and Omega^2N(S_i) ~ S_i
     from those certificates without another projective cover.  Let
-    l_0 = simple_label(i) and l_{k+1} = syzygy_label(l_k).  realize_x(l_0)
+    l_0 = (i, i) and l_{k+1} = syzygy_label(l_k).  realize_x(l_0)
     is simple_rep(i), and Omega is well defined on isomorphism classes
     (isomorphic modules have isomorphic minimal covers and kernels).  So if
     l_0, ..., l_{k-1} are all certified, induction on k gives
     Omega^k(S_i) ~ realize_x(l_k).  The half period at S_i holds if
-    l_0, ..., l_{N-1} are certified and l_N = simple_label(N+1-i); the full
-    period if l_0, ..., l_{2N-1} are certified and l_2N = simple_label(i).
+    l_0, ..., l_{N-1} are certified and l_N = (N+1-i, N+1-i); the full
+    period if l_0, ..., l_{2N-1} are certified and l_2N = (i, i).
     Only the labels and the oracle's certificates are read, never the
     closed-form resolution.
     """
@@ -387,19 +387,19 @@ def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
         if reps.is_isomorphic(omega, expected):
             certified.add(label)
         else:
-            bad.append(str(label))
+            bad.append(strings.format_label(label))
     checks = [CheckResult("syzygies of all canonical strings match their labels",
                           not bad, ", ".join(bad))]
 
     bad = []
     for i in range(1, n + 1):
-        label, proven = strings.simple_label(i), True
+        label, proven = (i, i), True
         for k in range(1, 2 * n + 1):
             proven = proven and label in certified
             label = strings.syzygy_label(n, label)
-            if k == n and not (proven and label == strings.simple_label(n + 1 - i)):
+            if k == n and not (proven and label == (n + 1 - i, n + 1 - i)):
                 bad.append(f"half-period at S_{i}")
-        if not (proven and label == strings.simple_label(i)):
+        if not (proven and label == (i, i)):
             bad.append(f"full period at S_{i}")
     checks.append(CheckResult("syzygy periodicity", not bad, ", ".join(bad)))
     return checks

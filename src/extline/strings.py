@@ -2,20 +2,24 @@
 
 An indecomposable string module is a walk over an interval [i, j] of
 vertices in which each position is either a head strand ("up") or a socle
-strand ("down"), strictly alternating.  Labels carry two ends, each an
+strand ("down"), strictly alternating.  A label carries two ends, each an
 (orientation, integer) pair, extended to all integers via the dihedral
 identifications
 
     (up, j) ~ (down, 1 - j),        (pos, j) ~ (pos, j +- 2N),
 
 together with the end swap that simultaneously exchanges and flips both
-ends.  Each orbit contains exactly one label whose indices lie in 1..N
-with left index <= right index; that is the canonical form.  Equal-index
-canonical labels denote the simple module S_i.
+ends.  The first identification lets every end be written up, so a label
+is the plain tuple (a, b) of its ends' up coordinates, with a = b (mod 2):
+e >= 1 is the end (up, e) at vertex e, and e <= 0 the end (down, 1 - e)
+at vertex 1 - e.  The end swap sends (a, b) to (1 - b, 1 - a).  Each
+orbit contains exactly one label whose ends lie in 1-N..N with left vertex
+< right vertex, or that is (i, i); that is the canonical form, and (i, i)
+denotes the simple module S_i.  ``format_label`` prints the end notation.
 
-The syzygy acts on labels by widening the "both ends up" presentation by
-one step on each side; iterating from the simple S_i gives the familiar
-2N-periodic pattern, with the N-th syzygy landing on S_{N+1-i}.
+The syzygy widens a label by one step on each side, (a, b) -> (a-1, b+1);
+iterating from the simple S_i gives the familiar 2N-periodic pattern,
+Omega^k(S_i) = (i-k, i+k), with the N-th syzygy landing on S_{N+1-i}.
 
 Sums of projectives indexed by an arithmetic interval of step 2 get the
 analogous treatment: the pair (i, j) denotes P_i + P_{i+2} + ... + P_j,
@@ -36,117 +40,74 @@ from dataclasses import dataclass
 from . import reps
 
 
-@dataclass(frozen=True)
-class EndLabel:
-    up: bool
-    index: int
-
-    def flipped(self) -> "EndLabel":
-        return EndLabel(not self.up, self.index)
-
-    def __repr__(self):
-        return f"({'up' if self.up else 'down'},{self.index})"
-
-
-@dataclass(frozen=True)
-class XLabel:
-    left: EndLabel
-    right: EndLabel
-
-    @property
-    def is_simple(self) -> bool:
-        return self.left.index == self.right.index
-
-    def __repr__(self):
-        return f"X[{self.left}|{self.right}]"
-
-
-def simple_label(i: int) -> XLabel:
-    return XLabel(EndLabel(True, i), EndLabel(True, i))
-
-
-def upper_label(i: int, j: int) -> XLabel:
-    """Both ends up: heads at i, i+2, ..., j (after normalization)."""
-    return XLabel(EndLabel(True, i), EndLabel(True, j))
-
-
-def _normalize_end(n: int, end: EndLabel) -> EndLabel:
-    a = (end.index - 1) % (2 * n) + 1  # representative in 1..2N
-    if a <= n:
-        return EndLabel(end.up, a)
-    return EndLabel(not end.up, 2 * n + 1 - a)
-
-
-def normalize_x(n: int, label: XLabel) -> XLabel:
+def normalize_x(n: int, label: tuple) -> tuple:
     """Canonical representative of the orbit; idempotent.
 
-    Raises on parity violations: ends of equal orientation must differ by
-    an even index gap, ends of opposite orientation by an odd one.
+    Raises on a parity violation: the two up coordinates must be congruent
+    mod 2.
     """
-    left = _normalize_end(n, label.left)
-    right = _normalize_end(n, label.right)
-    gap = left.index - right.index
-    if (left.up == right.up) != (gap % 2 == 0):
+    a, b = label
+    if (a - b) % 2:
         raise ValueError(f"parity violation in label {label}")
-    if left.index > right.index:
-        left, right = right.flipped(), left.flipped()
-    if left.index == right.index:
-        # both orientations of an equal-ended label denote the simple module
-        return simple_label(left.index)
-    return XLabel(left, right)
+    a = (a + n - 1) % (2 * n) + 1 - n  # representatives in 1-N..N
+    b = (b + n - 1) % (2 * n) + 1 - n
+    u, v = max(a, 1 - a), max(b, 1 - b)  # the vertices of the ends
+    if u > v or u == v and a < 1:
+        # the end swap; equal vertices (both ends down) land on the simple (u, u)
+        a, b = 1 - b, 1 - a
+    return a, b
+
+
+def format_label(label: tuple) -> str:
+    """The end notation of a label, e.g. X[(down,1)|(up,2)] for (0, 2)."""
+    return "X[" + "|".join(f"(up,{e})" if e >= 1 else f"(down,{1 - e})" for e in label) + "]"
 
 
 def canonical_labels(n: int):
     """All canonical labels: the simples plus every proper string."""
-    out = []
-    for i in range(1, n + 1):
-        out.append(simple_label(i))
+    out = [(i, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if (j - i) % 2 == 0:
-                out.append(XLabel(EndLabel(True, i), EndLabel(True, j)))
-                out.append(XLabel(EndLabel(False, i), EndLabel(False, j)))
-            else:
-                out.append(XLabel(EndLabel(True, i), EndLabel(False, j)))
-                out.append(XLabel(EndLabel(False, i), EndLabel(True, j)))
+            b = j if (j - i) % 2 == 0 else 1 - j  # the right end when the left is (up, i)
+            out += [(i, b), (1 - i, 1 - b)]
     return out
 
 
-def structure_of(n: int, label: XLabel):
+def _span(n: int, label: tuple):
+    """(left vertex, right vertex, whether the left end is up) of the
+    canonical label."""
+    a, b = normalize_x(n, label)
+    return max(a, 1 - a), max(b, 1 - b), a >= 1
+
+
+def structure_of(n: int, label: tuple):
     """(head multiset, socle multiset, dimension) of a canonical label."""
-    lab = normalize_x(n, label)
-    i, j = lab.left.index, lab.right.index
-    if lab.is_simple:
+    i, j, up = _span(n, label)
+    if i == j:
         return {i: 1}, {i: 1}, 1
     head = {}
     soc = {}
-    up = lab.left.up
     for p in range(i, j + 1):
         (head if up else soc)[p] = 1
         up = not up
     return head, soc, j - i + 1
 
 
-def syzygy_label(n: int, label: XLabel) -> XLabel:
-    """Label of the kernel of a projective cover: widen one step each side
-    in the both-ends-up presentation."""
-    lab = normalize_x(n, label)
-    a = lab.left.index if lab.left.up else 1 - lab.left.index
-    b = lab.right.index if lab.right.up else 1 - lab.right.index
-    return normalize_x(n, upper_label(a - 1, b + 1))
+def syzygy_label(n: int, label: tuple) -> tuple:
+    """Label of the kernel of a projective cover: widen one step each side."""
+    a, b = label
+    return normalize_x(n, (a - 1, b + 1))
 
 
-def realize_x(n: int, field, label: XLabel) -> reps.QuiverRep:
+def realize_x(n: int, field, label: tuple) -> reps.QuiverRep:
     """The string module itself, as a representation."""
-    lab = normalize_x(n, label)
-    i, j = lab.left.index, lab.right.index
-    if lab.is_simple:
+    i, j, up = _span(n, label)
+    if i == j:
         return reps.simple_rep(n, field, i)
     dims = [0] * n
     for p in range(i, j + 1):
         dims[p - 1] = 1
     arrows = {}
-    up = lab.left.up
     for p in range(i, j + 1 - 1):
         # strand between positions p and p+1 points from head to socle
         key = ("a", p) if up else ("b", p)

@@ -137,7 +137,7 @@ def test_criterion_8_negative_controls():
         for i in (1, 2)
         for j in (1, 2)
         for k in range(5)
-        if partial.dim(i, j, k) > full.dim(i, j, k)
+        if partial.entry(i, j, k) > full.entry(i, j, k)
     ]
     assert inflated
     _report(8, "sign corruption and dropped relator both detected")

@@ -72,6 +72,28 @@ def test_text_output_is_pinned(command, fmt):
     assert outputs_digest(command, fmt) == PINNED[(command, fmt)]
 
 
+class LineRecorder(io.StringIO):
+    """A stream that keeps every write it receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["table", "latex"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_text_output_is_written_a_line_at_a_time(command, fmt):
+    for n in (1, 4):
+        out = LineRecorder()
+        with contextlib.redirect_stdout(out):
+            main([*COMMANDS[command](n), "--n", str(n), "--format", fmt])
+        assert out.writes and all(w.endswith("\n") and w.count("\n") == 1 for w in out.writes)
+
+
 # ------------------------------------------------------------ JSON writer
 
 TRICKY_TEXT = st.sampled_from(['"', "\\", "\n", "a\"b\nc", "\u00e9", "\u2603", "\U0001f600", ""])

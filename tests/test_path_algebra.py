@@ -19,13 +19,13 @@ def test_degree_zero_is_vertexwise():
     gd = pa.graded_dimension(3, 0, field_for_characteristic(2))
     for i in range(1, 4):
         for j in range(1, 4):
-            assert gd.dim(i, j, 0) == (1 if i == j else 0)
+            assert gd.entry(i, j, 0) == (1 if i == j else 0)
 
 
 def test_n1_is_polynomial_on_the_turnaround():
     gd = pa.graded_dimension(1, 9, field_for_characteristic(2))
     for k in range(10):
-        assert gd.dim(1, 1, k) == 1
+        assert gd.entry(1, 1, k) == 1
     assert pa.standard_relators(1) == []
 
 
@@ -36,7 +36,7 @@ def test_dims_match_ext_table_n2(char):
     for i in (1, 2):
         for j in (1, 2):
             for k in range(9):
-                assert gd.dim(i, j, k) == table.entry(i, j, k)
+                assert gd.entry(i, j, k) == table.entry(i, j, k)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -47,7 +47,7 @@ def test_dims_match_ext_table(n):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(K + 1):
-                assert gd.dim(i, j, k) == table.entry(i, j, k)
+                assert gd.entry(i, j, k) == table.entry(i, j, k)
 
 
 def test_dropping_a_boundary_relator_inflates_dimensions():
@@ -60,7 +60,7 @@ def test_dropping_a_boundary_relator_inflates_dimensions():
     for i in (1, 2):
         for j in (1, 2):
             for k in range(5):
-                a, b = full.dim(i, j, k), partial.dim(i, j, k)
+                a, b = full.entry(i, j, k), partial.entry(i, j, k)
                 assert b >= a
                 if b > a:
                     strictly_bigger = True
@@ -76,8 +76,8 @@ def test_dropping_any_relator_inflates_dimensions(char):
     cells = [(i, j, k) for i in range(1, 5) for j in range(1, 5) for k in range(K + 1)]
     for rel in rels:
         partial = pa.graded_dimension(4, K, F, relators=[r for r in rels if r is not rel])
-        assert all(partial.dim(*c) >= full.dim(*c) for c in cells), rel.name
-        assert any(partial.dim(*c) > full.dim(*c) for c in cells), rel.name
+        assert all(partial.entry(*c) >= full.entry(*c) for c in cells), rel.name
+        assert any(partial.entry(*c) > full.entry(*c) for c in cells), rel.name
 
 
 def test_dimension_mismatches_list_every_differing_cell():
@@ -90,7 +90,7 @@ def test_dimension_mismatches_list_every_differing_cell():
     for rel in rels:
         partial = pa.graded_dimension(4, K, F2, relators=[r for r in rels if r is not rel])
         cells = [(i, j, k) for i in range(1, 5) for j in range(1, 5) for k in range(K + 1)
-                 if partial.dim(i, j, k) != table.entry(i, j, k)]
+                 if partial.entry(i, j, k) != table.entry(i, j, k)]
         assert cells, rel.name
         assert pa.dimension_mismatches(partial, table) == cells, rel.name
 
@@ -205,7 +205,7 @@ def test_quotient_is_relator_order_independent():
     for i in range(1, 4):
         for j in range(1, 4):
             for k in range(9):
-                assert base.dim(i, j, k) == rev.dim(i, j, k) == rot.dim(i, j, k)
+                assert base.entry(i, j, k) == rev.entry(i, j, k) == rot.entry(i, j, k)
 
 
 def test_evaluation_reverses_concatenation_into_composition():

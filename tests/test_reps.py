@@ -49,7 +49,7 @@ def test_head_and_socle_of_projectives():
 
 
 def test_head_of_string_module():
-    lab = strings.normalize_x(3, strings.upper_label(1, 3))
+    lab = strings.normalize_x(3, (1, 3))
     M = strings.realize_x(3, F2, lab)
     assert reps.head(M) == {1: 1, 3: 1}
     assert reps.socle(M) == {2: 1}
@@ -68,7 +68,7 @@ def test_hom_space_between_simples():
 
 
 def test_head_criterion_via_hom_to_simples():
-    lab = strings.normalize_x(4, strings.upper_label(1, 3))
+    lab = strings.normalize_x(4, (1, 3))
     M = strings.realize_x(4, F2, lab)
     head, _, _ = strings.structure_of(4, lab)
     for l in range(1, 5):
@@ -85,7 +85,7 @@ def test_projective_cover_of_simple():
 
 def test_projective_cover_is_minimal():
     # kernel sits inside the radical of the cover
-    lab = strings.normalize_x(3, strings.upper_label(1, 3))
+    lab = strings.normalize_x(3, (1, 3))
     M = strings.realize_x(3, F2, lab)
     cov = reps.projective_cover(M)
     assert sorted(cov.cover_vertices) == [1, 3]
@@ -112,10 +112,10 @@ def test_cover_kernel_of_first_syzygy_n2():
 
 def test_cover_example_matches_string_label():
     # the kernel of the cover of the (1,3)-string is the lower (1,3)-string
-    lab = strings.normalize_x(3, strings.upper_label(1, 3))
+    lab = strings.normalize_x(3, (1, 3))
     M = strings.realize_x(3, F2, lab)
     cov = reps.projective_cover(M)
-    lower = strings.realize_x(3, F2, strings.XLabel(strings.EndLabel(False, 1), strings.EndLabel(False, 3)))
+    lower = strings.realize_x(3, F2, (0, -2))
     assert cov.kernel.dims == lower.dims
     assert reps.is_isomorphic(cov.kernel, lower)
 
@@ -142,7 +142,7 @@ def test_syzygy_periodicity(n):
 
 
 def test_cover_dimension_bookkeeping():
-    lab = strings.normalize_x(4, strings.upper_label(2, 4))
+    lab = strings.normalize_x(4, (2, 4))
     M = strings.realize_x(4, F2, lab)
     cov = reps.projective_cover(M)
     for v in range(1, 5):
@@ -151,7 +151,7 @@ def test_cover_dimension_bookkeeping():
 
 
 def test_operations_return_valid_modules():
-    lab = strings.normalize_x(4, strings.XLabel(strings.EndLabel(False, 1), strings.EndLabel(True, 4)))
+    lab = strings.normalize_x(4, (0, 4))
     M = strings.realize_x(4, F0, lab)
     for rep in (reps.radical(M), reps.syzygy(M), reps.projective_cover(M).cover):
         assert reps.check_relations(rep) == []
@@ -164,7 +164,7 @@ def test_is_isomorphic_basics():
 
 
 def test_iso_witness_is_invertible_intertwiner():
-    lab = strings.normalize_x(3, strings.upper_label(1, 3))
+    lab = strings.normalize_x(3, (1, 3))
     M = strings.realize_x(3, F0, lab)
     om = reps.syzygy(M)
     expected = strings.realize_x(3, F0, strings.syzygy_label(3, lab))

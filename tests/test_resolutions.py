@@ -110,7 +110,7 @@ def test_term_multiset_equals_string_head():
         for i in range(1, n + 1):
             cx = build_resolution(alg, i, 4 * n)
             for k in range(4 * n + 1):
-                head, _, _ = strings.structure_of(n, strings.upper_label(i - k, i + k))
+                head, _, _ = strings.structure_of(n, (i - k, i + k))
                 assert sorted(cx.term(k).indices) == sorted(head)
 
 
@@ -270,7 +270,7 @@ def test_image_verdicts_are_keyed_by_the_expected_label(char, monkeypatch):
     assert all(c.ok for c in verify_resolution(build_resolution(alg, 1), 1))
     real = strings.syzygy_label
     monkeypatch.setattr(strings, "syzygy_label", lambda n, label: (
-        strings.simple_label(2) if label == strings.simple_label(1) else real(n, label)))
+        (2, 2) if label == (1, 1) else real(n, label)))
     shared = outcome(verify_resolution(build_resolution(alg, 1), 1))
     assert shared == outcome(verify_resolution(build_resolution(algebra(3, char), 1), 1))
     (_, ok, detail), = [c for c in shared if c[0] == "images are the expected string modules"]
@@ -382,10 +382,10 @@ def test_wrong_syzygy_label_fails_both_checks(char, monkeypatch, capsys):
     # whose orbit meets S_1 at step N = 4 and the bad label one step later
     n = 4
     real = strings.syzygy_label
-    victim = real(n, strings.simple_label(1))
+    victim = real(n, (1, 1))
 
     def wrong(n_, label):
-        return strings.simple_label(1) if label == victim else real(n_, label)
+        return (1, 1) if label == victim else real(n_, label)
 
     monkeypatch.setattr(strings, "syzygy_label", wrong)
     assert main(["verify", "--suite", "syzygy", "--n", str(n), "--char", str(char),
@@ -393,7 +393,7 @@ def test_wrong_syzygy_label_fails_both_checks(char, monkeypatch, capsys):
     first, periodicity = json.loads(capsys.readouterr().out)["checks"]
     assert [first["name"], periodicity["name"]] == SYZYGY_CHECKS
     assert first["status"] == periodicity["status"] == "fail"
-    assert first["detail"] == str(victim)
+    assert first["detail"] == "X[(down,1)|(up,2)]"
     assert periodicity["detail"] == "half-period at S_1, full period at S_1, full period at S_4"
 
 
@@ -402,7 +402,7 @@ def test_refuted_second_half_label_fails_the_full_period(char, monkeypatch):
     # the oracle is made to refute Omega(S_4)'s label, which S_1's orbit
     # meets at step N + 1: S_1 keeps its half period but loses its full one
     n, F = 4, field_for_characteristic(char)
-    victim = strings.syzygy_label(n, strings.simple_label(n))
+    victim = strings.syzygy_label(n, (n, n))
     V = strings.realize_x(n, F, victim)
     real = reps.syzygy
 
@@ -411,6 +411,6 @@ def test_refuted_second_half_label_fails_the_full_period(char, monkeypatch):
 
     monkeypatch.setattr(reps, "syzygy", refuting)
     first, periodicity = resolutions.verify_syzygies(algebra(n, char))
-    assert (first.ok, first.detail) == (False, str(victim))
+    assert (first.ok, first.detail) == (False, "X[(up,3)|(down,4)]")
     assert (periodicity.ok, periodicity.detail) == (
         False, "full period at S_1, half-period at S_4, full period at S_4")

@@ -5,59 +5,69 @@ import pytest
 
 from extline.fields import field_for_characteristic
 from extline import reps, strings
-from extline.strings import EndLabel, XLabel, normalize_p, normalize_x, simple_label, upper_label
+from extline.strings import normalize_p, normalize_x
 
 F2 = field_for_characteristic(2)
+
+
+def end(up: bool, i: int) -> int:
+    """The up coordinate of the end (orientation, index): (down, i) ~ (up, 1 - i)."""
+    return i if up else 1 - i
 
 
 def test_half_period_of_simple_labels():
     # the N-fold widened label of S_i collapses to S_{N+1-i}
     for n in (1, 2, 3, 5):
         for i in range(1, n + 1):
-            lab = normalize_x(n, upper_label(i - n, i + n))
-            assert lab.is_simple and lab.left.index == n + 1 - i
+            assert normalize_x(n, (i - n, i + n)) == (n + 1 - i, n + 1 - i)
 
 
 def test_equal_ends_denote_simples():
     for n in (2, 4):
         for i in range(1, n + 1):
-            assert normalize_x(n, upper_label(i, i)) == simple_label(i)
-            down = XLabel(EndLabel(False, i), EndLabel(False, i))
-            assert normalize_x(n, down) == simple_label(i)
+            assert normalize_x(n, (i, i)) == (i, i)
+            down = (end(False, i), end(False, i))
+            assert normalize_x(n, down) == (i, i)
 
 
 def test_left_wall_identification():
     # a label reaching past the left wall flips its end down at index 1
     for n in (2, 3, 4, 5):
         for l in range(1, n - 1, 2):
-            lhs = normalize_x(n, upper_label(0, l + 1))
-            rhs = normalize_x(n, XLabel(EndLabel(False, 1), EndLabel(True, l + 1)))
+            lhs = normalize_x(n, (0, l + 1))
+            rhs = normalize_x(n, (end(False, 1), end(True, l + 1)))
             assert lhs == rhs
 
 
 def test_structure_of_examples():
-    head, soc, dim = strings.structure_of(3, upper_label(1, 3))
+    head, soc, dim = strings.structure_of(3, (1, 3))
     assert head == {1: 1, 3: 1} and soc == {2: 1} and dim == 3
-    lower = XLabel(EndLabel(False, 1), EndLabel(False, 3))
+    lower = (end(False, 1), end(False, 3))
     head, soc, dim = strings.structure_of(3, lower)
     assert head == {2: 1} and soc == {1: 1, 3: 1} and dim == 3
-    head, soc, dim = strings.structure_of(3, simple_label(2))
+    head, soc, dim = strings.structure_of(3, (2, 2))
     assert head == soc == {2: 1} and dim == 1
 
 
 def test_syzygy_label_of_simple():
-    lab = strings.syzygy_label(4, simple_label(2))
-    assert lab == normalize_x(4, upper_label(1, 3))
+    lab = strings.syzygy_label(4, (2, 2))
+    assert lab == normalize_x(4, (1, 3))
 
 
 def test_syzygy_label_twice_n2():
-    lab = strings.syzygy_label(2, strings.syzygy_label(2, simple_label(1)))
-    assert lab == simple_label(2)
+    lab = strings.syzygy_label(2, strings.syzygy_label(2, (1, 1)))
+    assert lab == (2, 2)
 
 
 def test_syzygy_label_example_n3():
-    lab = strings.syzygy_label(3, upper_label(1, 3))
-    assert lab == XLabel(EndLabel(False, 1), EndLabel(False, 3))
+    lab = strings.syzygy_label(3, (1, 3))
+    assert lab == (end(False, 1), end(False, 3))
+
+
+def test_format_label_prints_the_end_notation():
+    assert strings.format_label((0, 2)) == "X[(down,1)|(up,2)]"
+    assert strings.format_label((3, -3)) == "X[(up,3)|(down,4)]"
+    assert strings.format_label((2, 2)) == "X[(up,2)|(up,2)]"
 
 
 def test_normalization_idempotent_and_orbit_constant():
@@ -70,25 +80,58 @@ def test_normalization_idempotent_and_orbit_constant():
                     gap_even = (i - j) % 2 == 0
                     if (up_l == up_r) != gap_even:
                         continue
-                    raw_cases.append(XLabel(EndLabel(up_l, i), EndLabel(up_r, j)))
-    for raw in raw_cases:
+                    raw_cases.append((up_l, i, up_r, j))
+    for up_l, i, up_r, j in raw_cases:
+        raw = (end(up_l, i), end(up_r, j))
         canon = normalize_x(n, raw)
         assert normalize_x(n, canon) == canon
         # each defining identification fixes the normal form
         moves = [
-            XLabel(EndLabel(not raw.left.up, 1 - raw.left.index), raw.right),
-            XLabel(raw.left, EndLabel(not raw.right.up, 1 - raw.right.index)),
-            XLabel(EndLabel(raw.left.up, raw.left.index + 2 * n), raw.right),
-            XLabel(raw.left, EndLabel(raw.right.up, raw.right.index - 2 * n)),
-            XLabel(EndLabel(not raw.right.up, raw.right.index), EndLabel(not raw.left.up, raw.left.index)),
+            (end(not up_l, 1 - i), end(up_r, j)),
+            (end(up_l, i), end(not up_r, 1 - j)),
+            (end(up_l, i + 2 * n), end(up_r, j)),
+            (end(up_l, i), end(up_r, j - 2 * n)),
+            (end(not up_r, j), end(not up_l, i)),
         ]
         for moved in moves:
             assert normalize_x(n, moved) == canon, (raw, moved)
 
 
+def _orbits(n: int, box: range) -> dict:
+    """Label -> orbit id for the labels with both ends in box, by a search
+    over the moves that translate one end by 2N and swap the ends."""
+    orbit = {}
+    for start in ((a, b) for a in box for b in box if (a - b) % 2 == 0):
+        if start in orbit:
+            continue
+        orbit[start], todo = start, [start]
+        while todo:
+            a, b = todo.pop()
+            for moved in ((a + 2 * n, b), (a - 2 * n, b), (a, b + 2 * n), (a, b - 2 * n),
+                          (1 - b, 1 - a)):
+                if moved[0] in box and moved[1] in box and moved not in orbit:
+                    orbit[moved] = start
+                    todo.append(moved)
+    return orbit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_normal_form_is_the_canonical_label_of_the_orbit(n):
+    canonical = strings.canonical_labels(n)
+    assert len(set(canonical)) == len(canonical) == n * n
+    orbit = _orbits(n, range(-5 * n, 5 * n + 2))
+    members = {}
+    for label in canonical:
+        members.setdefault(orbit[label], []).append(label)
+    window = range(-3 * n, 3 * n + 1)
+    for raw in ((a, b) for a in window for b in window if (a - b) % 2 == 0):
+        assert normalize_x(n, raw) in canonical
+        assert members[orbit[raw]] == [normalize_x(n, raw)], raw
+
+
 def test_parity_violation_rejected():
     with pytest.raises(ValueError):
-        normalize_x(3, XLabel(EndLabel(True, 1), EndLabel(True, 2)))
+        normalize_x(3, (end(True, 1), end(True, 2)))
     with pytest.raises(ValueError):
         normalize_p(3, 1, 2)
 
@@ -97,8 +140,8 @@ def test_label_periodicity():
     n = 3
     for i in range(1, n + 1):
         for k in range(0, 4 * n):
-            a = normalize_x(n, upper_label(i - k, i + k))
-            b = normalize_x(n, upper_label(i - k - 2 * n, i + k + 2 * n))
+            a = normalize_x(n, (i - k, i + k))
+            b = normalize_x(n, (i - k - 2 * n, i + k + 2 * n))
             assert a == b
 
 
@@ -147,7 +190,7 @@ def test_cover_consistency(n):
     for i in range(1, n + 1):
         for k in range(0, 4 * n + 1):
             psum = normalize_p(n, i - k, i + k)
-            head, _, _ = strings.structure_of(n, upper_label(i - k, i + k))
+            head, _, _ = strings.structure_of(n, (i - k, i + k))
             assert sorted(psum.indices) == sorted(head)
 
 
@@ -158,7 +201,7 @@ def test_ext_criterion_consistency(n):
     for i in range(1, n + 1):
         M = reps.simple_rep(n, F2, i)
         for k in range(0, 4 * n + 1):
-            head, _, _ = strings.structure_of(n, upper_label(i - k, i + k))
+            head, _, _ = strings.structure_of(n, (i - k, i + k))
             for j in range(1, n + 1):
                 d = len(reps.hom_space(M, reps.simple_rep(n, F2, j)))
                 assert d == (1 if j in head else 0), (n, i, j, k)
