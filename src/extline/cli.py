@@ -50,7 +50,7 @@ def poly_str(coeffs) -> str:
 
 
 def psum_str(psum) -> str:
-    return "+".join(f"P{j}" for j in psum.indices) or "0"
+    return "+".join(f"P{j}" for j in psum)
 
 
 # --------------------------------------------------------------- emitters

@@ -119,7 +119,7 @@ def ext_table(n: int, max_degree: int | None = None) -> GradedTable:
         via_x = _route_rows(n, [_syzygy_head(n, i, k) for k in degrees])
         # one complex per vertex; only its terms are read
         cx = build_resolution(alg, i, depth=max_degree)
-        via_res = _route_rows(n, [term.indices for term in cx.terms[:max_degree + 1]])
+        via_res = _route_rows(n, cx.terms[:max_degree + 1])
         for j in range(1, n + 1):
             head, res = tuple(via_x[j]), tuple(via_res[j])
             series = tuple(poincare_series(n, i, j, max_degree))

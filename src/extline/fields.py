@@ -3,7 +3,10 @@
 All computations in this package are exact; there is no floating point
 anywhere.  A field object carries the arithmetic, scalars themselves are
 plain Python ints: residues in [0, p) over F_p.  A rational scalar is an
-``int`` when it is integral and a ``fractions.Fraction`` otherwise.
+``int`` or a ``fractions.Fraction``, and an integral value may be either:
+over ``Q = RationalField()``, ``Q.add(Q.inv(2), Q.inv(2))`` is
+``Fraction(1, 1)``.  The two compare and hash alike, which the equality
+of ``HomElement`` and ``HomMatrix`` relies on.
 """
 
 from __future__ import annotations
@@ -91,8 +94,8 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class RationalField:
-    """The rational numbers: a scalar is an ``int`` when it is integral and
-    a ``fractions.Fraction`` otherwise.
+    """The rational numbers: a scalar is an ``int`` or a ``fractions.Fraction``
+    (see the module docstring).
 
     The oracle's matrices hold mostly 0 and +-1, so elimination stays in
     int arithmetic until an inverse forces a fraction.  This is exact: int

@@ -35,10 +35,11 @@ as its endpoints and a tuple of scalars in basis order, its slots:
     (F(i),)            when j = i+1,
     (FStar(j),)        when j = i-1,
 
-and the empty tuple is zero for any endpoints.  Composition is slot
-arithmetic over the shapes of the three endpoints.  Only this module
-reads slots; other modules go through the accessors of ``HomElement``
-and ``format_hom``.
+and the empty tuple is zero for any endpoints.  A basis morphism is no
+object of its own: (source, target, slot) names it, and ``_realization``
+and ``format_hom`` read it off that triple.  Composition is slot
+arithmetic over the shapes of the three endpoints.  Other modules name
+slots only through the accessors of ``HomElement`` and ``ID_SLOT``.
 """
 
 from __future__ import annotations
@@ -48,52 +49,33 @@ from dataclasses import dataclass
 from . import reps
 
 ID_SLOT = 0  # the identity's slot in Hom(P_i, P_i); the loop's is 1
-_NAMES = {"id": "Id", "loop": "Loop", "f": "F", "fstar": "FStar"}
-
-
-@dataclass(frozen=True)
-class HomGenerator:
-    kind: str  # "id" | "loop" | "f" | "fstar"
-    i: int
-
-    @property
-    def source(self) -> int:
-        return self.i + 1 if self.kind == "fstar" else self.i
-
-    @property
-    def target(self) -> int:
-        return self.i + 1 if self.kind == "f" else self.i
 
 
 def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _realization(gen: HomGenerator, n: int) -> tuple:
+def _realization(source: int, target: int, slot: int, n: int) -> tuple:
     """The nonzero entries (vertex, row, col, sign) of a basis morphism on
     the standard projectives of ``reps``: row and col index the target's
     and the source's basis at the vertex, head before socle."""
-    i = gen.i
-    if gen.kind == "id":
+    i = min(source, target)
+    if source == target and slot == ID_SLOT:
         middles = tuple((v, 0, 0, 1) for v in (i - 1, i + 1) if 1 <= v <= n)
         return ((i, 0, 0, 1), (i, 1, 1, 1)) + middles
-    if gen.kind == "loop":  # head -> socle
+    if source == target:  # Loop(i): head -> socle
         return ((i, 1, 0, _sign(min(i, n - 1))),)
-    if gen.kind == "f":  # head of P_i -> middle of P_{i+1} at i; middle at i+1 -> socle
+    if target > source:  # F(i): head of P_i -> middle of P_{i+1} at i; middle at i+1 -> socle
         return ((i, 0, 0, _sign(i)), (i + 1, 1, 0, _sign(i)))
-    # fstar: head of P_{i+1} -> middle of P_i at i+1; middle at i -> socle
+    # FStar(i): head of P_{i+1} -> middle of P_i at i+1; middle at i -> socle
     return ((i + 1, 0, 0, 1), (i, 1, 0, 1))
 
 
-def _basis(i: int, j: int) -> tuple:
-    """The basis morphisms of Hom(P_i, P_j), in slot order."""
-    if i == j:
-        return (HomGenerator("id", i), HomGenerator("loop", i))
-    if j == i + 1:
-        return (HomGenerator("f", i),)
-    if j == i - 1:
-        return (HomGenerator("fstar", j),)
-    return ()
+def _name(source: int, target: int, slot: int) -> str:
+    """The basis morphism's name, e.g. "FStar(2)" for P_3 -> P_2."""
+    if source == target:
+        return f"{'Loop' if slot else 'Id'}({source})"
+    return f"F({source})" if target > source else f"FStar({target})"
 
 
 @dataclass(slots=True)
@@ -113,11 +95,6 @@ class HomElement:
     def __bool__(self) -> bool:
         return any(self.slots)
 
-    @property
-    def coeffs(self) -> dict:
-        """Read-only view: nonzero basis morphism -> scalar, in basis order."""
-        return {g: c for g, c in zip(_basis(self.source, self.target), self.slots) if c}
-
     def terms(self):
         """(slot, scalar) for the nonzero slots, in basis order."""
         return [(k, c) for k, c in enumerate(self.slots) if c]
@@ -133,8 +110,8 @@ def format_hom(alg, h: HomElement) -> str:
     """A morphism as a signed sum of named basis morphisms, e.g. "-FStar(2)"."""
     F = alg.field
     parts = []
-    for gen, c in h.coeffs.items():
-        base = f"{_NAMES[gen.kind]}({gen.i})"
+    for k, c in h.terms():
+        base = _name(h.source, h.target, k)
         if F.is_zero(F.sub(c, F.one)):
             parts.append(base)
         elif F.is_zero(F.add(c, F.one)):
@@ -178,13 +155,9 @@ class LineAlgebra:
 
     # ---------------------------------------------------------- structure
     def hom_dimension(self, i: int, j: int) -> int:
-        return len(self.generators(i, j))
-
-    def generators(self, i: int, j: int):
-        """Basis morphisms of Hom(P_i, P_j), in slot order."""
         self._check_vertex(i)
         self._check_vertex(j)
-        return list(_basis(i, j))
+        return max(0, 2 - abs(i - j))
 
     def basis(self, i: int, j: int):
         """The basis of Hom(P_i, P_j) as morphisms, in slot order."""
@@ -192,10 +165,6 @@ class LineAlgebra:
         d = self.hom_dimension(i, j)
         return [HomElement(i, j, tuple(one if k == s else zero for k in range(d)))
                 for s in range(d)]
-
-    @property
-    def dimension(self) -> int:
-        return 4 * self.n - 2
 
     def _check_vertex(self, i):
         if not 1 <= i <= self.n:
@@ -276,9 +245,8 @@ class LineAlgebra:
         """Add the realization of ``h`` into per-vertex ``blocks``, with its
         block at vertex v starting at row ``row_off[v-1]``, column ``col_off[v-1]``."""
         F = self.field
-        basis = _basis(h.source, h.target)
         for k, c in h.terms():
-            for v, r, col, sign in _realization(basis[k], self.n):
+            for v, r, col, sign in _realization(h.source, h.target, k, self.n):
                 row = blocks[v][row_off[v - 1] + r]
                 j = col_off[v - 1] + col
                 row[j] = F.add(row[j], c if sign > 0 else F.neg(c))

@@ -31,19 +31,19 @@ zero cell drop it, and the constructor does not look (see ``HomMatrix``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg, reps, strings
 from .homs import HomElement, LineAlgebra
-from .strings import PSum
 
 
 @dataclass
 class HomMatrix:
     """Matrix of morphisms between sums of projectives, stored sparsely.
 
-    cells[(r, c)] : P_{source.indices[c]} -> P_{target.indices[r]} holds
-    only nonzero entries; an absent cell is zero, so a matrix is zero
+    ``source`` and ``target`` are index tuples of canonical sums (see
+    ``strings.normalize_p``).  cells[(r, c)] : P_{source[c]} -> P_{target[r]}
+    holds only nonzero entries; an absent cell is zero, so a matrix is zero
     exactly when ``not cells``.  The constructor takes cells as given: the
     producers that can make a zero drop it (the generic product, ``add``,
     ``scale`` by zero, a solved family's ``read`` and a corrupted entry),
@@ -51,8 +51,7 @@ class HomMatrix:
     generator components) only place nonzero cells.  The calculus returns
     every zero as (), so ``e.slots`` decides.  Since cells are nonzero,
     scalars canonical and slot counts fixed by shape, ``==`` is equality
-    of morphism matrices; it compares index tuples, as the PSums'
-    generated ``__eq__`` costs two Python calls per comparison.
+    of morphism matrices.
 
     ``pairing`` (column -> row), when set, says the cells are exactly the
     identities at (pairing[c], c): at most one per row and per column.
@@ -61,28 +60,20 @@ class HomMatrix:
     cells.  It is a fact about the cells, so ``==`` ignores it.
     """
 
-    source: PSum
-    target: PSum
+    source: tuple
+    target: tuple
     cells: dict  # (row, col) -> nonzero HomElement
-    pairing: dict | None = None  # column -> row, for a partial identity
-
-    def __eq__(self, other):
-        return isinstance(other, HomMatrix) and (
-            self.source.indices, self.target.indices, self.cells) == (
-            other.source.indices, other.target.indices, other.cells)
+    pairing: dict | None = field(default=None, compare=False)  # column -> row
 
     def entry(self, r: int, c: int) -> HomElement:
         e = self.cells.get((r, c))
-        return e if e is not None else HomElement(self.source.indices[c], self.target.indices[r])
+        return e if e is not None else HomElement(self.source[c], self.target[r])
 
     @property
     def entries(self):
         """Read-only dense view: a tuple of rows of HomElements."""
-        return tuple(tuple(self.entry(r, c) for c in range(len(self.source.indices)))
-                     for r in range(len(self.target.indices)))
-
-    def __repr__(self):
-        return f"HomMatrix({self.source} -> {self.target})"
+        return tuple(tuple(self.entry(r, c) for c in range(len(self.source)))
+                     for r in range(len(self.target)))
 
 
 def _accumulate(alg: LineAlgebra, cells: dict, key, elem: HomElement) -> None:
@@ -98,7 +89,7 @@ def nonzero_cells(cells: dict) -> dict:
 def hom_matrix_compose(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
     """A o B (B acts first).  Id o a = a o Id = a, so a paired operand
     (see ``HomMatrix``) only moves the other one's cells."""
-    if B.target.indices != A.source.indices:
+    if B.target != A.source:
         raise ValueError("shape mismatch composing morphism matrices")
     if B.pairing is not None:  # column m of A becomes column col[m]
         col = {m: c for c, m in B.pairing.items()}
@@ -133,17 +124,17 @@ def hom_matrix_scale(alg: LineAlgebra, c, A: HomMatrix) -> HomMatrix:
     return HomMatrix(A.source, A.target, cells)
 
 
-def common_factor_matrix(alg: LineAlgebra, source: PSum, target: PSum) -> HomMatrix:
+def common_factor_matrix(alg: LineAlgebra, source: tuple, target: tuple) -> HomMatrix:
     """Identity on the summands the two canonical sums share, zero elsewhere;
     one paired object per pair of index tuples, kept in ``alg._common_factors``."""
-    key = (source.indices, target.indices)
+    key = (source, target)
     M = alg._common_factors.get(key)
     if M is None:
-        rows = {t: r for r, t in enumerate(target.indices)}  # canonical: distinct
-        pairing = {c: rows[s] for c, s in enumerate(source.indices) if s in rows}
+        rows = {t: r for r, t in enumerate(target)}  # canonical: distinct
+        pairing = {c: rows[s] for c, s in enumerate(source) if s in rows}
         M = alg._common_factors[key] = HomMatrix(
             source, target,
-            {(r, c): alg.identity_hom(source.indices[c]) for c, r in pairing.items()},
+            {(r, c): alg.identity_hom(source[c]) for c, r in pairing.items()},
             pairing)
     return M
 
@@ -154,13 +145,13 @@ def closed_form_differential(alg: LineAlgebra, i: int, j: int) -> HomMatrix:
     n = alg.n
     src = strings.normalize_p(n, i, j)
     tgt = strings.normalize_p(n, i + 1, j - 1)
-    if src.indices == tgt.indices and len(src.indices) == 1:
-        v = src.indices[0]
+    if src == tgt and len(src) == 1:
+        v, = src
         sign = alg.field.from_int(alg.loop_sign(v))  # (-1)^v, with the boundary convention at v = N
         return HomMatrix(src, tgt, {(0, 0): alg.scale(sign, alg.loop_hom(v))})
     cells = {}
-    for r, t in enumerate(tgt.indices):
-        for c, s in enumerate(src.indices):
+    for r, t in enumerate(tgt):
+        for c, s in enumerate(src):
             if t == s + 1:
                 cells[(r, c)] = alg.f_hom(s)
             elif t == s - 1:
@@ -185,14 +176,14 @@ class PeriodicComplex:
     alg: LineAlgebra
     base_vertex: int
     depth: int
-    terms: list  # PSum, degrees 0..depth
+    terms: list  # index tuples of canonical sums, degrees 0..depth
     memo: dict
 
     @property
     def period(self) -> int:
         return 2 * self.alg.n
 
-    def term(self, k: int) -> PSum:
+    def term(self, k: int) -> tuple:
         if k < 0:
             raise IndexError("negative degree")
         while k > self.depth:
@@ -208,7 +199,7 @@ class PeriodicComplex:
         d = self.memo.get(k)
         if d is None:
             table, i = self.alg._differentials, self.base_vertex
-            key = (self.term(k).indices, self.term(k - 1).indices)
+            key = (self.term(k), self.term(k - 1))
             if key not in table:
                 table[key] = closed_form_differential(self.alg, i - k, i + k)
             d = self.memo[k] = table[key]
@@ -231,15 +222,13 @@ def build_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> Peri
 # ----------------------------------------------------------- realization
 
 
-def psum_rep(alg: LineAlgebra, psum: PSum):
+def psum_rep(alg: LineAlgebra, psum: tuple):
     """Realize a sum of projectives; returns (rep, offsets per summand)."""
-    key = psum.indices
-    cached = alg._psum_reps.get(key)
+    cached = alg._psum_reps.get(psum)
     if cached is not None:
         return cached
-    summands = [alg.projective(j) for j in psum.indices]
-    result = reps.direct_sum(summands) if summands else (reps.zero_rep(alg.n, alg.field), [])
-    alg._psum_reps[key] = result
+    result = reps.direct_sum([alg.projective(j) for j in psum])  # canonical sums are nonempty
+    alg._psum_reps[psum] = result
     return result
 
 
@@ -306,15 +295,14 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
 
     bad = []
     for k in range(0, depth + 1):
-        expected = strings.normalize_p(n, i - k, i + k)
-        if cx.term(k).indices != expected.indices:
+        if cx.term(k) != strings.normalize_p(n, i - k, i + k):
             bad.append(k)
     checks.append(CheckResult("terms are canonical interval sums", not bad,
                               f"degrees {bad}" if bad else ""))
 
     per = []
     for k in range(0, depth + 1 - 2 * n):
-        if cx.term(k).indices != cx.term(k + 2 * n).indices:
+        if cx.term(k) != cx.term(k + 2 * n):
             per.append(k)
     for k in range(1, depth + 1 - 2 * n):
         if cx.diff(k) != cx.diff(k + 2 * n):

@@ -30,12 +30,11 @@ identified under
 In the coordinates (alpha, beta) = (i + j - 1, j - i + 1) these generate
 the signed permutations of (alpha, beta) together with even translations
 by 2N, whose fundamental alcove 1 <= beta <= alpha, alpha + beta <= 2N is
-exactly the set of canonical intervals inside 1..N.
+exactly the set of canonical intervals inside 1..N.  A canonical sum is
+the plain tuple of its indices, (i, i+2, ..., j).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import reps
 
@@ -119,20 +118,9 @@ def realize_x(n: int, field, label: tuple) -> reps.QuiverRep:
 # ---------------------------------------------------------------- projective sums
 
 
-@dataclass(frozen=True)
-class PSum:
-    """P_a + P_{a+2} + ... + P_b in canonical form (possibly empty)."""
-
-    indices: tuple
-
-    def __repr__(self):
-        if not self.indices:
-            return "P[]"
-        return "P[" + ",".join(map(str, self.indices)) + "]"
-
-
-def normalize_p(n: int, i: int, j: int) -> PSum:
-    """Canonical form of the interval label (i, j); requires j - i even."""
+def normalize_p(n: int, i: int, j: int) -> tuple:
+    """The canonical sum of the interval label (i, j) as its increasing
+    indices, never empty; requires j - i even."""
     if (j - i) % 2:
         raise ValueError(f"parity violation in projective sum ({i},{j})")
     alpha = i + j - 1
@@ -152,4 +140,4 @@ def normalize_p(n: int, i: int, j: int) -> PSum:
     # alpha, beta are odd, so 1 <= beta <= alpha and alpha + beta <= 2N
     lo = (alpha - beta) // 2 + 1
     hi = (alpha + beta) // 2
-    return PSum(tuple(range(lo, hi + 1, 2)))
+    return tuple(range(lo, hi + 1, 2))

@@ -210,7 +210,7 @@ def generator_y(alg: LineAlgebra, i: int) -> ChainMap:
     def maker(k):
         src = source.term(k)
         tgt = target.term(k - n)
-        if src.indices != tgt.indices:
+        if src != tgt:
             raise ChainMapError(
                 f"terms of R_{i} and the shifted R_{n + 1 - i} differ at degree {k}"
             )
@@ -340,8 +340,8 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
     unknowns = {}  # stored degree -> [(row, col, basis morphism, unknown)]
     for m in range(lo, hi + 1):
         cells = unknowns[m] = []
-        for r, t in enumerate(target.term(m - shift).indices):
-            for c, s in enumerate(source.term(m).indices):
+        for r, t in enumerate(target.term(m - shift)):
+            for c, s in enumerate(source.term(m)):
                 for k, elem in enumerate(alg.basis(s, t)):
                     index[(m, r, c, k)] = len(index)
                     cells.append((r, c, elem, len(index) - 1))
@@ -397,7 +397,7 @@ def chain_head_class(f: ChainMap):
 def head_class(F, bottom: HomMatrix, j: int):
     """The head coefficients of a bottom component into P_j, one per P_j summand."""
     return [bottom.entry(0, c).identity_coefficient(F)
-            for c, s in enumerate(bottom.source.indices) if s == j]
+            for c, s in enumerate(bottom.source) if s == j]
 
 
 def class_is_zero(f: ChainMap) -> bool:
@@ -480,7 +480,7 @@ class ExtClass:
     nonzero: bool
 
 
-def _first_nonzero_coefficient(alg, f: ChainMap):
+def _first_nonzero_coefficient(f: ChainMap):
     for k in range(f.shift, f.periodic_start + f.period + 1):
         cells = f.component(k).cells  # no stored cell is zero
         if cells:
@@ -492,7 +492,7 @@ def normalize_class(f: ChainMap) -> ChainMap:
     """Rescale so the first nonzero coefficient (lowest degree, row-major,
     then basis order) is 1."""
     alg = f.source.alg
-    lead = _first_nonzero_coefficient(alg, f)
+    lead = _first_nonzero_coefficient(f)
     if lead is None:
         return f
     return chain_scale(alg.field.inv(lead), f)
@@ -511,7 +511,7 @@ def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
 
     # chain-map squares d o phi_m = phi_{m-1} o d, and the head pin: the
     # unique P_j summand of term_k maps by the identity onto term_0(R_j) = P_j
-    pin = ((k, 0, source.term(k).indices.index(j), ID_SLOT), alg.field.one)
+    pin = ((k, 0, source.term(k).index(j), ID_SLOT), alg.field.one)
     chain, _, _ = _solve_family(source, target, k, k + 1, source.period, -1, pins=[pin])
     if chain is None:
         raise ChainMapError(

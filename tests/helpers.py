@@ -60,7 +60,7 @@ def ext_class_dimension(alg: LineAlgebra, i: int, j: int, k: int) -> int:
     _, system, index = _solve_family(source, target, k, k + 1, source.period, -1)
     head_vars = [
         index[(k, 0, c, ID_SLOT)]
-        for c, s in enumerate(source.term(k).indices)
+        for c, s in enumerate(source.term(k))
         if s == j
     ]
     readout = LinearSystem(alg.field, len(head_vars))

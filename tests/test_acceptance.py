@@ -101,7 +101,8 @@ def test_criterion_6_presented_algebra_is_the_ext_algebra():
 def test_criterion_7_structural_constants():
     for n in range(1, 9):
         alg = LineAlgebra(n, F2)
-        assert alg.dimension == 4 * n - 2
+        assert sum(alg.hom_dimension(i, j) for i in range(1, n + 1)
+                   for j in range(1, n + 1)) == 4 * n - 2
         total = 0
         for i in range(1, n + 1):
             for j in range(1, n + 1):

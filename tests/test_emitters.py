@@ -5,7 +5,8 @@ Each pinned case runs one command for N = 1..6 and hashes the exit codes
 and outputs together.  The hashes were recorded before the emitters were
 rewritten row by row, so any change to the text a command prints shows
 here; the JSON bytes of the benchmark jobs are pinned by
-perfbench/reference.json.
+perfbench/reference.json.  The two ``--char 3`` resolve cases are the ones
+whose matrices print signs, which F_2 does not have.
 """
 
 import contextlib
@@ -25,6 +26,8 @@ COMMANDS = {
     "gamma-dims": lambda n: ["gamma-dims"],
     "resolve": lambda n: ["resolve", "--i", str((n + 1) // 2)],
     "resolve-corrupt": lambda n: ["resolve", "--i", "1", "--debug-corrupt-sign"],
+    "resolve-f3": lambda n: ["resolve", "--i", str((n + 1) // 2), "--char", "3"],
+    "resolve-corrupt-f3": lambda n: ["resolve", "--i", "1", "--debug-corrupt-sign", "--char", "3"],
     "verify": lambda n: ["verify"],
 }
 
@@ -48,6 +51,14 @@ PINNED = {
     ("resolve-corrupt", "table"):
         "9a83bf4e50eccb9ac158d3e23ffb7835d24547e77e37645e62f4aeec2b039a6d",
     ("resolve-corrupt", "latex"):
+        "56ac51428724caff80a6d241871e6a2fd0de37add33255b552a5a697aebb746e",
+    ("resolve-f3", "table"):
+        "3381b28dae1299f63cd597426be647f5c3e6e291bb9aa8167a85c7206911f4f4",
+    ("resolve-f3", "latex"):
+        "3bcfb50aebc57e02437f760095e34daf7e2d4362160a9a6645efcfa72205999b",
+    ("resolve-corrupt-f3", "table"):
+        "61face4157e0f6003d70e48084eb7675dec35bf0634e602e6825e185c540a687",
+    ("resolve-corrupt-f3", "latex"):
         "56ac51428724caff80a6d241871e6a2fd0de37add33255b552a5a697aebb746e",
     ("verify", "table"):
         "6dbb15c36138f2cf24e6d1482834dfedc9e35927c6dd1e2a091e4a599015c404",

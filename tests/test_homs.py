@@ -5,7 +5,7 @@ import pytest
 
 from helpers import is_intertwiner, morphisms_equal, span_equal
 from extline.fields import field_for_characteristic
-from extline.homs import CompositionError, LineAlgebra
+from extline.homs import CompositionError, LineAlgebra, format_hom
 from extline import linalg, reps
 
 CHARS = [0, 2, 3, 5]
@@ -16,16 +16,8 @@ def algebra(n, char=0):
 
 
 def all_generators(alg):
-    gens = []
-    for i in range(1, alg.n + 1):
-        for j in range(1, alg.n + 1):
-            gens.extend(alg.generators(i, j))
-    return gens
-
-
-def as_element(alg, gen):
-    s, t = gen.source, gen.target
-    return alg.basis(s, t)[alg.generators(s, t).index(gen)]
+    """Every basis morphism of every Hom(P_i, P_j)."""
+    return [b for i in range(1, alg.n + 1) for j in range(1, alg.n + 1) for b in alg.basis(i, j)]
 
 
 def test_costep_after_step_is_loop():
@@ -89,7 +81,23 @@ def test_basis_count_is_4n_minus_2():
             for i in range(1, n + 1)
             for j in range(1, n + 1)
         )
-        assert total == 4 * n - 2 == alg.dimension
+        assert total == 4 * n - 2 == len(all_generators(alg))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_basis_names_follow_the_slot_order(n):
+    alg = algebra(n, char=3)
+    for s in range(1, n + 1):
+        for t in range(1, n + 1):
+            names = [format_hom(alg, b) for b in alg.basis(s, t)]
+            if s == t:
+                assert names == [f"Id({s})", f"Loop({s})"]
+            elif t == s + 1:
+                assert names == [f"F({s})"]
+            elif t == s - 1:
+                assert names == [f"FStar({t})"]
+            else:
+                assert names == []
 
 
 def test_projective_dimension_vectors():
@@ -104,12 +112,12 @@ def test_realization_is_functorial(n, char):
     alg = algebra(n, char)
     gens = all_generators(alg)
     for g in gens:
-        assert is_intertwiner(alg.realize(as_element(alg, g)))
+        assert is_intertwiner(alg.realize(g))
         for h in gens:
             if h.target != g.source:
                 continue
-            lhs = alg.realize(alg.compose(as_element(alg, g), as_element(alg, h)))
-            rhs = alg.realize(as_element(alg, g)).compose(alg.realize(as_element(alg, h)))
+            lhs = alg.realize(alg.compose(g, h))
+            rhs = alg.realize(g).compose(alg.realize(h))
             assert morphisms_equal(lhs, rhs), (g, h)
 
 
@@ -168,20 +176,18 @@ def test_associativity_on_all_generator_triples(char):
         for h in gens:
             if h.target != g.source:
                 continue
-            gh = alg.compose(as_element(alg, g), as_element(alg, h))
+            gh = alg.compose(g, h)
             for e in gens:
                 if e.target != h.source:
                     continue
-                he = alg.compose(as_element(alg, h), as_element(alg, e))
-                left = alg.compose(gh, as_element(alg, e))
-                right = alg.compose(as_element(alg, g), he)
+                he = alg.compose(h, e)
+                left = alg.compose(gh, e)
+                right = alg.compose(g, he)
                 assert left == right
 
 
 def test_n_equal_one_has_no_step_generators():
     alg = algebra(1)
-    assert alg.generators(1, 1) == [g for g in alg.generators(1, 1)]
-    kinds = {g.kind for g in alg.generators(1, 1)}
-    assert kinds == {"id", "loop"}
+    assert [format_hom(alg, b) for b in alg.basis(1, 1)] == ["Id(1)", "Loop(1)"]
     with pytest.raises(ValueError):
         alg.f_hom(1)
