@@ -10,6 +10,7 @@ themselves on stderr, never with a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -300,7 +301,10 @@ def _add_common(p, need_ij=False):
         p.add_argument("--j", type=int, required=True)
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built once per process: parsing leaves
+    it as it was, so each ``main`` call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="extline",
         description="Exact Ext-algebra computations for the Brauer line algebra.",
@@ -311,33 +315,27 @@ def build_parser():
 
     p = sub.add_parser("ext-table", help="table of dim Ext^k(S_i, S_j)")
     _add_common(p)
-    p.set_defaults(func=cmd_ext_table)
 
     p = sub.add_parser("poincare", help="Poincare series of one (i, j) cell")
     _add_common(p, need_ij=True)
-    p.set_defaults(func=cmd_poincare)
 
     p = sub.add_parser("resolve", help="closed-form minimal resolution of S_i")
     _add_common(p)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--debug-corrupt-sign", action="store_true",
                    help="negative control: damage one differential entry")
-    p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p)
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gamma-dims", help="graded dimensions of the presented algebra")
     _add_common(p)
-    p.set_defaults(func=cmd_gamma_dims)
 
     p = sub.add_parser("yoneda-product", help="evaluate a word in the generators")
     _add_common(p)
     p.add_argument("--word", required=True,
                    help="arrows in path order, e.g. 'x1 x2' or 'y1 x2*'")
-    p.set_defaults(func=cmd_yoneda_product)
     return parser
 
 
@@ -368,7 +366,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     validate(parser, args)
     try:
-        return args.func(args)
+        # the handler is looked up by name on each call, not kept in the cached
+        # parser, so that a wrapper put on it later (a tracer, a test) still runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except Exception as exc:
         text = " ".join(str(exc).split())
         if isinstance(exc, ChainMapError):

@@ -7,10 +7,17 @@ plain Python ints: residues in [0, p) over F_p.  A rational scalar is an
 over ``Q = RationalField()``, ``Q.add(Q.inv(2), Q.inv(2))`` is
 ``Fraction(1, 1)``.  The two compare and hash alike, which the equality
 of ``HomElement`` and ``HomMatrix`` relies on.
+
+Scalars are canonical: every operation returns one, and every caller
+passes only those (``from_int`` makes one from any integer).  So a scalar
+is zero exactly when it is falsy, and two matrices are equal exactly when
+their lists of rows are, which the dense kernels of ``linalg`` and
+``reps`` and the graded quotient use instead of ``is_zero`` and ``sub``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,6 +98,10 @@ class PrimeField:
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
+    def dot(self, row, vec):
+        """sum(row[t] * vec[t]), one reduction for the whole sum."""
+        return sum(map(operator.mul, row, vec)) % self.p
+
 
 @dataclass(frozen=True)
 class RationalField:
@@ -141,6 +152,9 @@ class RationalField:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def dot(self, row, vec):
+        return sum(map(operator.mul, row, vec))
 
 
 def field_for_characteristic(char: int):

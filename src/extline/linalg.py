@@ -23,47 +23,28 @@ def identity_matrix(field, n: int):
 
 def nonzero_columns(field, M):
     """The nonzero columns of M, left to right, as lists."""
-    return [list(col) for col in zip(*M) if not all(map(field.is_zero, col))]
+    return [list(col) for col in zip(*M) if any(col)]
 
 
 def mat_mul(field, A, B, out_cols: int | None = None):
     """A @ B.  When B has no rows its column count is unrecoverable from
     the nested-list encoding, so pass out_cols explicitly in that case."""
-    m = len(A)
     k = len(B)
-    n = len(B[0]) if k else (out_cols or 0)
     if A and len(A[0]) != k:
         raise ValueError("shape mismatch in mat_mul")
-    out = zeros(field, m, n)
-    for i in range(m):
-        Ai = A[i]
-        oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if field.is_zero(a):
-                continue
-            Bt = B[t]
-            for j in range(n):
-                b = Bt[j]
-                if not field.is_zero(b):
-                    oi[j] = field.add(oi[j], field.mul(a, b))
-    return out
+    if not k:
+        return zeros(field, len(A), out_cols or 0)
+    cols = list(zip(*B))
+    dot = field.dot
+    return [[dot(row, col) for col in cols] for row in A]
 
 
 def mat_eq(field, A, B) -> bool:
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        for a, b in zip(ra, rb):
-            if not field.is_zero(field.sub(a, b)):
-                return False
-    return True
+    return A == B
 
 
 def is_zero_mat(field, A) -> bool:
-    return all(field.is_zero(a) for row in A for a in row)
+    return not any(map(any, A))
 
 
 def rref(field, M):
@@ -73,13 +54,23 @@ def rref(field, M):
     row, since x - f*0 = x.  Those columns start at the pivot column c: the
     rows not yet used as pivots are zero before c, where every column was
     either cleared as a pivot column or skipped as zero in all of them.
-    Entries must be canonical scalars (reduced residues over F_p), as every
-    caller passes them, so that the entries left alone need no reduction.
+    Entries must be canonical scalars (see ``fields``), as every caller
+    passes them, so that a zero test is a truth test and the entries left
+    alone need no reduction.  A single row only needs scaling by the
+    inverse of its first nonzero entry.
     """
     R = [row[:] for row in M]
     m = len(R)
     n = len(R[0]) if m else 0
-    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    mul, sub = field.mul, field.sub
+    if m == 1:
+        row = R[0]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            return R, []
+        iv = field.inv(row[c])
+        row[c:] = [mul(iv, x) if x else x for x in row[c:]]
+        return R, [c]
     pivots = []
     r = 0
     for c in range(n):
@@ -87,7 +78,7 @@ def rref(field, M):
             break
         sel = None
         for i in range(r, m):
-            if not is_zero(R[i][c]):
+            if R[i][c]:
                 sel = i
                 break
         if sel is None:
@@ -95,12 +86,12 @@ def rref(field, M):
         R[r], R[sel] = R[sel], R[r]
         prow = R[r]
         iv = field.inv(prow[c])
-        support = [j for j in range(c, n) if not is_zero(prow[j])]
+        support = [j for j in range(c, n) if prow[j]]
         for j in support:
             prow[j] = mul(iv, prow[j])
         for i, row in enumerate(R):
             f = row[c]
-            if i != r and not is_zero(f):
+            if i != r and f:
                 for j in support:
                     row[j] = sub(row[j], mul(f, prow[j]))
         pivots.append(c)

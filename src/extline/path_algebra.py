@@ -164,6 +164,15 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTab
     and degree; ValueError otherwise).  Then each relator row lies in one
     (source, target) block of candidates, and the blocks are eliminated
     separately.
+
+    The product of a degree-j basis element b with an arrow a is, by
+    definition, the stored row rmul[(j, a)][b].  So a word's first arrow is
+    a lookup of that row, only the arrows strictly inside it go through
+    ``push``, and its last arrow names candidates; a one-arrow word sends b
+    straight to its candidate (b, a).  This is exact: pushing the unit
+    vector {b: 1} through a would give 0 + 1 * v = v for each stored entry
+    v, which is a nonzero canonical scalar (see ``fields``), so the same
+    rows reach the same eliminations.
     """
     if relators is None:
         relators = standard_relators(n)
@@ -173,10 +182,15 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTab
         ends = {(w.source, w.target, w.degree) for w in words}
         if len(ends) != 1:
             raise ValueError(f"relator {rel.name} is not homogeneous: {sorted(ends)}")
-        shapes.append((rel, *ends.pop()))
-    arrows = all_arrows(n)
-    # basis elements at each degree are (src, tgt) tags
-    tags = {0: [(v, v) for v in range(1, n + 1)]}
+        # (coefficient, first arrow or None for a one-arrow word, inner arrows, last arrow)
+        terms = [(field.from_int(c), w.arrows[0] if w.arrows[1:] else None, w.arrows[1:-1],
+                  w.arrows[-1]) for (c, _), w in zip(rel.terms, words)]
+        shapes.append((terms, *ends.pop()))
+    degree = {a: arrow_degree(n, a) for a in all_arrows(n)}
+    arrows = [(a, d, arrow_source(n, a), arrow_target(n, a)) for a, d in degree.items()]
+    zero, one, add, mul = field.zero, field.one, field.add, field.mul
+    # sources[k]: the source vertex of each degree-k basis element
+    sources = {0: list(range(1, n + 1))}
     # ending[k]: vertex -> indices of the degree-k basis elements ending there, increasing
     ending = {0: {v: [v - 1] for v in range(1, n + 1)}}
     # rmul[(k, arrow)]: basis index at degree k ending at the arrow's source
@@ -185,59 +199,56 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTab
     dims = {(i, j): [int(i == j)] + [0] * max_degree
             for i in range(1, n + 1) for j in range(1, n + 1)}
 
-    def multiply_through(k_start, vec, word):
-        """Right-multiply a coefficient dict along all of word but its last
-        arrow, through the reduced bases."""
-        deg = k_start
-        cur = vec
-        for arrow in word[:-1]:
+    def push(deg, cur, inner):
+        """Right-multiply a coefficient dict at degree deg along the arrows
+        of inner, through the reduced bases."""
+        for arrow in inner:
             nxt = {}
             table = rmul[(deg, arrow)]
             for idx, cv in cur.items():
                 for jdx, rv in table[idx].items():
-                    nxt[jdx] = field.add(nxt.get(jdx, field.zero), field.mul(cv, rv))
-            cur = {i: v for i, v in nxt.items() if not field.is_zero(v)}
-            deg += arrow_degree(n, arrow)
+                    nxt[jdx] = add(nxt.get(jdx, zero), mul(cv, rv))
+            cur = {i: v for i, v in nxt.items() if v}
+            deg += degree[arrow]
         return cur
 
     for k in range(1, max_degree + 1):
         cands = []
-        cand_index = {}
+        cand_index = {}  # arrow -> {degree k - deg(arrow) basis index: candidate id}
         blocks = {}  # (src, tgt) -> its candidate ids, increasing
-        for arrow in arrows:
-            d = arrow_degree(n, arrow)
-            if k - d < 0:
+        for arrow, d, asrc, tgt in arrows:
+            if d > k:
                 continue
-            tgt = arrow_target(n, arrow)
-            for bidx in ending[k - d].get(arrow_source(n, arrow), ()):
-                src = tags[k - d][bidx][0]
-                cid = cand_index[(bidx, arrow)] = len(cands)
+            src_of = sources[k - d]
+            ids = cand_index[arrow] = {}
+            for bidx in ending[k - d].get(asrc, ()):
+                src = src_of[bidx]
+                cid = ids[bidx] = len(cands)
                 cands.append((src, tgt))
                 blocks.setdefault((src, tgt), []).append(cid)
 
         wrows = {}  # (src, tgt) -> relator rows {candidate id: coefficient}
-        for rel, rsrc, rtgt, d in shapes:
+        for terms, rsrc, rtgt, d in shapes:
             if d > k:
                 continue
             for bidx in ending[k - d].get(rsrc, ()):
-                src = tags[k - d][bidx][0]
                 vec = {}
-                for coeff, word in rel.terms:
-                    cur = multiply_through(k - d, {bidx: field.one}, word)
-                    last = word[-1]
+                for coeff, first, inner, last in terms:
+                    cur = {bidx: one} if first is None else rmul[(k - d, first)][bidx]
+                    if inner:
+                        cur = push(k - d + degree[first], cur, inner)
+                    ids = cand_index[last]
                     for idx, cv in cur.items():
-                        cid = cand_index[(idx, last)]
-                        vec[cid] = field.add(
-                            vec.get(cid, field.zero), field.mul(field.from_int(coeff), cv)
-                        )
-                vec = {cid: x for cid, x in vec.items() if not field.is_zero(x)}
+                        cid = ids[idx]
+                        vec[cid] = add(vec.get(cid, zero), mul(coeff, cv))
+                vec = {cid: x for cid, x in vec.items() if x}
                 if vec:
-                    wrows.setdefault((src, rtgt), []).append(vec)
+                    wrows.setdefault((sources[k - d][bidx], rtgt), []).append(vec)
 
         pivot_rows = {}  # pivot candidate -> (its reduced row, the block's candidates)
         for key, rows in wrows.items():
             block = blocks[key]
-            W, pivots = linalg.rref(field, [[row.get(c, field.zero) for c in block] for row in rows])
+            W, pivots = linalg.rref(field, [[row.get(c, zero) for c in block] for row in rows])
             for r, p in enumerate(pivots):
                 pivot_rows[block[p]] = (W[r], block)
         keep = [c for c in range(len(cands)) if c not in pivot_rows]
@@ -245,20 +256,16 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTab
 
         def project(cid):
             if cid in pos:
-                return {pos[cid]: field.one}
+                return {pos[cid]: one}
             row, block = pivot_rows[cid]
-            return {pos[c2]: field.neg(v) for c2, v in zip(block, row)
-                    if c2 in pos and not field.is_zero(v)}
+            return {pos[c2]: field.neg(v) for c2, v in zip(block, row) if v and c2 in pos}
 
-        tags[k] = [cands[c] for c in keep]
-        for arrow in arrows:
-            d = arrow_degree(n, arrow)
-            if k - d < 0:
-                continue
-            rmul[(k - d, arrow)] = {bidx: project(cand_index[(bidx, arrow)])
-                                    for bidx in ending[k - d].get(arrow_source(n, arrow), ())}
-        ending[k] = {}
-        for q, (src, tgt) in enumerate(tags[k]):
+        for arrow, ids in cand_index.items():
+            rmul[(k - degree[arrow], arrow)] = {bidx: project(cid) for bidx, cid in ids.items()}
+        sources[k], ending[k] = [], {}
+        for q, c in enumerate(keep):
+            src, tgt = cands[c]
+            sources[k].append(src)
             ending[k].setdefault(tgt, []).append(q)
             dims[(src, tgt)][k] += 1
     return GradedTable(n, max_degree, {ij: tuple(row) for ij, row in dims.items()})

@@ -310,10 +310,9 @@ def _submodule(rep: QuiverRep, spanning):
         tgt_rows, tgt_piv = bases.get(t, []), pivots.get(t, [])
         M = linalg.zeros(F, dims[t - 1], dims[s - 1])
         for ci, vec in enumerate(bases[s]):
-            img = [sum_products(F, big_row, vec) for big_row in big]
+            img = [F.dot(big_row, vec) for big_row in big]
             coords = [img[p] for p in tgt_piv]
-            rebuilt = [sum_products(F, [row[r] for row in tgt_rows], coords)
-                       for r in range(len(img))]
+            rebuilt = [F.dot([row[r] for row in tgt_rows], coords) for r in range(len(img))]
             if not linalg.mat_eq(F, [rebuilt], [img]):
                 raise ValueError("span is not arrow-stable")
             for ri, cval in enumerate(coords):
@@ -322,14 +321,6 @@ def _submodule(rep: QuiverRep, spanning):
     sub = make_rep(rep.n, F, dims, arrows)
     blocks = {v: [list(col) for col in zip(*basis)] for v, basis in bases.items()}
     return sub, RepMorphism(sub, rep, blocks)
-
-
-def sum_products(field, row, vec):
-    acc = field.zero
-    for a, b in zip(row, vec):
-        if not field.is_zero(a) and not field.is_zero(b):
-            acc = field.add(acc, field.mul(a, b))
-    return acc
 
 
 def radical_span(rep: QuiverRep) -> dict:
@@ -471,7 +462,7 @@ def projective_cover(rep: QuiverRep) -> CoverData:
             for r, row in enumerate(A):
                 for c, x in enumerate(row):
                     if not F.is_zero(x) and (s, c) in img and (t, r) not in img:
-                        img[t, r] = [sum_products(F, m_row, img[s, c]) for m_row in rep.arrow(key)]
+                        img[t, r] = [F.dot(m_row, img[s, c]) for m_row in rep.arrow(key)]
         for w in P.support:
             for ri, block_row in enumerate(blocks.get(w, [])):
                 block_row.extend(img[w, c][ri] for c in range(P.dim(w)))

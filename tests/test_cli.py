@@ -1,13 +1,16 @@
 """Command-line surface: schemas, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from extline import path_algebra
-from extline.cli import main, parse_word, poly_str
+from extline import cli, path_algebra
+from extline.cli import build_parser, main, parse_word, poly_str
 from extline.yoneda import ChainMapError
 
 
@@ -198,6 +201,52 @@ def test_help_lists_the_exit_codes():
     assert r.returncode == 0
     assert " ".join(r.stdout.split()).endswith(
         "exit codes: 0 every check passed; 1 a check failed; 2 usage error; 3 internal error")
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of one ``main`` call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_a_sequence_of_calls_prints_what_each_call_prints_alone(monkeypatch):
+    # one process reuses the parser across usage errors, --help and
+    # commands of every kind; each call must print and exit as it would in
+    # a process of its own
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    sequence = [
+        ["ext-table", "--n", "2"],
+        ["ext-table", "--n", "0"],
+        ["gamma-dims", "--n", "3", "--char", "3", "--format", "json"],
+        ["--help"],
+        ["verify", "--suite", "relations", "--n", "3", "--char", "0"],
+        ["yoneda-product", "--n", "3", "--word", "x5"],
+        ["resolve", "--n", "3", "--i", "2", "--format", "latex"],
+        ["poincare", "--n", "2", "--i", "3", "--j", "1"],
+        ["ext-table", "--n", "2"],
+    ]
+    in_sequence = [run_in_process(argv) for argv in sequence]
+    alone = [run_cli(argv, env={**os.environ, "COLUMNS": "80"}) for argv in sequence]
+    assert [rc for rc, _, _ in in_sequence] == [0, 2, 0, 0, 0, 2, 0, 2, 0]
+    assert in_sequence == [(r.returncode, r.stdout, r.stderr) for r in alone]
+
+
+def test_a_handler_wrapped_after_the_parser_was_built_still_runs(monkeypatch):
+    # the benchmark's tracer wraps cmd_* functions after earlier calls built the parser
+    build_parser()
+    original, seen = cli.cmd_ext_table, []
+    monkeypatch.setattr(cli, "cmd_ext_table", lambda args: seen.append(args.n) or original(args))
+    assert run_in_process(["ext-table", "--n", "2"])[0] == 0
+    assert seen == [2]
 
 
 def test_zero_and_small_prime_characteristics_accepted(capsys):

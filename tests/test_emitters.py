@@ -6,7 +6,10 @@ and outputs together.  The hashes were recorded before the emitters were
 rewritten row by row, so any change to the text a command prints shows
 here; the JSON bytes of the benchmark jobs are pinned by
 perfbench/reference.json.  The two ``--char 3`` resolve cases are the ones
-whose matrices print signs, which F_2 does not have.
+whose matrices print signs, which F_2 does not have.  The ``gamma-dims``
+JSON pins at N = 12 and 24 over chars 0, 2, 3 and 5, and at N = 5 through
+degree 50, were recorded before the graded quotient read its first arrows
+off its product tables.
 """
 
 import contextlib
@@ -135,3 +138,37 @@ def test_json_writer_equals_the_stdlib(payload):
     buf = io.StringIO()
     _write_json(buf.write, payload)
     assert buf.getvalue() == json.dumps(payload, sort_keys=True, indent=2)
+
+
+# ------------------------------------------------------- graded quotient JSON
+
+# sha256 of the stdout of `gamma-dims ... --format json`: the quotient's graded
+# dimensions over each tested characteristic, and past the default 4N window
+GAMMA_JSON_PINNED = {
+    ("--n", "12", "--char", "0"):
+        "ab15ff9954a22de043fb4e957823a95deb5b6365d96b3ec072dafc4c90b4b6f7",
+    ("--n", "12", "--char", "2"):
+        "870849733b87638bbd553c56db8fc8ffa9e5266f5872aa4e22af48d333e9fb7c",
+    ("--n", "12", "--char", "3"):
+        "0ee0910b6ee8e10306a906a5a4afa92f8bfcb0abcd15f36fa57b7659e325c18b",
+    ("--n", "12", "--char", "5"):
+        "ac483aae467b1c0d1309812f4607d7f06aacc01640963002f7b6bd8bfd5a78bd",
+    ("--n", "24", "--char", "0"):
+        "fd592a24b4e3ea8fcdd6c11bde0c4fc2b59cb736997a815776d6290a9bf1a0fe",
+    ("--n", "24", "--char", "2"):
+        "2fbca39fadc2381ae9fd95798cf4e726f25bc04727fe27a012d6d6c55e2afdeb",
+    ("--n", "24", "--char", "3"):
+        "3e47f7dd9cb00790a60ef829f338927790d8e7e7adc150489b7afddcaf303cfe",
+    ("--n", "24", "--char", "5"):
+        "4e5a7140044c67263b6e49d4ad253c3d8619a29276dce1f0d456bcbfd07b5d47",
+    ("--n", "5", "--max-deg", "50"):
+        "f3b1c4b51eaae254ad473382214571c3243c075c70240df95fd1ee0e33812eee",
+}
+
+
+@pytest.mark.parametrize("options", sorted(GAMMA_JSON_PINNED))
+def test_gamma_dims_json_is_pinned(options):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["gamma-dims", *options, "--format", "json"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GAMMA_JSON_PINNED[options]

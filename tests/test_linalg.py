@@ -6,32 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import span_equal
+from helpers import reference_rref, span_equal
 from extline import linalg
 from extline.fields import field_for_characteristic
 
 CHARS = [0, 2, 3, 5]
-
-
-def reference_rref(F, M):
-    """Gauss-Jordan that rewrites every entry of every row it touches."""
-    R = [row[:] for row in M]
-    m, n = len(R), len(R[0]) if R else 0
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        sel = next((i for i in range(r, m) if not F.is_zero(R[i][c])), None)
-        if sel is None:
-            continue
-        R[r], R[sel] = R[sel], R[r]
-        iv = F.inv(R[r][c])
-        R[r] = [F.mul(iv, x) for x in R[r]]
-        for i in range(m):
-            if i != r:
-                f = R[i][c]
-                R[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-    return R, pivots
 
 
 def random_matrix(rng, F, m, n, density):

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from helpers import reference_graded_dimension
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
 from extline.ext_table import ext_dim_via_x, ext_table
@@ -206,6 +207,39 @@ def test_quotient_is_relator_order_independent():
         for j in range(1, 4):
             for k in range(9):
                 assert base.entry(i, j, k) == rev.entry(i, j, k) == rot.entry(i, j, k)
+
+
+def relator_sets(n):
+    """Named relator lists for the quotient: the standard ones, each one
+    dropped, one sign-flipped, one- and three-arrow relators added, and the
+    standard ones reversed."""
+    rels = pa.standard_relators(n)
+    yield "standard", rels
+    for q, rel in enumerate(rels):
+        yield f"without {rel.name}", rels[:q] + rels[q + 1:]
+    if n >= 2:
+        flipped = [r for r in rels if len(r.terms) == 2][0]
+        (c1, w1), (c2, w2) = flipped.terms
+        yield "sign-flipped", [pa.Relator("flipped", ((c1, w1), (-c2, w2))) if r is flipped
+                               else r for r in rels]
+    yield "with y1", rels + [pa.Relator("y1", ((1, (("y", 1),)),))]
+    if n >= 2:
+        loop = (("y", 1), ("y", n), ("x", 1))
+        yield "with y1.yN.x1", rels + [pa.Relator("y1.yN.x1", ((1, loop),))]
+    if n >= 3:
+        hook = (("x", 1), ("x", 2), ("xstar", 2))
+        yield "with x1.x2.x2*", rels + [pa.Relator("x1.x2.x2*", ((1, hook),))]
+    yield "reversed", rels[::-1]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_quotient_matches_the_reference_computation(n, char):
+    F = field_for_characteristic(char)
+    for name, rels in relator_sets(n):
+        K = 4 * n if name == "standard" else 2 * n + 2
+        assert (pa.graded_dimension(n, K, F, relators=rels).data
+                == reference_graded_dimension(n, K, F, relators=rels).data), name
 
 
 def test_evaluation_reverses_concatenation_into_composition():
