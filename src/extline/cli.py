@@ -304,7 +304,8 @@ def _add_common(p, need_ij=False):
 @functools.cache
 def build_parser():
     """The parser of every command, built once per process: parsing leaves
-    it as it was, so each ``main`` call can reuse it."""
+    it as it was, so each ``main`` call can reuse it.  Each subcommand names
+    its ``cmd_*`` handler as its ``func`` default."""
     parser = argparse.ArgumentParser(
         prog="extline",
         description="Exact Ext-algebra computations for the Brauer line algebra.",
@@ -314,25 +315,31 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ext-table", help="table of dim Ext^k(S_i, S_j)")
+    p.set_defaults(func="cmd_ext_table")
     _add_common(p)
 
     p = sub.add_parser("poincare", help="Poincare series of one (i, j) cell")
+    p.set_defaults(func="cmd_poincare")
     _add_common(p, need_ij=True)
 
     p = sub.add_parser("resolve", help="closed-form minimal resolution of S_i")
+    p.set_defaults(func="cmd_resolve")
     _add_common(p)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--debug-corrupt-sign", action="store_true",
                    help="negative control: damage one differential entry")
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(func="cmd_verify")
     _add_common(p)
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
 
     p = sub.add_parser("gamma-dims", help="graded dimensions of the presented algebra")
+    p.set_defaults(func="cmd_gamma_dims")
     _add_common(p)
 
     p = sub.add_parser("yoneda-product", help="evaluate a word in the generators")
+    p.set_defaults(func="cmd_yoneda_product")
     _add_common(p)
     p.add_argument("--word", required=True,
                    help="arrows in path order, e.g. 'x1 x2' or 'y1 x2*'")
@@ -366,9 +373,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     validate(parser, args)
     try:
-        # the handler is looked up by name on each call, not kept in the cached
-        # parser, so that a wrapper put on it later (a tracer, a test) still runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        # the cached parser names each handler rather than holding it, so that
+        # a wrapper put on it later (a tracer, a test) still runs
+        return globals()[args.func](args)
     except Exception as exc:
         text = " ".join(str(exc).split())
         if isinstance(exc, ChainMapError):

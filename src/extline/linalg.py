@@ -21,7 +21,7 @@ def identity_matrix(field, n: int):
     return M
 
 
-def nonzero_columns(field, M):
+def nonzero_columns(M):
     """The nonzero columns of M, left to right, as lists."""
     return [list(col) for col in zip(*M) if any(col)]
 
@@ -39,11 +39,7 @@ def mat_mul(field, A, B, out_cols: int | None = None):
     return [[dot(row, col) for col in cols] for row in A]
 
 
-def mat_eq(field, A, B) -> bool:
-    return A == B
-
-
-def is_zero_mat(field, A) -> bool:
+def is_zero_mat(A) -> bool:
     return not any(map(any, A))
 
 
@@ -56,21 +52,12 @@ def rref(field, M):
     either cleared as a pivot column or skipped as zero in all of them.
     Entries must be canonical scalars (see ``fields``), as every caller
     passes them, so that a zero test is a truth test and the entries left
-    alone need no reduction.  A single row only needs scaling by the
-    inverse of its first nonzero entry.
+    alone need no reduction.
     """
     R = [row[:] for row in M]
     m = len(R)
     n = len(R[0]) if m else 0
     mul, sub = field.mul, field.sub
-    if m == 1:
-        row = R[0]
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            return R, []
-        iv = field.inv(row[c])
-        row[c:] = [mul(iv, x) if x else x for x in row[c:]]
-        return R, [c]
     pivots = []
     r = 0
     for c in range(n):

@@ -162,7 +162,7 @@ def check_relations(rep: QuiverRep):
     bad = []
     if rep.n == 1:
         x = rep.arrows.get(("x", 1))
-        if x and not linalg.is_zero_mat(F, linalg.mat_mul(F, x, x)):
+        if x and not linalg.is_zero_mat(linalg.mat_mul(F, x, x)):
             bad.append("x^2 != 0")
         return bad
     a = {i: M for (kind, i), M in rep.arrows.items() if kind == "a"}
@@ -172,7 +172,7 @@ def check_relations(rep: QuiverRep):
         return None if X is None or Y is None else linalg.mat_mul(F, X, Y)
 
     def nonzero(M):
-        return M is not None and not linalg.is_zero_mat(F, M)
+        return M is not None and not linalg.is_zero_mat(M)
 
     for i in rep.support:
         if nonzero(product(a.get(i + 1), a.get(i))):
@@ -183,7 +183,7 @@ def check_relations(rep: QuiverRep):
         if 1 < v < rep.n:
             zero = linalg.zeros(F, rep.dim(v), rep.dim(v))
             left = product(a.get(v - 1), b.get(v - 1)) or zero
-            if not linalg.mat_eq(F, left, product(b.get(v), a.get(v)) or zero):
+            if left != (product(b.get(v), a.get(v)) or zero):
                 bad.append(f"loops at vertex {v} disagree")
     for i in rep.support:
         if i in a and i in b:
@@ -219,8 +219,7 @@ class RepMorphism:
         return B
 
     def is_zero(self) -> bool:
-        F = self.source.field
-        return all(linalg.is_zero_mat(F, B) for B in self.blocks.values())
+        return all(linalg.is_zero_mat(B) for B in self.blocks.values())
 
     def compose(self, other: "RepMorphism") -> "RepMorphism":
         """self after other."""
@@ -313,7 +312,7 @@ def _submodule(rep: QuiverRep, spanning):
             img = [F.dot(big_row, vec) for big_row in big]
             coords = [img[p] for p in tgt_piv]
             rebuilt = [F.dot([row[r] for row in tgt_rows], coords) for r in range(len(img))]
-            if not linalg.mat_eq(F, [rebuilt], [img]):
+            if rebuilt != img:
                 raise ValueError("span is not arrow-stable")
             for ri, cval in enumerate(coords):
                 M[ri][ci] = cval
@@ -328,7 +327,7 @@ def radical_span(rep: QuiverRep) -> dict:
     into it."""
     spanning = {v: [] for v in rep.support}
     for key, M in rep.arrows.items():
-        spanning[arrow_endpoints(rep.n, key)[1]] += linalg.nonzero_columns(rep.field, M)
+        spanning[arrow_endpoints(rep.n, key)[1]] += linalg.nonzero_columns(M)
     return spanning
 
 
@@ -481,8 +480,7 @@ def syzygy(rep: QuiverRep) -> QuiverRep:
 
 
 def image_subrep(phi: RepMorphism):
-    F = phi.source.field
-    spanning = {v: linalg.nonzero_columns(F, B) for v, B in phi.blocks.items()}
+    spanning = {v: linalg.nonzero_columns(B) for v, B in phi.blocks.items()}
     return _submodule(phi.target, spanning)
 
 

@@ -319,7 +319,7 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
     def inexact(img, ker_of):  # the vertices of M where image(img) != kernel(ker_of)
         M = img.target
         return [v for v in M.support
-                if not linalg.is_zero_mat(F, linalg.mat_mul(F, ker_of.block(v), img.block(v)))
+                if not linalg.is_zero_mat(linalg.mat_mul(F, ker_of.block(v), img.block(v)))
                 or linalg.rank(F, img.block(v)) + linalg.rank(F, ker_of.block(v)) != M.dim(v)]
 
     bad = []

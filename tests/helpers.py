@@ -56,9 +56,8 @@ def reference_rref(F, M):
 
 def morphisms_equal(phi: RepMorphism, psi: RepMorphism) -> bool:
     """Whether two oracle morphisms agree blockwise (an absent block is zero)."""
-    F = phi.source.field
     return all(
-        linalg.mat_eq(F, phi.block(v), psi.block(v))
+        phi.block(v) == psi.block(v)
         for v in phi.blocks.keys() | psi.blocks.keys()
     )
 
@@ -71,7 +70,7 @@ def is_intertwiner(phi: RepMorphism) -> bool:
         cols = phi.source.dim(s)
         lhs = linalg.mat_mul(F, phi.block(t), phi.source.arrow(key), out_cols=cols)
         rhs = linalg.mat_mul(F, phi.target.arrow(key), phi.block(s), out_cols=cols)
-        if not linalg.mat_eq(F, lhs, rhs):
+        if lhs != rhs:
             return False
     return True
 

@@ -99,16 +99,16 @@ def test_dense_kernels_match_the_field_generic_loops(data):
     product = linalg.mat_mul(F, A, B, out_cols=n)
     assert product == generic_mat_mul(F, A, B, out_cols=n)
     for X in (A, B, product, linalg.zeros(F, len(A), n)):
-        assert linalg.is_zero_mat(F, X) == generic_is_zero_mat(F, X)
-        assert linalg.nonzero_columns(F, X) == generic_nonzero_columns(F, X)
+        assert linalg.is_zero_mat(X) == generic_is_zero_mat(F, X)
+        assert linalg.nonzero_columns(X) == generic_nonzero_columns(F, X)
         twin = [[same_value(F, x) for x in row] for row in X]
-        assert linalg.mat_eq(F, X, twin) and generic_mat_eq(F, X, twin)
+        assert X == twin and generic_mat_eq(F, X, twin)
     for X, Y in ((A, B), (B, A), (product, A), (A, A[:-1])):
-        assert linalg.mat_eq(F, X, Y) == generic_mat_eq(F, X, Y)
+        assert (X == Y) == generic_mat_eq(F, X, Y)
     if A and A[0]:
         changed = [row[:] for row in A]
         changed[-1][-1] = F.add(changed[-1][-1], F.one)
-        assert not linalg.mat_eq(F, A, changed) and not generic_mat_eq(F, A, changed)
+        assert A != changed and not generic_mat_eq(F, A, changed)
     for row in A:
         for col in zip(*B):
             assert F.dot(row, col) == generic_dot(F, row, col)

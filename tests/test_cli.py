@@ -1,5 +1,6 @@
 """Command-line surface: schemas, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -205,6 +206,15 @@ def test_help_lists_the_exit_codes():
 
 def test_the_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_every_subcommand_names_its_handler():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for name, p in commands.choices.items():
+        handler = p.get_default("func")
+        assert handler == "cmd_" + name.replace("-", "_"), name
+        assert callable(getattr(cli, handler)), name
 
 
 def run_in_process(argv):

@@ -55,7 +55,7 @@ def test_nullspace_vectors_are_annihilated(char):
         basis = linalg.nullspace(F, M, ncols=n)
         assert len(basis) == n - linalg.rank(F, M)
         for x in basis:
-            assert linalg.is_zero_mat(F, linalg.mat_mul(F, M, [[xi] for xi in x]))
+            assert linalg.is_zero_mat(linalg.mat_mul(F, M, [[xi] for xi in x]))
 
 
 class FractionField:

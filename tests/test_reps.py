@@ -280,14 +280,14 @@ def test_arrows_and_blocks_outside_the_support_read_as_zero(char):
             if key in M.arrows:
                 assert M.dim(s) and M.dim(t)
             else:  # outside the support, or a zero map the module never set
-                assert linalg.is_zero_mat(F, A)
+                assert linalg.is_zero_mat(A)
     P2, P4 = reps.projective_rep(n, F, 2), reps.projective_rep(n, F, 4)
     phi = reps.zero_morphism(P2, P4)
     assert list(phi.blocks) == [3]  # the only vertex where both are nonzero
     for v in range(1, n + 1):
         B = phi.block(v)
         assert len(B) == P4.dim(v) and all(len(row) == P2.dim(v) for row in B)
-        assert linalg.is_zero_mat(F, B)
+        assert linalg.is_zero_mat(B)
     empty = reps.RepMorphism(P2, P2, {})
     assert empty.block(2) == linalg.zeros(F, 2, 2)
 
