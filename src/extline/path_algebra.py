@@ -17,9 +17,10 @@ and the gamma and chain-level relations suites all read it.
 up to a closed-form null-homotopy (``relator_homotopy``), re-verified.
 
 Graded dimensions are computed degree by degree by an incremental
-quotient: the degree-k space is (degree k-1 basis) x (arrows) modulo the
-right-multiples of the relators, so only a basis of each graded piece is
-ever kept (never the exponentially many raw paths).  Words evaluate to
+quotient: the degree-k space is (lower bases) x (arrows) modulo the
+right-multiples of the relators, so only bases of the last ``reach``
+graded pieces are ever kept (never the exponentially many raw paths),
+``reach`` being the largest arrow or relator degree.  Words evaluate to
 chain-level Ext classes by sending each arrow to its generator chain map
 and reversing concatenation order into composition order.
 """
@@ -173,6 +174,14 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTab
     vector {b: 1} through a would give 0 + 1 * v = v for each stored entry
     v, which is a nonzero canonical scalar (see ``fields``), so the same
     rows reach the same eliminations.
+
+    Only a window of degrees is kept: after degree k, the basis data of
+    degree k - reach and its products with every arrow are dropped, where
+    reach is the largest arrow or relator degree (N + 1 for the standard
+    relators).  This is exact for any relator list.  Degree k reads only
+    degrees k - reach .. k - 1: its candidates start at k - deg(arrow), its
+    relator rows at k - deg(relator), and the inner pushes of a row step
+    from there through degrees below k, as its last arrow has degree >= 1.
     """
     if relators is None:
         relators = standard_relators(n)
@@ -188,6 +197,7 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTab
         shapes.append((terms, *ends.pop()))
     degree = {a: arrow_degree(n, a) for a in all_arrows(n)}
     arrows = [(a, d, arrow_source(n, a), arrow_target(n, a)) for a, d in degree.items()]
+    reach = max([*degree.values(), *(d for *_, d in shapes)])
     zero, one, add, mul = field.zero, field.one, field.add, field.mul
     # sources[k]: the source vertex of each degree-k basis element
     sources = {0: list(range(1, n + 1))}
@@ -268,6 +278,10 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTab
             sources[k].append(src)
             ending[k].setdefault(tgt, []).append(q)
             dims[(src, tgt)][k] += 1
+        if k >= reach:
+            del sources[k - reach], ending[k - reach]
+            for arrow in degree:
+                del rmul[(k - reach, arrow)]
     return GradedTable(n, max_degree, {ij: tuple(row) for ij, row in dims.items()})
 
 
@@ -297,6 +311,12 @@ def normal_form_monomial(n: int, i: int, j: int, k: int):
     """The canonical basis word of the (i, j, k) component, or None if no
     hook exists (the component is zero): an optional turnaround, a hook,
     then full-period loops at the target."""
+    arrows = _normal_form_arrows(n, i, j, k)
+    return None if arrows is None else PathWord(n, arrows, vertex=None if arrows else i)
+
+
+def _normal_form_arrows(n: int, i: int, j: int, k: int):
+    """The arrow tuple of ``normal_form_monomial(n, i, j, k)``, or None."""
     if not (1 <= i <= n and 1 <= j <= n) or k < 0:
         raise ValueError(f"no component ({i},{j}) in degree {k} for N={n}")
     k0 = k % (2 * n)
@@ -308,8 +328,7 @@ def normal_form_monomial(n: int, i: int, j: int, k: int):
         arrows = [("y", i)] * a + hook_word(n, u, j, m)
     except ValueError:
         return None
-    arrows += [("y", j), ("y", n + 1 - j)] * b
-    return PathWord(n, tuple(arrows), vertex=None if arrows else i)
+    return tuple(arrows + [("y", j), ("y", n + 1 - j)] * b)
 
 
 def _word_chain_map(alg: LineAlgebra, arrows):
@@ -324,19 +343,19 @@ def _word_chain_map(alg: LineAlgebra, arrows):
 
 def word_head(alg: LineAlgebra, bottoms: dict, arrows):
     """The head class of a nonempty arrow sequence's word map, read through
-    ``bottoms`` (arrow suffix -> bottom component of its word map), which
-    this fills from the longest suffix there, one product per new suffix."""
+    ``bottoms`` (arrow suffix -> (its degree, the bottom component of its
+    word map)), which this fills from the longest suffix there, one product
+    per new suffix."""
     n, t = alg.n, 0
     while t < len(arrows) and arrows[t:] not in bottoms:
         t += 1
-    degree = sum(arrow_degree(n, a) for a in arrows[t:])
+    degree, M = bottoms.get(arrows[t:], (0, None))
     for t in range(t - 1, -1, -1):
         degree += arrow_degree(n, arrows[t])
-        M = cached_generator(alg, *arrows[t]).component(degree)
-        if t + 1 < len(arrows):
-            M = hom_matrix_compose(alg, bottoms[arrows[t + 1:]], M)
-        bottoms[arrows[t:]] = M
-    return head_class(alg.field, bottoms[arrows], arrow_target(n, arrows[-1]))
+        G = cached_generator(alg, *arrows[t]).component(degree)
+        M = G if M is None else hom_matrix_compose(alg, M, G)
+        bottoms[arrows[t:]] = degree, M
+    return head_class(alg.field, M, arrow_target(n, arrows[-1]))
 
 
 def evaluate_word(alg: LineAlgebra, word: PathWord) -> ExtClass:
@@ -468,9 +487,12 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> list[CheckResult]:
     (f o g)_k = f_{k - shift(g)} o g_k, that component, at degree
     s_1 + ... + s_L, reads g_t at degree s_t + ... + s_L, fixed by the
     arrows from a_t on.  So the bottom component of a_t ... a_L is that of
-    a_{t+1} ... a_L after g_t's component there; ``word_head`` memoizes it
-    per arrow suffix, in a dict local to this call, and each word costs one
-    product on top of a shorter one (normal-form words are suffix-closed).
+    a_{t+1} ... a_L after g_t's component there; ``word_head`` memoizes it,
+    with its degree, per arrow suffix, and each word costs one product on
+    top of a shorter one (normal-form words are suffix-closed).  A suffix
+    ends where its word ends, so it serves only the words into one target
+    j: the words are checked one j at a time, each j with a fresh memo,
+    and the zero classes are reported in (i, j, k) order.
     """
     n = alg.n
     checks = []
@@ -487,15 +509,17 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> list[CheckResult]:
     checks += [CheckResult(f"relator {rel.name} vanishes", relator_holds(alg, rel))
                for rel in standard_relators(n)]
 
-    bad, bottoms = [], {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+    bad = []
+    for j in range(1, n + 1):
+        bottoms = {}
+        for i in range(1, n + 1):
             for k in range(max_degree + 1):
                 if table.entry(i, j, k) == 0:
                     continue
-                arrows = normal_form_monomial(n, i, j, k).arrows  # () is an identity
+                arrows = _normal_form_arrows(n, i, j, k)  # () is an identity
                 if arrows and not any(word_head(alg, bottoms, arrows)):
                     bad.append((i, j, k))
+    bad.sort()
     checks.append(
         CheckResult(
             "normal-form words are nonzero classes",

@@ -123,16 +123,13 @@ def normalize_p(n: int, i: int, j: int) -> tuple:
     indices, never empty; requires j - i even."""
     if (j - i) % 2:
         raise ValueError(f"parity violation in projective sum ({i},{j})")
-    alpha = i + j - 1
-    beta = j - i + 1
-
-    def fold(x):
-        # reflections at 0 and 2N, landing in [0, 2N]; odd input stays odd
-        x = x % (4 * n)
-        return 4 * n - x if x > 2 * n else x
-
-    alpha = fold(alpha)
-    beta = fold(beta)
+    # reflections at 0 and 2N, landing in [0, 2N]; odd input stays odd
+    alpha = (i + j - 1) % (4 * n)
+    if alpha > 2 * n:
+        alpha = 4 * n - alpha
+    beta = (j - i + 1) % (4 * n)
+    if beta > 2 * n:
+        beta = 4 * n - beta
     if beta > alpha:
         alpha, beta = beta, alpha
     if alpha + beta > 2 * n:

@@ -1,7 +1,9 @@
 """The presented graded algebra: dimensions by incremental quotient,
 normal-form words, and evaluation into chain-level classes."""
 
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -235,11 +237,39 @@ def relator_sets(n):
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_quotient_matches_the_reference_computation(n, char):
+    # the quotient keeps only the last reach = max(arrow, relator degree)
+    # pieces: N + 1 for the standard relators, 2N + 1 with y1.yN.x1.  Up to
+    # N = 5 check several windows deep; dropping a relator inflates the
+    # dimensions, so those sets stop at 3(N + 1)
     F = field_for_characteristic(char)
     for name, rels in relator_sets(n):
-        K = 4 * n if name == "standard" else 2 * n + 2
+        if name.startswith("without"):
+            K = 3 * (n + 1) if n <= 4 else 2 * n + 2
+        else:
+            K = 6 * n + 3 if n <= 5 else 4 * n if name == "standard" else 2 * n + 2
         assert (pa.graded_dimension(n, K, F, relators=rels).data
                 == reference_graded_dimension(n, K, F, relators=rels).data), name
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory that call allocates, in bytes (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_degree():
+    # the quotient keeps a window of degrees, and the word check one memo per
+    # target vertex; with every degree and suffix kept, both ratios exceeded 3
+    F2 = field_for_characteristic(2)
+    assert (traced_peak(lambda: pa.graded_dimension(12, 192, F2))
+            <= 2.5 * traced_peak(lambda: pa.graded_dimension(12, 48, F2)))
+    assert (traced_peak(lambda: pa.verify_presentation(LineAlgebra(8, F2), 72))
+            <= 2.5 * traced_peak(lambda: pa.verify_presentation(LineAlgebra(8, F2), 18)))
 
 
 def test_evaluation_reverses_concatenation_into_composition():
@@ -356,6 +386,42 @@ def test_suffix_memo_reads_the_head_of_the_whole_word_map(n, char):
         assert pa.word_head(alg, bottoms, arrows) == chain_head_class(pa._word_chain_map(alg, arrows))
     # normal-form words are suffix-closed: one memo entry, so one product, per word
     assert sorted(bottoms) == sorted(arrows for *_, arrows in words)
+    # each entry carries its suffix's degree
+    assert all(d == sum(pa.arrow_degree(n, a) for a in suffix)
+               for suffix, (d, _) in bottoms.items())
+
+
+def test_word_check_reads_the_normal_form_arrows():
+    for n in range(1, 9):
+        for i, j, k in itertools.product(range(1, n + 1), range(1, n + 1), range(4 * n + 1)):
+            w = pa.normal_form_monomial(n, i, j, k)
+            assert pa._normal_form_arrows(n, i, j, k) == (None if w is None else w.arrows)
+
+
+def test_word_check_reports_zero_classes_in_order_with_one_memo_per_target(monkeypatch):
+    # words into j = 1 and j = 3 with at least two arrows read a zero head;
+    # the report lists them as a loop over i, then j, then k would
+    n = 4
+    zero_targets = {1, 3}
+    memos = []  # (memo, target of the word read through it)
+
+    def head(alg, bottoms, arrows):
+        target = pa.arrow_target(n, arrows[-1])
+        memos.append((bottoms, target))
+        return (0,) if target in zero_targets and len(arrows) > 1 else (1,)
+
+    monkeypatch.setattr(pa, "word_head", head)
+    monkeypatch.setattr(pa, "relator_holds", lambda alg, rel: True)  # not under test here
+    expected = [(i, j, k) for i, j, k, arrows in normal_form_words(n, 2 * n + 2)
+                if j in zero_targets and len(arrows) > 1]
+    (check,) = [c for c in pa.verify_presentation(algebra(n), 2 * n + 2)
+                if c.name == "normal-form words are nonzero classes"]
+    assert not check.ok and check.detail == f"zero classes at {expected}"
+    assert len({i for i, _, _ in expected}) > 1
+    targets = {}
+    for bottoms, target in memos:
+        targets.setdefault(id(bottoms), set()).add(target)
+    assert sorted(sorted(t) for t in targets.values()) == [[j] for j in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
