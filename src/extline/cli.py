@@ -347,6 +347,10 @@ def build_parser():
 
 
 def validate(parser, args):
+    # past sys.maxsize no list can be indexed: a value there can only overflow or never end
+    for flag, value in (("--n", args.n), ("--max-deg", args.max_deg)):
+        if value is not None and value > sys.maxsize:
+            parser.error(f"{flag} must be at most {sys.maxsize}")
     if args.n < 1:
         parser.error("--n must be at least 1")
     try:

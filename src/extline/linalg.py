@@ -87,6 +87,11 @@ def rref(field, M):
 
 
 def rank(field, M) -> int:
+    """The rank of M.  A block of at most one row needs no elimination:
+    its entries are canonical (see ``rref``), so its rank is whether any
+    entry is true."""
+    if len(M) <= 1:
+        return int(any(M[0])) if M else 0
     return len(rref(field, M)[1])
 
 

@@ -31,6 +31,10 @@ One function, ``radical_span``, is the oracle's radical: the radical
 submodule, heads and projective covers all read it.  ``projective_rep``
 alone writes the shape of P_v; a cover's surjection walks that shape from
 the head, arrow by arrow.
+
+Reuse lasts one call: ``projective_cover`` lists P_v and its nonzero
+entries once per head vertex, and ``_submodule`` transposes each echelon
+basis once.  Nothing here edits a matrix it reads, so that is exact.
 """
 
 from __future__ import annotations
@@ -299,26 +303,25 @@ def _submodule(rep: QuiverRep, spanning):
     dims = [0] * rep.n
     for v, basis in bases.items():
         dims[v - 1] = len(basis)
+    columns = {v: list(zip(*basis)) for v, basis in bases.items()}  # each basis transposed once
     arrows = {}
     for key, big in rep.arrows.items():
         s, t = arrow_endpoints(rep.n, key)
         if not dims[s - 1]:
             continue
         # the image lands in a nonzero space, so it must lie in the span
-        # there, even when that span is empty
-        tgt_rows, tgt_piv = bases.get(t, []), pivots.get(t, [])
-        M = linalg.zeros(F, dims[t - 1], dims[s - 1])
-        for ci, vec in enumerate(bases[s]):
+        # there, even when that span is empty: then it must be zero
+        tgt_cols, tgt_piv = columns.get(t), pivots.get(t, [])
+        coord_cols = []
+        for vec in bases[s]:
             img = [F.dot(big_row, vec) for big_row in big]
             coords = [img[p] for p in tgt_piv]
-            rebuilt = [F.dot([row[r] for row in tgt_rows], coords) for r in range(len(img))]
-            if rebuilt != img:
+            if ([F.dot(col, coords) for col in tgt_cols] != img) if tgt_cols else any(img):
                 raise ValueError("span is not arrow-stable")
-            for ri, cval in enumerate(coords):
-                M[ri][ci] = cval
-        arrows[key] = M
+            coord_cols.append(coords)
+        arrows[key] = [list(row) for row in zip(*coord_cols)]
     sub = make_rep(rep.n, F, dims, arrows)
-    blocks = {v: [list(col) for col in zip(*basis)] for v, basis in bases.items()}
+    blocks = {v: [list(col) for col in cols] for v, cols in columns.items()}
     return sub, RepMorphism(sub, rep, blocks)
 
 
@@ -377,31 +380,30 @@ def hom_space(M: QuiverRep, N: QuiverRep):
     if total == 0:
         return []
 
-    def var(v, r, c):
-        return offsets[v] + r * M.dim(v) + c
-
+    # (T_v)[r][c] is unknown offsets[v] + r * dim M_v + c.  An equation's
+    # dense row is made at its first nonzero coefficient (canonical scalars:
+    # a zero is false); at N = 1 both terms can meet in one unknown
     rows = []
     for key in sorted(M.arrows.keys() | N.arrows.keys()):  # the same rows in every process
         s, t = arrow_endpoints(M.n, key)
         Ma = M.arrows.get(key)
         Na = N.arrows.get(key)
+        ms, mt, ns = M.dim(s), M.dim(t), N.dim(s)
         for r in range(N.dim(t)):
-            for c in range(M.dim(s)):
-                coeffs = {}
-                for m in range(M.dim(t) if Ma else 0):
+            for c in range(ms):
+                row = None
+                for m in range(mt if Ma else 0):
                     val = Ma[m][c]
-                    if not F.is_zero(val):
-                        idx = var(t, r, m)
-                        coeffs[idx] = F.add(coeffs.get(idx, F.zero), val)
-                for m in range(N.dim(s) if Na else 0):
+                    if val:
+                        row = row or [F.zero] * total
+                        row[offsets[t] + r * mt + m] = val  # the first term's unknowns are distinct
+                for m in range(ns if Na else 0):
                     val = Na[r][m]
-                    if not F.is_zero(val):
-                        idx = var(s, m, c)
-                        coeffs[idx] = F.sub(coeffs.get(idx, F.zero), val)
-                if coeffs:
-                    row = [F.zero] * total
-                    for idx, val in coeffs.items():
-                        row[idx] = val
+                    if val:
+                        row = row or [F.zero] * total
+                        idx = offsets[s] + m * ms + c
+                        row[idx] = F.sub(row[idx], val)
+                if row:
                     rows.append(row)
     basis_vecs = linalg.nullspace(F, rows, ncols=total)
     result = []
@@ -446,22 +448,28 @@ def projective_cover(rep: QuiverRep) -> CoverData:
         z = zero_rep(n, F)
         return CoverData(z, zero_morphism(z, rep), z, zero_morphism(z, z), [])
 
-    projs = [projective_rep(n, F, v) for v, _ in generators]
-    cover, _ = direct_sum(projs)
-
     # e_head -> gvec.  Each basis vector of P_v is an arrow's image of an
     # earlier one with coefficient 1, at most two arrows below the head, so
     # two passes over its arrows send every one to M's arrow applied to the
-    # image of the vector it comes from.
+    # image of the vector it comes from.  P_v and its nonzero entries
+    # (arrow, source vertex and column, target vertex and row) are listed
+    # once per head vertex.
+    projs, entries = {}, {}
+    for v, _ in generators:
+        if v not in projs:
+            P = projs[v] = projective_rep(n, F, v)
+            entries[v] = [(key, s, c, t, r)
+                          for key, A in P.arrows.items()
+                          for s, t in [arrow_endpoints(n, key)]
+                          for r, row in enumerate(A) for c, x in enumerate(row) if x]
+    cover, _ = direct_sum([projs[v] for v, _ in generators])
+
     blocks = {w: [[] for _ in range(rep.dim(w))] for w in rep.support}
-    for P, (v, gvec) in zip(projs, generators):
-        img = {(v, 0): gvec}
-        for key, A in list(P.arrows.items()) * 2:
-            s, t = arrow_endpoints(n, key)
-            for r, row in enumerate(A):
-                for c, x in enumerate(row):
-                    if not F.is_zero(x) and (s, c) in img and (t, r) not in img:
-                        img[t, r] = [F.dot(m_row, img[s, c]) for m_row in rep.arrow(key)]
+    for v, gvec in generators:
+        P, img = projs[v], {(v, 0): gvec}
+        for key, s, c, t, r in entries[v] * 2:
+            if (s, c) in img and (t, r) not in img:
+                img[t, r] = [F.dot(m_row, img[s, c]) for m_row in rep.arrow(key)]
         for w in P.support:
             for ri, block_row in enumerate(blocks.get(w, [])):
                 block_row.extend(img[w, c][ri] for c in range(P.dim(w)))

@@ -272,7 +272,12 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
     In degree k >= 1, img = d_{k+1} and ker_of = d_k.  In degree 0, ker_of
     spans Hom(P_i, S_i), one-dimensional as P_i has simple head S_i; its
     kernel is rad P_i, the unique maximal submodule, so the rule holds
-    exactly when P_1 -> P_i -> S_i -> 0 is exact, i.e. coker d_1 ~ S_i."""
+    exactly when P_1 -> P_i -> S_i -> 0 is exact, i.e. coker d_1 ~ S_i.
+
+    Within one call each differential is realized once and each realized
+    block ranked once, as d_{k+1} is img in degree k and ker_of in degree
+    k + 1.  The memos key on ids of objects that live through the call,
+    and nothing edits a realization, so a remembered rank is exact."""
     alg = cx.alg
     F = alg.field
     n = alg.n
@@ -310,17 +315,23 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
     checks.append(CheckResult("2N-periodicity", not per, f"degrees {per}" if per else ""))
 
     realized = {}  # id -> realization, once per call and only where a verdict is missing
+    ranks = {}  # (id of a realization or of head, vertex) -> rank of its block there
 
     def real(d):
         if id(d) not in realized:
             realized[id(d)] = realize_hom_matrix(alg, d)
         return realized[id(d)]
 
+    def rank(phi, v):
+        if (id(phi), v) not in ranks:
+            ranks[id(phi), v] = linalg.rank(F, phi.block(v))
+        return ranks[id(phi), v]
+
     def inexact(img, ker_of):  # the vertices of M where image(img) != kernel(ker_of)
         M = img.target
         return [v for v in M.support
                 if not linalg.is_zero_mat(linalg.mat_mul(F, ker_of.block(v), img.block(v)))
-                or linalg.rank(F, img.block(v)) + linalg.rank(F, ker_of.block(v)) != M.dim(v)]
+                or rank(img, v) + rank(ker_of, v) != M.dim(v)]
 
     bad = []
     for k in range(1, depth):
@@ -352,7 +363,10 @@ def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
 
     The first check computes, on the oracle, Omega(realize_x(l)) for every
     canonical label l and certifies Omega(realize_x(l)) ~ realize_x(l')
-    with l' = syzygy_label(l).
+    with l' = syzygy_label(l).  The module expected at l is the input at
+    l', and syzygy_label permutes the labels, so each module is realized
+    at its first read and dropped after its second.  That is exact, as
+    ``realize_x`` is a function of the label and nothing edits a module.
 
     The second check proves Omega^N(S_i) ~ S_{N+1-i} and Omega^2N(S_i) ~ S_i
     from those certificates without another projective cover.  Let
@@ -367,12 +381,19 @@ def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
     closed-form resolution.
     """
     n, F = alg.n, alg.field
+    modules = {}  # label -> realize_x(label), from its first read to its second
+
+    def take(label):
+        if label in modules:
+            return modules.pop(label)
+        modules[label] = strings.realize_x(n, F, label)
+        return modules[label]
+
     certified = set()
     bad = []
     for label in strings.canonical_labels(n):
-        omega = reps.syzygy(strings.realize_x(n, F, label))
-        expected = strings.realize_x(n, F, strings.syzygy_label(n, label))
-        if reps.is_isomorphic(omega, expected):
+        omega = reps.syzygy(take(label))
+        if reps.is_isomorphic(omega, take(strings.syzygy_label(n, label))):
             certified.add(label)
         else:
             bad.append(strings.format_label(label))

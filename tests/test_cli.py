@@ -177,6 +177,20 @@ def test_usage_errors_exit_two():
         errors = [line for line in r.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("extline: error: --char: "), char
         assert "Traceback" not in r.stderr, char
+    # no list can be indexed past sys.maxsize: such values overflowed (exit 3),
+    # exhausted memory or ran without end before they were refused
+    big = "100000000000000000000"
+    for argv in (["poincare", "--n", "2", "--i", "1", "--j", "1", "--max-deg", big],
+                 ["gamma-dims", "--n", "2", "--char", "0", "--max-deg", big],
+                 ["verify", "--suite", "syzygy", "--n", big],
+                 ["ext-table", "--n", big],
+                 ["ext-table", "--n", "2", "--max-deg", big],
+                 ["ext-table", "--n", str(sys.maxsize + 1)]):
+        r = run_cli(argv, timeout=30)
+        assert r.returncode == 2, argv
+        errors = [line for line in r.stderr.splitlines() if "error:" in line]
+        flag = "--max-deg" if "--max-deg" in argv else "--n"
+        assert errors == [f"extline: error: {flag} must be at most {sys.maxsize}"], argv
 
 
 @pytest.mark.parametrize("error,code,line", [

@@ -48,6 +48,20 @@ def test_rref_matches_full_row_gauss_jordan(char):
 
 
 @pytest.mark.parametrize("char", CHARS)
+def test_rank_of_at_most_one_row_is_decided_without_elimination(char):
+    # rank reads a block of at most one row by a truth test; larger blocks
+    # go through rref
+    F = field_for_characteristic(char)
+    rng = random.Random(9000 + char)
+    blocks = [[], [[F.zero] * 5], [[F.zero] * 4 + [F.one]]]
+    for _ in range(100):
+        m, k = rng.choice([1, 2]), rng.randrange(1, 7)
+        blocks.append(random_matrix(rng, F, m, k, rng.choice([0.0, 0.2, 0.5, 1.0])))
+    for M in blocks:
+        assert linalg.rank(F, M) == len(reference_rref(F, M)[1]), M
+
+
+@pytest.mark.parametrize("char", CHARS)
 def test_nullspace_vectors_are_annihilated(char):
     F = field_for_characteristic(char)
     for M in cases(F, 8000 + char):

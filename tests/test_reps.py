@@ -318,6 +318,23 @@ def test_loop_relation_checked_on_a_module_zero_at_the_ends(char, keep_left):
 
 
 @pytest.mark.parametrize("char", CHARS)
+def test_hom_space_at_n1_where_both_terms_meet_in_one_unknown(char):
+    # at N = 1 both sides of T x = x T read the one block of unknowns; a
+    # loop with a nonzero diagonal puts both terms of an equation in one
+    # unknown, so they must accumulate
+    F = field_for_characteristic(char)
+    one, minus = F.one, F.from_int(-1)
+    P, S = reps.projective_rep(1, F, 1), reps.simple_rep(1, F, 1)
+    Q = reps.make_rep(1, F, [2], {("x", 1): [[one, one], [minus, minus]]})  # P_1, another basis
+    assert not reps.check_relations(Q)
+    for M, N, dim in [(P, P, 2), (S, P, 1), (P, S, 1), (Q, Q, 2), (P, Q, 2), (Q, P, 2)]:
+        basis = reps.hom_space(M, N)
+        assert len(basis) == dim, (M, N)
+        assert all(is_intertwiner(phi) for phi in basis)
+    assert reps.is_isomorphic(Q, P) and reps.is_isomorphic(P, Q)
+
+
+@pytest.mark.parametrize("char", CHARS)
 def test_disjoint_supports_and_absent_blocks(char):
     F = field_for_characteristic(char)
     n = 5
