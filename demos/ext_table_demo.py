@@ -4,8 +4,11 @@ dim Ext^k(S_i, S_j) is 0 or 1, symmetric in (i, j) and 2N-periodic in k.
 The head criterion on syzygy strings, the terms of the closed-form
 resolution, and the rational Poincare series all compute it; the table
 constructor cross-checks every entry and a fourth, fully brute-force
-route (iterated projective covers) is replayed here by hand.
+route (iterated projective covers) is replayed here by hand.  The script
+exits 1 when the replay disagrees with the table.
 """
+
+import sys
 
 from extline.cli import poly_str
 from extline.ext_table import ext_table, poincare_numerator, poincare_series
@@ -41,3 +44,4 @@ for i in range(1, N + 1):
                 agree = False
         module = cov.kernel
 print("  every multiplicity matches the table" if agree else "  MISMATCH")
+sys.exit(0 if agree else 1)

@@ -5,8 +5,11 @@ projective resolution whose k-th term is the canonical projective sum of
 the interval (i-k, i+k).  The script prints the periodic pattern for a
 small case and runs the full certification (square-zero, minimality,
 exactness against the linear-algebra oracle, and identification of every
-image with the predicted string module).
+image with the predicted string module).  The script exits 1 when a check
+fails.
 """
+
+import sys
 
 from extline.cli import format_hom, psum_str
 from extline.fields import field_for_characteristic
@@ -35,4 +38,6 @@ checks = verify_resolution(cx, I)
 for check in checks:
     mark = "ok " if check.ok else "FAIL"
     print(f"  [{mark}] {check.name}" + (f" ({check.detail})" if check.detail else ""))
-print("\nall checks passed" if all(c.ok for c in checks) else "\nsome checks FAILED")
+ok = all(c.ok for c in checks)
+print("\nall checks passed" if ok else "\nsome checks FAILED")
+sys.exit(0 if ok else 1)

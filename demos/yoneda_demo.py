@@ -4,8 +4,11 @@ The degree-1 classes x_i, x_i^* and the degree-N classes y_i act by
 explicit chain maps between the periodic resolutions.  Composites are
 decided exactly: the induced cocycle on the minimal resolution tells
 zero from nonzero, and zero composites come with an explicit, degreewise
-re-verified homotopy certificate.
+re-verified homotopy certificate.  The script exits 1 when a relation
+check fails.
 """
+
+import sys
 
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
@@ -60,3 +63,4 @@ print("\nfull relation check:")
 checks = verify_chain_relations(alg)
 for check in checks:
     print(f"  [{'ok ' if check.ok else 'FAIL'}] {check.name}")
+sys.exit(0 if all(check.ok for check in checks) else 1)

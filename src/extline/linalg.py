@@ -95,14 +95,15 @@ def rank(field, M) -> int:
     return len(rref(field, M)[1])
 
 
-def nullspace(field, M, ncols: int | None = None):
-    """Basis of {x : Mx = 0} as a list of column vectors (lists)."""
+def kernel_basis(field, M, ncols: int | None = None):
+    """Basis of {x : Mx = 0} as column vectors (lists), with its free
+    columns; returns (basis, free).  Basis vector j is 1 at free[j] and 0
+    at every other free column, so a vector of the kernel has its
+    coordinates in this basis at the free columns."""
     m = len(M)
     n = len(M[0]) if m else (ncols or 0)
-    if n == 0:
-        return []
-    if m == 0:
-        return [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
+    if not m or not n:
+        return identity_matrix(field, n), list(range(n))
     R, pivots = rref(field, M)
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
@@ -113,7 +114,7 @@ def nullspace(field, M, ncols: int | None = None):
         for r, pc in enumerate(pivots):
             v[pc] = field.neg(R[r][fc])
         basis.append(v)
-    return basis
+    return basis, free
 
 
 class LinearSystem:

@@ -32,9 +32,13 @@ submodule, heads and projective covers all read it.  ``projective_rep``
 alone writes the shape of P_v; a cover's surjection walks that shape from
 the head, arrow by arrow.
 
-Reuse lasts one call: ``projective_cover`` lists P_v and its nonzero
-entries once per head vertex, and ``_submodule`` transposes each echelon
-basis once.  Nothing here edits a matrix it reads, so that is exact.
+Reuse lasts one call, or one suite call: ``projective_cover`` reads P_v
+and its nonzero entries from a table of head shapes that lives for one
+cover, or for every cover of a suite that hands it the same table.  A
+submodule basis is eliminated once: ``_submodule`` reads coordinates at
+the columns where its basis is the identity, the pivots of an echelon
+basis or the free columns of a kernel basis, and transposes each basis
+once.  Nothing here edits a matrix it reads, so that is exact.
 """
 
 from __future__ import annotations
@@ -287,19 +291,25 @@ def direct_sum(reps):
     return make_rep(n, F, run, arrows), offsets
 
 
-def _submodule(rep: QuiverRep, spanning):
-    """Submodule spanned (per vertex) by the given row vectors.
-
-    The span must be arrow-stable.  Returns (sub, inclusion).
-    """
-    F = rep.field
-    # the reduced echelon rows are a basis, and a vector of their span has
-    # its coordinates at the pivots
+def _echelon(field, spanning):
+    """Per vertex, the reduced echelon basis of the given rows and its
+    pivots: the basis is the identity at the pivot columns."""
     bases, pivots = {}, {}
     for v, rows in spanning.items():
         if rows:
-            R, pivots[v] = linalg.rref(F, rows)
+            R, pivots[v] = linalg.rref(field, rows)
             bases[v] = R[:len(pivots[v])]
+    return bases, pivots
+
+
+def _submodule(rep: QuiverRep, bases, coords):
+    """Submodule with basis ``bases[v]`` (row vectors) at each vertex v.
+
+    ``coords[v]`` lists the columns where ``bases[v]`` is the identity, so
+    a vector of the span has its coordinates there.  The span must be
+    arrow-stable.  Returns (sub, inclusion).
+    """
+    F = rep.field
     dims = [0] * rep.n
     for v, basis in bases.items():
         dims[v - 1] = len(basis)
@@ -311,14 +321,14 @@ def _submodule(rep: QuiverRep, spanning):
             continue
         # the image lands in a nonzero space, so it must lie in the span
         # there, even when that span is empty: then it must be zero
-        tgt_cols, tgt_piv = columns.get(t), pivots.get(t, [])
+        tgt_cols, tgt_coords = columns.get(t), coords.get(t, [])
         coord_cols = []
         for vec in bases[s]:
             img = [F.dot(big_row, vec) for big_row in big]
-            coords = [img[p] for p in tgt_piv]
-            if ([F.dot(col, coords) for col in tgt_cols] != img) if tgt_cols else any(img):
+            x = [img[p] for p in tgt_coords]
+            if ([F.dot(col, x) for col in tgt_cols] != img) if tgt_cols else any(img):
                 raise ValueError("span is not arrow-stable")
-            coord_cols.append(coords)
+            coord_cols.append(x)
         arrows[key] = [list(row) for row in zip(*coord_cols)]
     sub = make_rep(rep.n, F, dims, arrows)
     blocks = {v: [list(col) for col in cols] for v, cols in columns.items()}
@@ -337,7 +347,7 @@ def radical_span(rep: QuiverRep) -> dict:
 def radical(rep: QuiverRep) -> QuiverRep:
     """rad M = sum of the images of all arrows (the arrow ideal acting)."""
     _require_valid(rep)
-    return _submodule(rep, radical_span(rep))[0]
+    return _submodule(rep, *_echelon(rep.field, radical_span(rep)))[0]
 
 
 def head(rep: QuiverRep) -> dict:
@@ -405,7 +415,7 @@ def hom_space(M: QuiverRep, N: QuiverRep):
                         row[idx] = F.sub(row[idx], val)
                 if row:
                     rows.append(row)
-    basis_vecs = linalg.nullspace(F, rows, ncols=total)
+    basis_vecs, _ = linalg.kernel_basis(F, rows, ncols=total)
     result = []
     for vec in basis_vecs:
         blocks = {}
@@ -427,13 +437,19 @@ class CoverData:
         self.cover_vertices = cover_vertices  # projective indices, with multiplicity
 
 
-def projective_cover(rep: QuiverRep) -> CoverData:
+def projective_cover(rep: QuiverRep, shapes=None) -> CoverData:
     """Cover M by one P_v per head constituent; kernel is the syzygy.
 
     The head section is deterministic: complements of rad M are spanned by
     the standard coordinates that are not pivots of ``radical_span(M)``'s
     echelon form, taken in vertex order.
+
+    ``shapes`` maps a head vertex v to P_v and its walk list, and is filled
+    as heads are met.  A caller that covers many modules of one algebra
+    hands every cover the same dict, so that each P_v is built once; a
+    cover reads its entries and edits none of them.
     """
+    shapes = {} if shapes is None else shapes
     _require_valid(rep)
     F = rep.field
     n = rep.n
@@ -450,46 +466,49 @@ def projective_cover(rep: QuiverRep) -> CoverData:
 
     # e_head -> gvec.  Each basis vector of P_v is an arrow's image of an
     # earlier one with coefficient 1, at most two arrows below the head, so
-    # two passes over its arrows send every one to M's arrow applied to the
-    # image of the vector it comes from.  P_v and its nonzero entries
-    # (arrow, source vertex and column, target vertex and row) are listed
-    # once per head vertex.
-    projs, entries = {}, {}
+    # two passes over its walk list (its nonzero entries: arrow, source
+    # vertex and column, target vertex and row) send every one to M's
+    # arrow applied to the image of the vector it comes from, or to zero
+    # where M has no such arrow.
     for v, _ in generators:
-        if v not in projs:
-            P = projs[v] = projective_rep(n, F, v)
-            entries[v] = [(key, s, c, t, r)
-                          for key, A in P.arrows.items()
-                          for s, t in [arrow_endpoints(n, key)]
-                          for r, row in enumerate(A) for c, x in enumerate(row) if x]
-    cover, _ = direct_sum([projs[v] for v, _ in generators])
+        if v not in shapes:
+            P = projective_rep(n, F, v)
+            shapes[v] = P, [(key, s, c, t, r)
+                            for key, A in P.arrows.items()
+                            for s, t in [arrow_endpoints(n, key)]
+                            for r, row in enumerate(A) for c, x in enumerate(row) if x]
+    cover, _ = direct_sum([shapes[v][0] for v, _ in generators])
 
     blocks = {w: [[] for _ in range(rep.dim(w))] for w in rep.support}
     for v, gvec in generators:
-        P, img = projs[v], {(v, 0): gvec}
-        for key, s, c, t, r in entries[v] * 2:
+        (P, walk), img = shapes[v], {(v, 0): gvec}
+        for key, s, c, t, r in walk * 2:
             if (s, c) in img and (t, r) not in img:
-                img[t, r] = [F.dot(m_row, img[s, c]) for m_row in rep.arrow(key)]
+                A = rep.arrows.get(key)
+                img[t, r] = ([F.dot(m_row, img[s, c]) for m_row in A] if A is not None
+                             else [F.zero] * rep.dim(t))
         for w in P.support:
             for ri, block_row in enumerate(blocks.get(w, [])):
                 block_row.extend(img[w, c][ri] for c in range(P.dim(w)))
     surj = RepMorphism(cover, rep, blocks)
 
-    # kernel, per vertex, with induced arrows
-    spanning = {v: linalg.nullspace(F, blocks.get(v, []), ncols=cover.dim(v))
-                for v in cover.support}
-    kernel, inclusion = _submodule(cover, spanning)
+    # kernel, per vertex, with induced arrows: its basis is the identity
+    # at the free columns
+    bases, free = {}, {}
+    for v in cover.support:
+        bases[v], free[v] = linalg.kernel_basis(F, blocks.get(v, []), cover.dim(v))
+    kernel, inclusion = _submodule(cover, bases, free)
     return CoverData(cover, surj, kernel, inclusion, [v for v, _ in generators])
 
 
-def syzygy(rep: QuiverRep) -> QuiverRep:
-    """Kernel of a projective cover."""
-    return projective_cover(rep).kernel
+def syzygy(rep: QuiverRep, shapes=None) -> QuiverRep:
+    """Kernel of a projective cover; ``shapes`` as in ``projective_cover``."""
+    return projective_cover(rep, shapes).kernel
 
 
 def image_subrep(phi: RepMorphism):
     spanning = {v: linalg.nonzero_columns(B) for v, B in phi.blocks.items()}
-    return _submodule(phi.target, spanning)
+    return _submodule(phi.target, *_echelon(phi.target.field, spanning))
 
 
 def iso_witness(M: QuiverRep, N: QuiverRep):

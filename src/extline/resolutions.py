@@ -367,6 +367,8 @@ def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
     l', and syzygy_label permutes the labels, so each module is realized
     at its first read and dropped after its second.  That is exact, as
     ``realize_x`` is a function of the label and nothing edits a module.
+    Every cover of the call reads one table of head shapes, so each P_v is
+    built once per call (see ``reps.projective_cover``).
 
     The second check proves Omega^N(S_i) ~ S_{N+1-i} and Omega^2N(S_i) ~ S_i
     from those certificates without another projective cover.  Let
@@ -382,6 +384,7 @@ def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
     """
     n, F = alg.n, alg.field
     modules = {}  # label -> realize_x(label), from its first read to its second
+    shapes = {}  # head vertex -> P_v and its walk list, for this call's covers
 
     def take(label):
         if label in modules:
@@ -392,7 +395,7 @@ def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
     certified = set()
     bad = []
     for label in strings.canonical_labels(n):
-        omega = reps.syzygy(take(label))
+        omega = reps.syzygy(take(label), shapes)
         if reps.is_isomorphic(omega, take(strings.syzygy_label(n, label))):
             certified.add(label)
         else:

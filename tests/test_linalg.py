@@ -66,10 +66,23 @@ def test_nullspace_vectors_are_annihilated(char):
     F = field_for_characteristic(char)
     for M in cases(F, 8000 + char):
         n = len(M[0]) if M else 3
-        basis = linalg.nullspace(F, M, ncols=n)
+        basis, _ = linalg.kernel_basis(F, M, ncols=n)
         assert len(basis) == n - linalg.rank(F, M)
         for x in basis:
             assert linalg.is_zero_mat(linalg.mat_mul(F, M, [[xi] for xi in x]))
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_kernel_basis_is_the_identity_at_the_free_columns(char):
+    # a cover's kernel reads its coordinates at the free columns
+    # (reps._submodule), so that no kernel basis is eliminated again
+    F = field_for_characteristic(char)
+    for M in cases(F, 8500 + char):
+        n = len(M[0]) if M else 3
+        basis, free = linalg.kernel_basis(F, M, ncols=n)
+        pivots = reference_rref(F, M)[1]
+        assert free == [c for c in range(n) if c not in pivots], M
+        assert [[x[c] for c in free] for x in basis] == linalg.identity_matrix(F, len(free)), M
 
 
 class FractionField:
@@ -126,7 +139,7 @@ def test_int_backed_rationals_match_all_fraction_arithmetic():
         # output prints scalars, so equal values must print alike too
         assert [list(map(str, row)) for row in R] == [list(map(str, row)) for row in expected[0]]
         n = len(M[0]) if M else 1
-        assert linalg.nullspace(Q, M, ncols=n) == linalg.nullspace(old, as_fractions, ncols=n)
+        assert linalg.kernel_basis(Q, M, ncols=n) == linalg.kernel_basis(old, as_fractions, ncols=n)
         for other in (M2, R, M[::-1]):
             if other and M and len(other[0]) == len(M[0]):
                 assert span_equal(Q, M, other) == \

@@ -18,9 +18,10 @@ F0 = field_for_characteristic(0)
 def test_span_that_is_not_arrow_stable_is_rejected(n, i, char):
     F = field_for_characteristic(char)
     P = reps.projective_rep(n, F, i)
-    # the head vector alone: the arrows carry it out of its span
+    # the head vector alone, an echelon basis with its pivot at column 0:
+    # the arrows carry it out of its span
     with pytest.raises(ValueError, match="not arrow-stable"):
-        reps._submodule(P, {i: [[F.one, F.zero]]})
+        reps._submodule(P, {i: [[F.one, F.zero]]}, {i: [0]})
 
 
 def test_radical_of_simple_is_zero():
@@ -118,6 +119,35 @@ def test_cover_example_matches_string_label():
     lower = strings.realize_x(3, F2, (0, -2))
     assert cov.kernel.dims == lower.dims
     assert reps.is_isomorphic(cov.kernel, lower)
+
+
+def _cover_parts(cov):
+    return (cov.cover_vertices, cov.cover.dims, cov.cover.arrows, cov.kernel.dims,
+            cov.kernel.arrows, cov.surjection.blocks, cov.inclusion.blocks)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_a_shared_table_of_head_shapes_changes_no_cover(char):
+    # every canonical string module, then the ext-table demo's iterated
+    # covers of each simple through degree 3N, covered alone and inside
+    # one shared table; no cover may edit a shared P_v
+    F = field_for_characteristic(char)
+    for n in range(1, 7):
+        shapes = {}
+        for label in strings.canonical_labels(n):
+            M = strings.realize_x(n, F, label)
+            assert _cover_parts(reps.projective_cover(M, shapes)) == \
+                _cover_parts(reps.projective_cover(M)), (n, label)
+        for i in range(1, n + 1):
+            M = reps.simple_rep(n, F, i)
+            for k in range(3 * n + 1):
+                shared = reps.projective_cover(M, shapes)
+                assert _cover_parts(shared) == _cover_parts(reps.projective_cover(M)), (n, i, k)
+                M = shared.kernel
+        assert sorted(shapes) == list(range(1, n + 1))
+        for v, (P, _) in shapes.items():
+            fresh = reps.projective_rep(n, F, v)
+            assert (P.dims, P.arrows) == (fresh.dims, fresh.arrows), (n, v)
 
 
 def _syzygy_power(M, k):
