@@ -15,6 +15,7 @@ from extline.ext_table import ext_table
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
 from extline import path_algebra as pa
+from extline.yoneda import identity_chain_map, null_homotopy
 
 N, K = 3, 8
 F = field_for_characteristic(2)
@@ -42,8 +43,11 @@ for (i, j, k) in [(1, 1, 0), (1, 3, 2), (1, 1, 5), (2, 2, 6), (1, 2, 7)]:
     if w is None:
         print(f"  ({i},{j},{k}): Ext vanishes, no word")
         continue
-    cls = pa.evaluate_word(alg, w)
-    print(f"  ({i},{j},{k}): {w} -> {'nonzero' if cls.nonzero else 'zero'} class")
+    if w:
+        name, nonzero = pa.format_word(w), pa.evaluate_word(alg, w).nonzero
+    else:  # the empty word is the identity at i
+        name, nonzero = f"e{i}", null_homotopy(identity_chain_map(alg, i)) is None
+    print(f"  ({i},{j},{k}): {name} -> {'nonzero' if nonzero else 'zero'} class")
 
 print("\nnegative control: dropping a boundary relator inflates the algebra:")
 full = pa.graded_dimension(2, 4, F)

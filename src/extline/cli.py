@@ -269,7 +269,9 @@ def parse_word(n: int, text: str):
         arrows.append(("xstar" if star else kind, idx))
     if not arrows:
         raise ValueError("--word names no arrow")
-    return path_algebra.PathWord(n, tuple(arrows))
+    arrows = tuple(arrows)
+    path_algebra.word_ends(n, arrows)  # ValueError unless composable
+    return arrows
 
 
 def cmd_yoneda_product(args) -> int:
@@ -281,7 +283,8 @@ def cmd_yoneda_product(args) -> int:
         return 2
     cls = path_algebra.evaluate_word(alg, word)
     verdict = "nonzero" if cls.nonzero else "zero"
-    _emit_report(args, cls.k, {f"{cls.i},{cls.j}": verdict}, [], word=str(word),
+    _emit_report(args, cls.k, {f"{cls.i},{cls.j}": verdict}, [],
+                 word=path_algebra.format_word(word),
                  classinfo=f"Ext^{cls.k}(S_{cls.i}, S_{cls.j}) class is {verdict}")
     return 0
 

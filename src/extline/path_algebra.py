@@ -20,9 +20,11 @@ Graded dimensions are computed degree by degree by an incremental
 quotient: the degree-k space is (lower bases) x (arrows) modulo the
 right-multiples of the relators, so only bases of the last ``reach``
 graded pieces are ever kept (never the exponentially many raw paths),
-``reach`` being the largest arrow or relator degree.  Words evaluate to
-chain-level Ext classes by sending each arrow to its generator chain map
-and reversing concatenation order into composition order.
+``reach`` being the largest arrow or relator degree.  A word is a tuple
+of arrows in concatenation order, checked once where it enters by
+``word_ends``.  Words evaluate to chain-level Ext classes by sending each
+arrow to its generator chain map and reversing concatenation order into
+composition order.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from .yoneda import (
     chain_scale,
     compose,
     head_class,
-    identity_chain_map,
-    normalize_class,
     null_homotopy,
     turn_sign,
     verify_homotopy,
@@ -78,41 +78,22 @@ def all_arrows(n: int):
             + [("y", i) for i in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
-class PathWord:
-    """A composable sequence of arrows in concatenation order; the empty
-    word with a marked vertex is the trivial path there."""
+def word_ends(n: int, arrows) -> tuple:
+    """(source, target, degree) of a nonempty composable arrow tuple in
+    concatenation order; ValueError otherwise."""
+    if not arrows:
+        raise ValueError("empty word")
+    for a, b in zip(arrows, arrows[1:]):
+        if arrow_target(n, a) != arrow_source(n, b):
+            raise ValueError(f"word is not composable at {format_word([a])} -> {format_word([b])}")
+    return (arrow_source(n, arrows[0]), arrow_target(n, arrows[-1]),
+            sum(arrow_degree(n, a) for a in arrows))
 
-    n: int
-    arrows: tuple
-    vertex: int | None = None  # only for the empty word
 
-    def __post_init__(self):
-        if not self.arrows:
-            if self.vertex is None:
-                raise ValueError("empty word needs a vertex")
-            return
-        for a, b in zip(self.arrows, self.arrows[1:]):
-            if arrow_target(self.n, a) != arrow_source(self.n, b):
-                raise ValueError(f"word is not composable at {a} -> {b}")
-
-    @property
-    def source(self) -> int:
-        return self.vertex if not self.arrows else arrow_source(self.n, self.arrows[0])
-
-    @property
-    def target(self) -> int:
-        return self.vertex if not self.arrows else arrow_target(self.n, self.arrows[-1])
-
-    @property
-    def degree(self) -> int:
-        return sum(arrow_degree(self.n, a) for a in self.arrows)
-
-    def __repr__(self):
-        if not self.arrows:
-            return f"e{self.vertex}"
-        names = {"x": "x{}", "xstar": "x{}*", "y": "y{}"}
-        return ".".join(names[kind].format(i) for kind, i in self.arrows)
+def format_word(arrows) -> str:
+    """The name of an arrow tuple, like x1.x2*.y3."""
+    names = {"x": "x{}", "xstar": "x{}*", "y": "y{}"}
+    return ".".join(names[kind].format(i) for kind, i in arrows)
 
 
 @dataclass(frozen=True)
@@ -187,13 +168,12 @@ def graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTab
         relators = standard_relators(n)
     shapes = []
     for rel in relators:
-        words = [PathWord(n, tuple(word)) for _, word in rel.terms]
-        ends = {(w.source, w.target, w.degree) for w in words}
+        ends = {word_ends(n, word) for _, word in rel.terms}
         if len(ends) != 1:
             raise ValueError(f"relator {rel.name} is not homogeneous: {sorted(ends)}")
         # (coefficient, first arrow or None for a one-arrow word, inner arrows, last arrow)
-        terms = [(field.from_int(c), w.arrows[0] if w.arrows[1:] else None, w.arrows[1:-1],
-                  w.arrows[-1]) for (c, _), w in zip(rel.terms, words)]
+        terms = [(field.from_int(c), word[0] if word[1:] else None, word[1:-1], word[-1])
+                 for c, word in rel.terms]
         shapes.append((terms, *ends.pop()))
     degree = {a: arrow_degree(n, a) for a in all_arrows(n)}
     arrows = [(a, d, arrow_source(n, a), arrow_target(n, a)) for a, d in degree.items()]
@@ -308,15 +288,10 @@ def hook_word(n: int, u: int, v: int, m: int):
 
 
 def normal_form_monomial(n: int, i: int, j: int, k: int):
-    """The canonical basis word of the (i, j, k) component, or None if no
-    hook exists (the component is zero): an optional turnaround, a hook,
-    then full-period loops at the target."""
-    arrows = _normal_form_arrows(n, i, j, k)
-    return None if arrows is None else PathWord(n, arrows, vertex=None if arrows else i)
-
-
-def _normal_form_arrows(n: int, i: int, j: int, k: int):
-    """The arrow tuple of ``normal_form_monomial(n, i, j, k)``, or None."""
+    """The arrow tuple of the canonical basis word of the (i, j, k)
+    component (``()``, the identity, at k = 0), or None if no hook exists
+    (the component is zero): an optional turnaround, a hook, then
+    full-period loops at the target."""
     if not (1 <= i <= n and 1 <= j <= n) or k < 0:
         raise ValueError(f"no component ({i},{j}) in degree {k} for N={n}")
     k0 = k % (2 * n)
@@ -358,16 +333,12 @@ def word_head(alg: LineAlgebra, bottoms: dict, arrows):
     return head_class(alg.field, M, arrow_target(n, arrows[-1]))
 
 
-def evaluate_word(alg: LineAlgebra, word: PathWord) -> ExtClass:
-    """Map each arrow to its chain-map generator, compose in function
-    order (reverse of concatenation), and decide zero/nonzero."""
-    if not word.arrows:
-        cls = identity_chain_map(alg, word.vertex)
-        return ExtClass(word.vertex, word.vertex, 0, cls, True)
-    chain = _word_chain_map(alg, word.arrows)
-    h = null_homotopy(chain)
-    nonzero = h is None
-    return ExtClass(word.source, word.target, word.degree, normalize_class(chain), nonzero)
+def evaluate_word(alg: LineAlgebra, arrows) -> ExtClass:
+    """Map each arrow of a nonempty word to its chain-map generator,
+    compose in function order (reverse of concatenation), and decide
+    zero/nonzero."""
+    chain = _word_chain_map(alg, arrows)
+    return ExtClass(*word_ends(alg.n, arrows), chain, null_homotopy(chain) is None)
 
 
 def evaluate_relator(alg: LineAlgebra, rel: Relator):
@@ -516,7 +487,7 @@ def verify_presentation(alg: LineAlgebra, max_degree: int) -> list[CheckResult]:
             for k in range(max_degree + 1):
                 if table.entry(i, j, k) == 0:
                     continue
-                arrows = _normal_form_arrows(n, i, j, k)  # () is an identity
+                arrows = normal_form_monomial(n, i, j, k)  # () is an identity
                 if arrows and not any(word_head(alg, bottoms, arrows)):
                     bad.append((i, j, k))
     bad.sort()

@@ -51,9 +51,9 @@ class QuiverRep:
 
     ``dims[v-1]`` is the dimension at vertex v and ``support`` lists the
     vertices where it is nonzero.  ``arrows`` maps arrow keys ("a", i),
-    ("b", i) (or ("x", 1) when N = 1), in ``arrow_keys`` order, to matrices
-    of shape (dim target) x (dim source); it holds only arrows between two
-    vertices of the support, and ``arrow`` reads any other arrow as zero.
+    ("b", i) (or ("x", 1) when N = 1), sorted, to matrices of shape
+    (dim target) x (dim source); it holds only arrows between two vertices
+    of the support, and any arrow it does not hold is zero.
     """
 
     def __init__(self, n, field, dims, arrows):
@@ -70,23 +70,8 @@ class QuiverRep:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def arrow(self, key):
-        M = self.arrows.get(key)
-        if M is None:
-            s, t = arrow_endpoints(self.n, key)
-            return linalg.zeros(self.field, self.dim(t), self.dim(s))
-        return M
-
     def __repr__(self):
         return f"QuiverRep(n={self.n}, dims={self.dims})"
-
-
-def arrow_keys(n: int):
-    if n == 1:
-        return [("x", 1)]
-    keys = [("a", i) for i in range(1, n)]
-    keys += [("b", i) for i in range(1, n)]
-    return keys
 
 
 def arrow_endpoints(n: int, key):
@@ -107,7 +92,7 @@ def make_rep(n, field, dims, arrows=None):
     dims = tuple(dims)
     stored = {}
     arrows = arrows or {}
-    for key in sorted(arrows):  # tuple order is arrow_keys order
+    for key in sorted(arrows):
         if not (key == ("x", 1) if n == 1 else key[0] in ("a", "b") and 0 < key[1] < n):
             raise ValueError(f"no arrow {key} for N={n}")
         s, t = arrow_endpoints(n, key)

@@ -480,27 +480,10 @@ class ExtClass:
     nonzero: bool
 
 
-def _first_nonzero_coefficient(f: ChainMap):
-    for k in range(f.shift, f.periodic_start + f.period + 1):
-        cells = f.component(k).cells  # no stored cell is zero
-        if cells:
-            return cells[min(cells)].terms()[0][1]
-    return None
-
-
-def normalize_class(f: ChainMap) -> ChainMap:
-    """Rescale so the first nonzero coefficient (lowest degree, row-major,
-    then basis order) is 1."""
-    alg = f.source.alg
-    lead = _first_nonzero_coefficient(f)
-    if lead is None:
-        return f
-    return chain_scale(alg.field.inv(lead), f)
-
-
 def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
-    """A chain map R_i -> R_j[k] whose degree-k component hits the head of
-    the P_j summand; certified non-null-homotopic."""
+    """A chain map R_i -> R_j[k] whose degree-k component maps the P_j
+    summand by the identity onto P_j (its head readout is 1); certified
+    non-null-homotopic."""
     if _ext_dim_via_x(alg.n, i, j, k) == 0:
         raise ValueError(f"Ext^{k}(S_{i}, S_{j}) = 0: requested class is zero")
     source = build_resolution(alg, i)
@@ -517,7 +500,7 @@ def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
         raise ChainMapError(
             f"no eventually periodic lift found for Ext^{k}(S_{i}, S_{j})"
         )
-    chain = normalize_class(chain.verify())
+    chain.verify()
     if null_homotopy(chain) is not None:
         raise ChainMapError("lifted representative is null-homotopic")
     return ExtClass(i, j, k, chain, True)

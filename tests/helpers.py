@@ -1,6 +1,7 @@
 """Cross-checks that only the tests call: Hom modulo homotopy as a
 linear-algebra computation (against the combinatorial table), the
-intertwiner test of an oracle morphism, equality of oracle morphisms,
+oracle's arrow keys and arrow matrices (zero where a module stores none),
+the intertwiner test of an oracle morphism, equality of oracle morphisms,
 equality of row spans, Gauss-Jordan elimination that rewrites whole
 rows, and the graded quotient as it was computed before a relator word's
 first arrow was read off the stored products."""
@@ -10,14 +11,14 @@ from extline.ext_table import GradedTable
 from extline.homs import ID_SLOT, LineAlgebra
 from extline.linalg import LinearSystem
 from extline.path_algebra import (
-    PathWord,
     all_arrows,
     arrow_degree,
     arrow_source,
     arrow_target,
     standard_relators,
+    word_ends,
 )
-from extline.reps import RepMorphism, arrow_endpoints
+from extline.reps import QuiverRep, RepMorphism, arrow_endpoints
 from extline.resolutions import build_resolution
 from extline.yoneda import _solve_family
 
@@ -62,14 +63,27 @@ def morphisms_equal(phi: RepMorphism, psi: RepMorphism) -> bool:
     )
 
 
+def arrow_keys(n: int):
+    """Every arrow key of the oracle's quiver for N = n."""
+    if n == 1:
+        return [("x", 1)]
+    return [("a", i) for i in range(1, n)] + [("b", i) for i in range(1, n)]
+
+
+def arrow_matrix(rep: QuiverRep, key):
+    """rep's matrix of the arrow key, zero where rep stores none."""
+    s, t = arrow_endpoints(rep.n, key)
+    return rep.arrows.get(key, linalg.zeros(rep.field, rep.dim(t), rep.dim(s)))
+
+
 def is_intertwiner(phi: RepMorphism) -> bool:
     """Whether phi commutes with every arrow of its source and target."""
     F = phi.source.field
     for key in phi.source.arrows.keys() | phi.target.arrows.keys():
         s, t = arrow_endpoints(phi.source.n, key)
         cols = phi.source.dim(s)
-        lhs = linalg.mat_mul(F, phi.block(t), phi.source.arrow(key), out_cols=cols)
-        rhs = linalg.mat_mul(F, phi.target.arrow(key), phi.block(s), out_cols=cols)
+        lhs = linalg.mat_mul(F, phi.block(t), arrow_matrix(phi.source, key), out_cols=cols)
+        rhs = linalg.mat_mul(F, arrow_matrix(phi.target, key), phi.block(s), out_cols=cols)
         if lhs != rhs:
             return False
     return True
@@ -118,8 +132,7 @@ def reference_graded_dimension(n: int, max_degree: int, field, relators=None) ->
         relators = standard_relators(n)
     shapes = []
     for rel in relators:
-        words = [PathWord(n, tuple(word)) for _, word in rel.terms]
-        ends = {(w.source, w.target, w.degree) for w in words}
+        ends = {word_ends(n, word) for _, word in rel.terms}
         if len(ends) != 1:
             raise ValueError(f"relator {rel.name} is not homogeneous: {sorted(ends)}")
         shapes.append((rel, *ends.pop()))

@@ -141,10 +141,8 @@ def test_yoneda_product_of_a_long_word():
 
 
 def test_word_parsing():
-    w = parse_word(3, "x1, x2  y3")
-    assert w.arrows == (("x", 1), ("x", 2), ("y", 3))
-    w = parse_word(3, "y1 x2*")
-    assert w.arrows == (("y", 1), ("xstar", 2))
+    assert parse_word(3, "x1, x2  y3") == (("x", 1), ("x", 2), ("y", 3))
+    assert parse_word(3, "y1 x2*") == (("y", 1), ("xstar", 2))
     with pytest.raises(ValueError):
         parse_word(3, "z1")
     with pytest.raises(ValueError):
@@ -169,6 +167,11 @@ def test_usage_errors_exit_two():
     for word in ("", " , "):
         r = run_cli(["yoneda-product", "--n", "3", "--word", word])
         assert r.returncode == 2 and r.stderr == "error: --word names no arrow\n", word
+    # a word that does not compose is named as it was typed, not by internal keys
+    for word in ("x1 x1", "x2* x2*", "y1 y1"):
+        r = run_cli(["yoneda-product", "--n", "3", "--word", word])
+        expected = "error: word is not composable at {} -> {}\n".format(*word.split())
+        assert r.returncode == 2 and r.stderr == expected, word
     # (2^31 - 1)^2 is composite with no small factor; 2^89 - 1 is a prime
     # above the range where primality is decided exactly
     for char in (6, 1, -3, (2**31 - 1) ** 2, 2**89 - 1):

@@ -1,8 +1,11 @@
 """The demos exit 1 exactly when they print a failure line (MISMATCH or
 FAIL), so that a run which reads only their exit status still catches a
 broken oracle or relator.  Each demo runs in-process, once as it is and
-once with one planted fault."""
+once with one planted fault.  Unfaulted, each prints exactly the output
+pinned by its sha256 in ``PINNED_STDOUT``: a change that means to alter
+a demo's output updates its pin in the same change."""
 
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -57,6 +60,13 @@ def certify_a_corrupted_resolution(monkeypatch):
     monkeypatch.setattr(resolutions, "verify_resolution", corrupted)
 
 
+PINNED_STDOUT = {
+    "ext_table_demo.py": "48c3642f1471bee0d037cb26046ee635a8ecc7ffa90500bfdf740b349aaa6037",
+    "path_algebra_demo.py": "e68bdcf72643702dfe449df2bedd8aa7bf2742a4e3f7bd5995f136d0fc9f2b65",
+    "resolution_demo.py": "8755ed2808bdcb563cc60ef3374fbae16900d072c6557e9f85fb4411a3c321e3",
+    "yoneda_demo.py": "232764a803a195ef1eddeae92ac5f67ffeb6a581491cd55f2824f3b231c8b7f8",
+}
+
 DEMO_FAULTS = [
     ("ext_table_demo.py", "MISMATCH", drop_a_cover_vertex),
     ("path_algebra_demo.py", "MISMATCH", drop_the_first_relator),
@@ -69,6 +79,7 @@ DEMO_FAULTS = [
 def test_demo_exits_1_exactly_when_it_prints_a_failure(name, marker, plant, monkeypatch, capsys):
     status, out = run_demo(name, capsys)
     assert (status, marker in out) == (0, False), out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[name], out
     plant(monkeypatch)
     status, out = run_demo(name, capsys)
     assert (status, marker in out) == (1, True), out

@@ -109,12 +109,12 @@ def test_non_homogeneous_relator_rejected(terms):
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
-        pa.PathWord(3, (("x", 1), ("x", 1)))  # endpoints do not chain
-    with pytest.raises(ValueError):
-        pa.PathWord(3, (), vertex=None)
-    w = pa.PathWord(3, (("x", 1), ("y", 2)))
-    assert w.source == 1 and w.target == 2 and w.degree == 4
+    with pytest.raises(ValueError, match="^word is not composable at x1 -> x1$"):
+        pa.word_ends(3, (("x", 1), ("x", 1)))  # endpoints do not chain
+    with pytest.raises(ValueError, match="^empty word$"):
+        pa.word_ends(3, ())
+    assert pa.word_ends(3, (("x", 1), ("y", 2))) == (1, 2, 4)
+    assert pa.format_word((("x", 1), ("xstar", 2), ("y", 3))) == "x1.x2*.y3"
 
 
 def test_hook_word_bounds():
@@ -131,11 +131,10 @@ def test_hook_word_bounds():
 
 def test_normal_form_examples():
     w = pa.normal_form_monomial(3, 1, 1, 5)
-    assert [a for a in w.arrows] == [("y", 1), ("xstar", 2), ("xstar", 1)]
+    assert w == (("y", 1), ("xstar", 2), ("xstar", 1)) and pa.word_ends(3, w) == (1, 1, 5)
     w = pa.normal_form_monomial(3, 1, 3, 2)
-    assert [a for a in w.arrows] == [("x", 1), ("x", 2)]
-    w = pa.normal_form_monomial(3, 2, 2, 0)
-    assert w.arrows == () and w.vertex == 2
+    assert w == (("x", 1), ("x", 2)) and pa.word_ends(3, w) == (1, 3, 2)
+    assert pa.normal_form_monomial(3, 2, 2, 0) == ()  # the identity at 2
     assert pa.normal_form_monomial(3, 1, 1, 1) is None
 
 
@@ -161,33 +160,25 @@ def test_normal_form_degree_and_endpoints():
                 w = pa.normal_form_monomial(n, i, j, k)
                 if table.entry(i, j, k):
                     assert w is not None
-                    assert w.source == i and w.target == j and w.degree == k
+                    assert pa.word_ends(n, w) == (i, j, k) if w else i == j and k == 0
                 else:
                     assert w is None
 
 
 def test_evaluate_boundary_relator_words_to_zero():
     alg = algebra(3)
-    w = pa.PathWord(3, (("x", 1), ("xstar", 1)))
-    assert not pa.evaluate_word(alg, w).nonzero
-    w = pa.PathWord(3, (("xstar", 2), ("x", 2)))
-    assert not pa.evaluate_word(alg, w).nonzero
+    assert not pa.evaluate_word(alg, (("x", 1), ("xstar", 1))).nonzero
+    assert not pa.evaluate_word(alg, (("xstar", 2), ("x", 2))).nonzero
 
 
 def test_evaluate_respects_commutation_relator():
     alg = algebra(4, char=0)
     from extline.yoneda import class_difference_scalar
 
-    a = pa.evaluate_word(alg, pa.PathWord(4, (("xstar", 1), ("x", 1))))
-    b = pa.evaluate_word(alg, pa.PathWord(4, (("x", 2), ("xstar", 2))))
+    a = pa.evaluate_word(alg, (("xstar", 1), ("x", 1)))
+    b = pa.evaluate_word(alg, (("x", 2), ("xstar", 2)))
     c = class_difference_scalar(a.chain_map, b.chain_map)
     assert c == alg.field.one
-
-
-def test_evaluate_trivial_word():
-    alg = algebra(2)
-    cls = pa.evaluate_word(alg, pa.PathWord(2, (), vertex=2))
-    assert cls.nonzero and cls.k == 0 and cls.i == cls.j == 2
 
 
 @pytest.mark.parametrize("n,char", [(1, 2), (2, 2), (2, 0), (3, 2)])
@@ -278,14 +269,14 @@ def test_evaluation_reverses_concatenation_into_composition():
     alg = algebra(4, char=0)
 
     def raw(word):
-        chain = cached_generator(alg, word.arrows[0][0], word.arrows[0][1])
-        for a in word.arrows[1:]:
-            chain = compose(cached_generator(alg, a[0], a[1]), chain)
+        chain = cached_generator(alg, *word[0])
+        for a in word[1:]:
+            chain = compose(cached_generator(alg, *a), chain)
         return chain
 
-    u = pa.PathWord(4, (("x", 1),))
-    v = pa.PathWord(4, (("x", 2), ("y", 3)))
-    uv = pa.PathWord(4, u.arrows + v.arrows)
+    u = (("x", 1),)
+    v = (("x", 2), ("y", 3))
+    uv = u + v
     # concatenation traverses u first, so the chain map of v acts after
     lhs = raw(uv)
     rhs = compose(raw(v), raw(u))
@@ -298,13 +289,8 @@ def test_evaluation_reverses_concatenation_into_composition():
 def test_relator_endpoints_are_consistent():
     for n in (2, 3, 5):
         for rel in pa.standard_relators(n):
-            degs = set()
-            ends = set()
-            for coeff, arrows in rel.terms:
-                w = pa.PathWord(n, tuple(arrows))
-                degs.add(w.degree)
-                ends.add((w.source, w.target))
-            assert len(degs) == 1 and len(ends) == 1
+            ends = {pa.word_ends(n, arrows) for _, arrows in rel.terms}
+            assert len(ends) == 1
 
 
 def relation_check_names(n):
@@ -367,9 +353,9 @@ def test_relation_check_names_carry_the_coefficients(family, monkeypatch):
 def normal_form_words(n, max_degree):
     """(i, j, k, arrows) of every nonempty normal-form word up to max_degree."""
     table = ext_table(n, max_degree)
-    return [(i, j, k, w.arrows)
+    return [(i, j, k, w)
             for i in range(1, n + 1) for j in range(1, n + 1) for k in range(max_degree + 1)
-            if table.entry(i, j, k) and (w := pa.normal_form_monomial(n, i, j, k)).arrows]
+            if table.entry(i, j, k) and (w := pa.normal_form_monomial(n, i, j, k))]
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -390,12 +376,6 @@ def test_suffix_memo_reads_the_head_of_the_whole_word_map(n, char):
     assert all(d == sum(pa.arrow_degree(n, a) for a in suffix)
                for suffix, (d, _) in bottoms.items())
 
-
-def test_word_check_reads_the_normal_form_arrows():
-    for n in range(1, 9):
-        for i, j, k in itertools.product(range(1, n + 1), range(1, n + 1), range(4 * n + 1)):
-            w = pa.normal_form_monomial(n, i, j, k)
-            assert pa._normal_form_arrows(n, i, j, k) == (None if w is None else w.arrows)
 
 
 def test_word_check_reports_zero_classes_in_order_with_one_memo_per_target(monkeypatch):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import is_intertwiner, morphisms_equal
+from helpers import arrow_keys, arrow_matrix, is_intertwiner, morphisms_equal
 from extline.fields import field_for_characteristic
 from extline import linalg, reps, strings
 
@@ -220,9 +220,9 @@ def _transport(rng, M):
         d = len(gv)
         R, _ = linalg.rref(F, [row + unit for row, unit in zip(gv, linalg.identity_matrix(F, d))])
         g_inv[v] = [row[d:] for row in R]
-    for key in reps.arrow_keys(M.n):
+    for key in arrow_keys(M.n):
         s, t = reps.arrow_endpoints(M.n, key)
-        moved = linalg.mat_mul(F, g[t], M.arrow(key), out_cols=M.dim(s))
+        moved = linalg.mat_mul(F, g[t], arrow_matrix(M, key), out_cols=M.dim(s))
         arrows[key] = linalg.mat_mul(F, moved, g_inv[s], out_cols=M.dim(s))
     return reps.make_rep(M.n, F, M.dims, arrows)
 
@@ -303,14 +303,13 @@ def test_arrows_and_blocks_outside_the_support_read_as_zero(char):
     mods = [reps.projective_rep(n, F, i) for i in range(1, n + 1)]
     mods += [strings.realize_x(n, F, lab) for lab in strings.canonical_labels(n)]
     for M in mods:
-        for key in reps.arrow_keys(n):
+        assert set(M.arrows) <= set(arrow_keys(n))
+        for key, A in M.arrows.items():
             s, t = reps.arrow_endpoints(n, key)
-            A = M.arrow(key)
+            assert M.dim(s) and M.dim(t)
             assert len(A) == M.dim(t) and all(len(row) == M.dim(s) for row in A)
-            if key in M.arrows:
-                assert M.dim(s) and M.dim(t)
-            else:  # outside the support, or a zero map the module never set
-                assert linalg.is_zero_mat(A)
+            # an arrow outside the support, or a zero map, is absent: it reads as zero
+            assert not linalg.is_zero_mat(A)
     P2, P4 = reps.projective_rep(n, F, 2), reps.projective_rep(n, F, 4)
     phi = reps.zero_morphism(P2, P4)
     assert list(phi.blocks) == [3]  # the only vertex where both are nonzero
