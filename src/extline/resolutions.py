@@ -24,9 +24,12 @@ Omega-periodicity of the simples from it.
 
 Differentials, and the partial identities that are the generic
 components of the generator chain maps (``common_factor_matrix``), are
-shared objects, one per pair of terms on the algebra: never edit cells.
-A ``HomMatrix`` stores nonzero cells only; the producers that can make a
-zero cell drop it, and the constructor does not look (see ``HomMatrix``).
+shared objects, one per pair of terms on the algebra.  A full identity
+is a unit of ``hom_matrix_compose``, which then returns the other
+operand object itself, so any compose result may be shared too: never
+edit cells.  A ``HomMatrix`` stores nonzero cells only; the producers
+that can make a zero cell drop it, and the constructor does not look
+(see ``HomMatrix``).
 """
 
 from __future__ import annotations
@@ -56,14 +59,18 @@ class HomMatrix:
     ``pairing`` (column -> row), when set, says the cells are exactly the
     identities at (pairing[c], c): at most one per row and per column.
     ``common_factor_matrix`` sets it (canonical terms have distinct
-    indices), and ``hom_matrix_compose`` then re-keys the other operand's
-    cells.  It is a fact about the cells, so ``==`` ignores it.
+    indices) with its inverse, ``inverse_pairing`` (row -> column), and
+    ``hom_matrix_compose`` then re-keys the other operand's cells, or
+    returns that operand itself if this one is a full identity (see
+    ``is_identity``).  Both are facts about the cells, so ``==`` ignores
+    them.  A compose result may thus be an operand: never edit cells.
     """
 
     source: tuple
     target: tuple
     cells: dict  # (row, col) -> nonzero HomElement
     pairing: dict | None = field(default=None, compare=False)  # column -> row
+    inverse_pairing: dict | None = field(default=None, compare=False)  # row -> column
 
     def entry(self, r: int, c: int) -> HomElement:
         e = self.cells.get((r, c))
@@ -86,19 +93,27 @@ def nonzero_cells(cells: dict) -> dict:
     return {rc: e for rc, e in cells.items() if e.slots}
 
 
-def hom_matrix_compose(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
-    """A o B (B acts first).  Id o a = a o Id = a, so a paired operand
-    (see ``HomMatrix``) only moves the other one's cells."""
+def is_identity(M: HomMatrix) -> bool:
+    """M is a full identity: paired, square, and every column paired."""
+    return M.pairing is not None and M.source == M.target and len(M.pairing) == len(M.source)
+
+
+def compose_cells(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> dict:
+    """The cells of A o B (B acts first).  Id o a = a o Id = a, so a full
+    identity returns the other operand's own cells (never edit them), and
+    a paired operand (see ``HomMatrix``) only moves the other one's cells."""
     if B.target != A.source:
         raise ValueError("shape mismatch composing morphism matrices")
+    if is_identity(B):
+        return A.cells
+    if is_identity(A):
+        return B.cells
     if B.pairing is not None:  # column m of A becomes column col[m]
-        col = {m: c for c, m in B.pairing.items()}
-        return HomMatrix(B.source, A.target,
-                         {(r, col[m]): a for (r, m), a in A.cells.items() if m in col})
+        col = B.inverse_pairing
+        return {(r, col[m]): a for (r, m), a in A.cells.items() if m in col}
     if A.pairing is not None:  # row m of B becomes row pairing[m]
         row = A.pairing
-        return HomMatrix(B.source, A.target,
-                         {(row[m], c): b for (m, c), b in B.cells.items() if m in row})
+        return {(row[m], c): b for (m, c), b in B.cells.items() if m in row}
     b_rows = {}  # row of B -> [(col, cell)]
     for (m, c), b in B.cells.items():
         b_rows.setdefault(m, []).append((c, b))
@@ -106,16 +121,36 @@ def hom_matrix_compose(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatri
     for (r, m), a in A.cells.items():
         for c, b in b_rows.get(m, ()):
             _accumulate(alg, cells, (r, c), alg.compose(a, b))
-    return HomMatrix(B.source, A.target, nonzero_cells(cells))
+    return nonzero_cells(cells)
+
+
+def hom_matrix_compose(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
+    """A o B (B acts first): the other operand object itself where one is
+    a full identity, else a new matrix of ``compose_cells``.  A result may
+    thus be an operand, shared as it is: never edit its cells."""
+    cells = compose_cells(alg, A, B)
+    if cells is A.cells:  # B is a full identity
+        return A
+    if cells is B.cells:  # A is a full identity
+        return B
+    return HomMatrix(B.source, A.target, cells)
+
+
+def add_cells(alg: LineAlgebra, a: dict, b: dict) -> dict:
+    """The cells of the sum of two matrices of one shape given by their
+    cells; one summand's own dict where the other has none."""
+    if not a:
+        return b
+    cells = dict(a)
+    for rc, e in b.items():
+        _accumulate(alg, cells, rc, e)
+    return nonzero_cells(cells)
 
 
 def hom_matrix_add(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> HomMatrix:
     if not A.cells:
         return B
-    cells = dict(A.cells)
-    for rc, b in B.cells.items():
-        _accumulate(alg, cells, rc, b)
-    return HomMatrix(A.source, A.target, nonzero_cells(cells))
+    return HomMatrix(A.source, A.target, add_cells(alg, A.cells, B.cells))
 
 
 def hom_matrix_scale(alg: LineAlgebra, c, A: HomMatrix) -> HomMatrix:
@@ -135,7 +170,7 @@ def common_factor_matrix(alg: LineAlgebra, source: tuple, target: tuple) -> HomM
         M = alg._common_factors[key] = HomMatrix(
             source, target,
             {(r, c): alg.identity_hom(source[c]) for c, r in pairing.items()},
-            pairing)
+            pairing, {r: c for c, r in pairing.items()})
     return M
 
 
@@ -186,16 +221,16 @@ class PeriodicComplex:
     def term(self, k: int) -> tuple:
         if k < 0:
             raise IndexError("negative degree")
-        while k > self.depth:
-            k -= self.period
+        if k > self.depth:  # one step into depth - period < k <= depth
+            k = self.depth - (self.depth - k) % self.period
         return self.terms[k]
 
     def diff(self, k: int) -> HomMatrix:
         """d_k : term k -> term k-1."""
         if k < 1:
             raise IndexError("differentials start in degree 1")
-        while k > self.depth:
-            k -= self.period
+        if k > self.depth:
+            k = self.depth - (self.depth - k) % self.period
         d = self.memo.get(k)
         if d is None:
             table, i = self.alg._differentials, self.base_vertex

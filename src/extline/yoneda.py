@@ -68,8 +68,10 @@ from .resolutions import (
     HomMatrix,
     PeriodicComplex,
     _accumulate,
+    add_cells,
     build_resolution,
     common_factor_matrix,
+    compose_cells,
     hom_matrix_add,
     hom_matrix_compose,
     hom_matrix_scale,
@@ -107,11 +109,13 @@ class ChainMap:
 
     def component(self, k: int):
         """The degree-k component (None below degree max(shift, 0));
-        degrees past periodic_start + period fold back by whole periods."""
-        if k < max(self.shift, 0):
+        degrees past top = periodic_start + period fold back by whole
+        periods, in one step, into top - period < k <= top."""
+        if k < 0 or k < self.shift:
             return None
-        while k > self.periodic_start + self.period:
-            k -= self.period
+        top = self.periodic_start + self.period
+        if k > top:
+            k = top - (top - k) % self.period
         M = self.components.get(k)
         if M is None:
             M = self.components[k] = self.maker(k)
@@ -142,21 +146,23 @@ def _first_failure(u: ChainMap, sign: int, f: ChainMap | None = None):
     d o u_m + sign * u_{m-1} o d != f_m (f None means zero), or None.
 
     Morphism-matrix arithmetic only: an independent re-check of families
-    that ``_solve_family`` found.  Each later degree states the equation of
-    the degree a period earlier with the same operands (module docstring),
-    so this decides every degree."""
+    that ``_solve_family`` found.  It compares the cells of the two sides
+    (the complexes fix both shapes), so a side that is an operand's own
+    cells, as with a full identity, is read where it lies.  Each later
+    degree states the equation of the degree a period earlier with the
+    same operands (module docstring), so this decides every degree."""
     alg = u.source.alg
     for m in range(u.shift + 1, _window(u, f) + 1):
-        have = hom_matrix_compose(alg, u.target.diff(m - u.shift), u.component(m))
-        want = f.component(m) if f else HomMatrix(have.source, have.target, {})
+        have = compose_cells(alg, u.target.diff(m - u.shift), u.component(m))
+        want = f.component(m).cells if f else {}
         prev = u.component(m - 1)
         if prev is not None:  # sign * u_{m-1} o d, moved to the side where it adds
-            term = hom_matrix_compose(alg, prev, u.source.diff(m))
+            term = compose_cells(alg, prev, u.source.diff(m))
             if sign > 0:
-                have = hom_matrix_add(alg, have, term)
+                have = add_cells(alg, have, term)
             else:
-                want = hom_matrix_add(alg, want, term)
-        if not have == want:  # not !=, which reaches __eq__ through object.__ne__
+                want = add_cells(alg, want, term)
+        if have is not want and have != want:
             return m
     return None
 

@@ -3,8 +3,9 @@ linear-algebra computation (against the combinatorial table), the
 oracle's arrow keys and arrow matrices (zero where a module stores none),
 the intertwiner test of an oracle morphism, equality of oracle morphisms,
 equality of row spans, Gauss-Jordan elimination that rewrites whole
-rows, and the graded quotient as it was computed before a relator word's
-first arrow was read off the stored products."""
+rows, the graded quotient as it was computed before a relator word's
+first arrow was read off the stored products, and the chain-map square
+check as it was decided before it compared cells."""
 
 from extline import linalg
 from extline.ext_table import GradedTable
@@ -19,8 +20,8 @@ from extline.path_algebra import (
     word_ends,
 )
 from extline.reps import QuiverRep, RepMorphism, arrow_endpoints
-from extline.resolutions import build_resolution
-from extline.yoneda import _solve_family
+from extline.resolutions import HomMatrix, build_resolution, hom_matrix_add, hom_matrix_compose
+from extline.yoneda import _solve_family, _window
 
 
 def span_equal(field, rows_a, rows_b) -> bool:
@@ -87,6 +88,27 @@ def is_intertwiner(phi: RepMorphism) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+def reference_first_failure(u, sign: int, f=None):
+    """The first degree m in shift+1 .. window where
+    d o u_m + sign * u_{m-1} o d != f_m (f None means zero), or None,
+    decided on whole matrices: hom_matrix_compose, then hom_matrix_add,
+    then == against an empty matrix or f_m."""
+    alg = u.source.alg
+    for m in range(u.shift + 1, _window(u, f) + 1):
+        have = hom_matrix_compose(alg, u.target.diff(m - u.shift), u.component(m))
+        want = f.component(m) if f else HomMatrix(have.source, have.target, {})
+        prev = u.component(m - 1)
+        if prev is not None:
+            term = hom_matrix_compose(alg, prev, u.source.diff(m))
+            if sign > 0:
+                have = hom_matrix_add(alg, have, term)
+            else:
+                want = hom_matrix_add(alg, want, term)
+        if not have == want:
+            return m
+    return None
 
 
 def ext_class_dimension(alg: LineAlgebra, i: int, j: int, k: int) -> int:

@@ -148,6 +148,21 @@ def test_square_zero_symbolically_two_periods():
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_reads_past_the_depth_fold_back_one_period(char):
+    # one arithmetic step folds a degree past the depth: at depth, depth + 1,
+    # depth + 2N and every degree up to three periods on, d_k is the object
+    # d_{k-2N}, and term k is the canonical sum of its interval
+    for n in range(1, 7):
+        alg, p = algebra(n, char), 2 * n
+        for i in range(1, n + 1):
+            for depth in (2 * n + 2, 2 * n + 3, 4 * n, 5 * n + 1):
+                cx = build_resolution(alg, i, depth)
+                for k in (depth, depth + 1, depth + p, *range(depth + 2, depth + 3 * p + 1)):
+                    assert cx.diff(k) is cx.diff(k - p), (n, i, depth, k)
+                    assert cx.term(k) == cx.term(k - p) == strings.normalize_p(n, i - k, i + k)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_lazy_differentials_equal_closed_form(char):
     # complexes of one vertex share their memo whatever their depth, reads
     # past the depth fold back by the period, and across vertices and

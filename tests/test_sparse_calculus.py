@@ -7,7 +7,7 @@ same examples.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from helpers import morphisms_equal
 from extline import strings
@@ -21,6 +21,7 @@ from extline.resolutions import (
     hom_matrix_add,
     hom_matrix_compose,
     hom_matrix_scale,
+    is_identity,
     realize_hom_matrix,
 )
 from extline.yoneda import (
@@ -35,6 +36,7 @@ from extline.yoneda import (
     identity_chain_map,
     null_homotopy,
 )
+from extline import yoneda
 from extline.path_algebra import evaluate_relator, standard_relators
 
 CHARS = (0, 2, 3, 5)
@@ -291,6 +293,29 @@ def test_entries_is_a_read_only_dense_view(data):
 
 
 @pytest.mark.parametrize("char", CHARS)
+def test_components_fold_back_one_period_at_the_boundaries(char):
+    # one arithmetic step folds a degree past top = periodic_start + period:
+    # at top the stored component equals the one a period earlier, and from
+    # top + 1 to three periods on it is that very object; a family of period
+    # 4N folds by 4N
+    for n in range(1, 6):
+        alg = algebra(n, char)
+        families = generators(alg)
+        if n >= 2:
+            families.append(compose(cached_generator(alg, "xstar", 1), cached_generator(alg, "x", 1)))
+        for rel in standard_relators(n):
+            f = evaluate_relator(alg, rel)
+            families += [f, yoneda._periodic_homotopy(f, 2)]
+        for u in families:
+            top, p = u.periodic_start + u.period, u.period
+            for k in range(top, top + 3 * p + 1):
+                assert u.component(k) == u.component(k - p), (n, k)
+                assert k == top or u.component(k) is u.component(k - p), (n, k)
+            assert max(u.components) == top
+    assert any(u.period == 4 * alg.n for u in families)
+
+
+@pytest.mark.parametrize("char", CHARS)
 def test_product_builds_no_component_until_read(char):
     alg = algebra(4, char)
     p = compose(cached_generator(alg, "x", 2), cached_generator(alg, "x", 1))
@@ -320,6 +345,40 @@ def test_components_past_the_window_fold_to_memoized_ones(char):
 
 
 # --------------------------------------------------------- partial identities
+
+
+@st.composite
+def around_a_term(draw, full):
+    """An algebra, a common-factor matrix P : s -> t (a full identity when
+    ``full``, else s != t), and matrices A : t -> u and B : v -> s."""
+    alg = algebra(draw(st.integers(1, 5)), draw(st.sampled_from(CHARS)))
+    s, t, u, v = (draw(canonical_sum(alg.n)) for _ in range(4))
+    if full:
+        t = s
+    else:
+        assume(s != t)
+    P = common_factor_matrix(alg, s, t)
+    return alg, P, draw(hom_matrix(alg, t, u)), draw(hom_matrix(alg, v, s))
+
+
+@given(around_a_term(full=True))
+def test_a_full_identity_is_a_unit_of_composition(data):
+    alg, I, A, B = data
+    assert is_identity(I) and not is_identity(unpaired(I))
+    assert hom_matrix_compose(alg, A, I) is A
+    assert hom_matrix_compose(alg, I, B) is B
+    assert hom_matrix_compose(alg, I, I) is I
+    assert A == hom_matrix_compose(alg, A, unpaired(I))
+    assert B == hom_matrix_compose(alg, unpaired(I), B)
+
+
+@given(around_a_term(full=False))
+def test_a_partial_identity_re_keys_as_the_generic_product(data):
+    alg, P, A, B = data
+    assert not is_identity(P)
+    assert P.inverse_pairing == {r: c for c, r in P.pairing.items()}
+    assert hom_matrix_compose(alg, A, P) == hom_matrix_compose(alg, A, unpaired(P))
+    assert hom_matrix_compose(alg, P, B) == hom_matrix_compose(alg, unpaired(P), B)
 
 
 def unpaired(M):
@@ -389,6 +448,8 @@ def test_common_factor_matrix_is_shared_and_paired(char):
                                    for c, a in enumerate(s) if a == b}
                 assert sorted(M.cells) == sorted((r, c) for c, r in M.pairing.items())
                 assert len(set(M.pairing.values())) == len(M.pairing)
+                assert M.inverse_pairing == {r: c for c, r in M.pairing.items()}
+                assert is_identity(M) == (s == t)
 
 
 @pytest.mark.parametrize("char", CHARS)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import ext_class_dimension
+from helpers import ext_class_dimension, reference_first_failure
 from extline.ext_table import ext_dim_via_x
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra, format_hom
@@ -438,6 +438,69 @@ def _damaged(alg, u, d):
                     lambda k: bad if k == d else u.component(k), u.period)
 
 
+def _words(alg, length):
+    """The chain maps of every composable word of the given length."""
+    from extline.path_algebra import _word_chain_map, all_arrows, arrow_source, arrow_target
+
+    n, words = alg.n, [()]
+    for _ in range(length):
+        words = [w + (a,) for w in words for a in all_arrows(n)
+                 if not w or arrow_target(n, w[-1]) == arrow_source(n, a)]
+    return [_word_chain_map(alg, w) for w in words]
+
+
+def _damaged_copies(alg, u):
+    """``_damaged`` at each stored degree of u whose component can change,
+    and u with a nonzero stored component negated, which keeps its cells'
+    positions (the same map over F_2)."""
+    degrees = range(max(u.shift, 0), u.periodic_start + u.period + 1)
+    minus = alg.field.from_int(-1)
+
+    def negated(d):
+        bad = hom_matrix_scale(alg, minus, u.component(d))
+        return ChainMap(u.source, u.target, u.shift, u.periodic_start,
+                        lambda k: bad if k == d else u.component(k), u.period)
+
+    return ([_damaged(alg, u, d) for d in degrees
+             if u.component(d).cells or any(alg.basis(s, t) for t in u.component(d).target
+                                            for s in u.component(d).source)]
+            + [negated(d) for d in degrees if u.component(d).cells])
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_cell_comparison_finds_the_reference_first_failure(char):
+    # the square check compares cell dicts; the reference builds whole
+    # matrices and compares them with ==.  Generators, word maps, solved
+    # and closed-form homotopies pass both; every damaged generator and
+    # every damaged right-hand side fails both at the same degree
+    from extline.path_algebra import evaluate_relator, relator_homotopy, standard_relators
+
+    cases = []  # (family, sign, right-hand side)
+    for n in range(1, 7):
+        alg = algebra(n, char)
+        gens = [cached_generator(alg, kind, i)
+                for kind, top in (("x", n - 1), ("xstar", n - 1), ("y", n))
+                for i in range(1, top + 1)] + [identity_chain_map(alg, i) for i in range(1, n + 1)]
+        cases += [(g, -1, None) for g in gens]
+        if n <= 4:
+            cases += [(bad, -1, None) for g in gens for bad in _damaged_copies(alg, g)]
+    for n in (3, 4):
+        alg = algebra(n, char)
+        cases += [(w, -1, None) for w in _words(alg, 2) + (_words(alg, 3) if n == 3 else [])]
+        for rel in standard_relators(n):
+            f = evaluate_relator(alg, rel)
+            h = null_homotopy(f)
+            cases += [(h, 1, f)] + [(h, 1, bad) for bad in _damaged_copies(alg, f)]
+            if f.shift == 2 and f.source.base_vertex == f.target.base_vertex:
+                cases.append((relator_homotopy(alg, rel), 1, f))
+    failing = 0
+    for u, sign, f in cases:
+        k = yoneda._first_failure(u, sign, f)
+        assert k == reference_first_failure(u, sign, f)
+        failing += k is not None
+    assert failing > len(cases) // 4
+
+
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_one_period_decides_every_equation(char):
     # damage at one stored degree is found by the first equation reading
@@ -481,14 +544,15 @@ def test_one_period_decides_every_equation(char):
 def test_generator_check_covers_one_period(monkeypatch):
     # a generator's squares repeat from one period past the periodic start,
     # so the re-check composes only up to there, not over its whole window
+    # (it composes cell dicts, with compose_cells)
     calls = []
-    original = yoneda.hom_matrix_compose
+    original = yoneda.compose_cells
 
     def counting(alg, A, B):
         calls.append(1)
         return original(alg, A, B)
 
-    monkeypatch.setattr(yoneda, "hom_matrix_compose", counting)
+    monkeypatch.setattr(yoneda, "compose_cells", counting)
     for i in range(1, 8):
         calls.clear()
         x = generator_x(algebra(8, 3), i)
