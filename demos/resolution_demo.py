@@ -11,6 +11,7 @@ fails.
 
 import sys
 
+from extline.certify import verify_exactness
 from extline.cli import format_hom, psum_str
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
@@ -34,7 +35,7 @@ for k in range(1, 2 * N + 1):
         print("      [" + ", ".join(row) + "]")
 
 print("\ncertification:")
-checks = verify_resolution(cx, I)
+checks = verify_resolution(cx, I) + verify_exactness(cx, I)
 for check in checks:
     mark = "ok " if check.ok else "FAIL"
     print(f"  [{mark}] {check.name}" + (f" ({check.detail})" if check.detail else ""))

@@ -16,6 +16,7 @@ import re
 import sys
 
 from . import path_algebra
+from .certify import verify_exactness, verify_syzygies
 from .ext_table import (
     RouteMismatchError,
     ext_table,
@@ -24,13 +25,7 @@ from .ext_table import (
 )
 from .fields import field_for_characteristic
 from .homs import LineAlgebra, format_hom
-from .resolutions import (
-    CheckResult,
-    build_resolution,
-    corrupted_resolution,
-    verify_resolution,
-    verify_syzygies,
-)
+from .resolutions import CheckResult, build_resolution, corrupted_resolution, verify_resolution
 from .yoneda import ChainMapError
 
 
@@ -203,7 +198,7 @@ def cmd_resolve(args) -> int:
         cx = corrupted_resolution(alg, args.i, depth)
     else:
         cx = build_resolution(alg, args.i, depth)
-    checks = verify_resolution(cx, args.i)
+    checks = verify_resolution(cx, args.i) + verify_exactness(cx, args.i)
     terms = [psum_str(cx.term(k)) for k in range(depth + 1)]
     diffs = []
     for k in range(1, depth + 1):
@@ -215,12 +210,19 @@ def cmd_resolve(args) -> int:
     return 0 if all(c.ok for c in checks) else 1
 
 
+def _resolution_suite(alg, args):
+    """Each R_i's structural checks, then the oracle's, which realize its
+    projective sums in one memo for the whole suite."""
+    sums = {}
+    for i in range(1, args.n + 1):
+        cx = build_resolution(alg, i, args.max_deg)
+        yield f"R_{i}: ", verify_resolution(cx, i) + verify_exactness(cx, i, sums)
+
+
 # suite -> (alg, args) -> (name prefix, checks) groups, in the order "all" runs them
 _SUITES = {
     "syzygy": lambda alg, args: [("", verify_syzygies(alg))],
-    "resolution": lambda alg, args: (
-        (f"R_{i}: ", verify_resolution(build_resolution(alg, i, args.max_deg), i))
-        for i in range(1, args.n + 1)),
+    "resolution": _resolution_suite,
     "relations": lambda alg, args: [("relation: ", path_algebra.verify_chain_relations(alg))],
     "gamma": lambda alg, args: [("presentation: ", path_algebra.verify_presentation(
         alg, args.max_deg if args.max_deg is not None else 2 * args.n + 2))],

@@ -16,17 +16,9 @@ normalized so that (function composition, right factor first)
     F(N-1) o FStar(N-1) = Loop(N),
 
 which packages the anticommutation FStar(i) o F(i) = - F(i-1) o FStar(i-1)
-into a single concrete table.  Concretely this is realized on the standard
-projectives (all structure constants +1) by
-
-    F(i) = (-1)^i * (basis map),   FStar(i) = (basis map),
-    Loop(i) = (-1)^i * (basis loop) for i <= N-1,  (-1)^(N-1) for i = N.
-
-One table, ``_realization``, lists the at most four nonzero entries of
-each basis morphism there; ``realize`` and ``resolutions.realize_hom_matrix``
-both write through it with ``add_realization``.
-
-All other products of non-identity generators vanish.
+into a single concrete table, which ``certify`` realizes on the oracle's
+standard projectives.  All other products of non-identity generators
+vanish.
 
 Since (i, j) alone fixes the basis of Hom(P_i, P_j), a morphism is stored
 as its endpoints and a tuple of scalars in basis order, its slots:
@@ -36,39 +28,17 @@ as its endpoints and a tuple of scalars in basis order, its slots:
     (FStar(j),)        when j = i-1,
 
 and the empty tuple is zero for any endpoints.  A basis morphism is no
-object of its own: (source, target, slot) names it, and ``_realization``
-and ``format_hom`` read it off that triple.  Composition is slot
-arithmetic over the shapes of the three endpoints.  Other modules name
-slots only through the accessors of ``HomElement`` and ``ID_SLOT``.
+object of its own: (source, target, slot) names it, and ``format_hom``
+and the realization in ``certify`` read it off that triple.  Composition
+is slot arithmetic over the shapes of the three endpoints.  Other modules
+name slots only through the accessors of ``HomElement`` and ``ID_SLOT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import reps
-
 ID_SLOT = 0  # the identity's slot in Hom(P_i, P_i); the loop's is 1
-
-
-def _sign(e: int) -> int:
-    return -1 if e % 2 else 1
-
-
-def _realization(source: int, target: int, slot: int, n: int) -> tuple:
-    """The nonzero entries (vertex, row, col, sign) of a basis morphism on
-    the standard projectives of ``reps``: row and col index the target's
-    and the source's basis at the vertex, head before socle."""
-    i = min(source, target)
-    if source == target and slot == ID_SLOT:
-        middles = tuple((v, 0, 0, 1) for v in (i - 1, i + 1) if 1 <= v <= n)
-        return ((i, 0, 0, 1), (i, 1, 1, 1)) + middles
-    if source == target:  # Loop(i): head -> socle
-        return ((i, 1, 0, _sign(min(i, n - 1))),)
-    if target > source:  # F(i): head of P_i -> middle of P_{i+1} at i; middle at i+1 -> socle
-        return ((i, 0, 0, _sign(i)), (i + 1, 1, 0, _sign(i)))
-    # FStar(i): head of P_{i+1} -> middle of P_i at i+1; middle at i -> socle
-    return ((i + 1, 0, 0, 1), (i, 1, 0, 1))
 
 
 def _name(source: int, target: int, slot: int) -> str:
@@ -128,16 +98,12 @@ class CompositionError(ValueError):
 class LineAlgebra:
     """The algebra of the line with N simples over an exact field.
 
-    N and the field are fixed at construction.  The seven memos below fill
-    on first use (``projective``, ``resolutions`` and ``yoneda`` write
-    them); each value is a pure function of its key, N and the field (a
+    N and the field are fixed at construction.  The five memos below fill
+    on first use (``resolutions``, ``certify`` and ``yoneda`` write them);
+    each value is a pure function of its key, N and the field (a
     ``_verdicts`` key names differentials, which are never edited), so
     sharing an algebra changes what is computed again, never a result.
-    The quiver presentation used by the representation oracle is
-    reconstructed from the layer structure of the projectives (see
-    ``reps``); it is the unique presentation compatible with
-    head/heart/socle = S_i, S_{i-1}+S_{i+1}, S_i, a fact the test suite
-    re-derives rather than assumes.
+    The algebra holds no object of the representation oracle.
     """
 
     def __init__(self, n: int, field):
@@ -145,8 +111,6 @@ class LineAlgebra:
             raise ValueError("need at least one simple module")
         self.n = n
         self.field = field
-        self._projectives = {}  # vertex i -> the oracle's P_i
-        self._psum_reps = {}  # index tuple of a projective sum -> (oracle direct sum, offsets)
         self._resolutions = {}  # vertex i -> (terms of R_i so far, {degree: differential})
         self._differentials = {}  # (term_k indices, term_{k-1} indices) -> the one differential
         self._common_factors = {}  # (source indices, target indices) -> the one partial identity
@@ -232,28 +196,6 @@ class LineAlgebra:
         mul = self.field.mul
         return HomElement(g.source, g.target, tuple([mul(c, v) for v in g.slots]))
 
-    # -------------------------------------------------------- realization
-    def projective(self, i: int) -> reps.QuiverRep:
-        if i not in self._projectives:
-            self._projectives[i] = reps.projective_rep(self.n, self.field, i)
-        return self._projectives[i]
-
     def loop_sign(self, i: int) -> int:
-        return _sign(min(i, self.n - 1))
-
-    def add_realization(self, blocks, h: HomElement, row_off, col_off) -> None:
-        """Add the realization of ``h`` into per-vertex ``blocks``, with its
-        block at vertex v starting at row ``row_off[v-1]``, column ``col_off[v-1]``."""
-        F = self.field
-        for k, c in h.terms():
-            for v, r, col, sign in _realization(h.source, h.target, k, self.n):
-                row = blocks[v][row_off[v - 1] + r]
-                j = col_off[v - 1] + col
-                row[j] = F.add(row[j], c if sign > 0 else F.neg(c))
-
-    def realize(self, h: HomElement) -> reps.RepMorphism:
-        """Concrete intertwiner; realize(g o h) = realize(g) o realize(h)."""
-        phi = reps.zero_morphism(self.projective(h.source), self.projective(h.target))
-        origin = (0,) * self.n
-        self.add_realization(phi.blocks, h, origin, origin)
-        return phi
+        """(-1)^i, with the boundary convention (-1)^(N-1) at i = N."""
+        return -1 if min(i, self.n - 1) % 2 else 1

@@ -16,11 +16,10 @@ pattern between canonical terms:
     i.e. the composite of a step and a co-step through a neighbour.
 
 Everything is 2N-periodic: terms from degree 0 on, differentials from
-degree 1 on.  The verifier certifies d o d = 0, minimality (entries in
-the radical), exactness against the representation oracle, and that the
-image of d_k is the expected string module at every degree.  The syzygy
-suite certifies the label formula for Omega on the oracle and derives
-Omega-periodicity of the simples from it.
+degree 1 on.  The verifier here certifies d o d = 0, minimality (entries
+in the radical), canonical terms and periodicity; exactness and the
+images of the d_k, like the syzygy formula, are certified against the
+representation oracle in ``certify``.
 
 Differentials, and the partial identities that are the generic
 components of the generator chain maps (``common_factor_matrix``), are
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import linalg, reps, strings
+from . import strings
 from .homs import HomElement, LineAlgebra
 
 
@@ -254,28 +253,6 @@ def build_resolution(alg: LineAlgebra, i: int, depth: int | None = None) -> Peri
     return PeriodicComplex(alg, i, depth, terms[:depth + 1], memo)
 
 
-# ----------------------------------------------------------- realization
-
-
-def psum_rep(alg: LineAlgebra, psum: tuple):
-    """Realize a sum of projectives; returns (rep, offsets per summand)."""
-    cached = alg._psum_reps.get(psum)
-    if cached is not None:
-        return cached
-    result = reps.direct_sum([alg.projective(j) for j in psum])  # canonical sums are nonempty
-    alg._psum_reps[psum] = result
-    return result
-
-
-def realize_hom_matrix(alg: LineAlgebra, A: HomMatrix) -> reps.RepMorphism:
-    src_rep, src_off = psum_rep(alg, A.source)
-    tgt_rep, tgt_off = psum_rep(alg, A.target)
-    phi = reps.zero_morphism(src_rep, tgt_rep)
-    for (r, c), entry in A.cells.items():
-        alg.add_realization(phi.blocks, entry, tgt_off[r], src_off[c])
-    return phi
-
-
 # ----------------------------------------------------------- verification
 
 
@@ -287,32 +264,17 @@ class CheckResult:
 
 
 def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
-    """Certify the resolution: d o d = 0, minimality, oracle exactness and
-    the identification of each image with the expected string module.
+    """The structural checks of the resolution: d o d = 0, minimality,
+    canonical terms and 2N-periodicity (``certify`` makes the oracle's).
 
-    d o d = 0, exactness (its failing vertices) and the image check (under
-    the expected label) are memoized on the algebra by ``_verdict``, keyed
-    on the differential objects they read: one per pair of terms and never
-    edited, so no periodicity is assumed, and a damaged copy in a private
-    memo is decided on its own.  Only N^2 of the 4N^2 (vertex, degree)
-    pairs of R_1..R_N at depth 4N hold distinct differentials.  The
-    "2N-periodicity" check compares content, so it still fails a private
-    memo damaged one period from a partner within the depth.
-
-    Exactness has one rule in every degree.  For realized maps
-    img : A -> M and ker_of : M -> B, a vertex v of M's support fails
-    unless ker_of_v img_v = 0 and rank img_v + rank ker_of_v = dim M_v.
-    The product gives im img_v in ker ker_of_v, of dimension
-    dim M_v - rank ker_of_v by rank-nullity, so equal ranks give equality.
-    In degree k >= 1, img = d_{k+1} and ker_of = d_k.  In degree 0, ker_of
-    spans Hom(P_i, S_i), one-dimensional as P_i has simple head S_i; its
-    kernel is rad P_i, the unique maximal submodule, so the rule holds
-    exactly when P_1 -> P_i -> S_i -> 0 is exact, i.e. coker d_1 ~ S_i.
-
-    Within one call each differential is realized once and each realized
-    block ranked once, as d_{k+1} is img in degree k and ker_of in degree
-    k + 1.  The memos key on ids of objects that live through the call,
-    and nothing edits a realization, so a remembered rank is exact."""
+    d o d = 0 is memoized on the algebra by ``_verdict``, as the oracle's
+    verdicts are, keyed on the differential objects it reads: one per pair
+    of terms and never edited, so no periodicity is assumed, and a damaged
+    copy in a private memo is decided on its own.  Only N^2 of the 4N^2
+    (vertex, degree) pairs of R_1..R_N at depth 4N hold distinct
+    differentials.  The "2N-periodicity" check compares content, so it
+    still fails a private memo damaged one period from a partner within
+    the depth."""
     alg = cx.alg
     F = alg.field
     n = alg.n
@@ -348,107 +310,6 @@ def verify_resolution(cx: PeriodicComplex, i: int) -> list[CheckResult]:
         if cx.diff(k) != cx.diff(k + 2 * n):
             per.append(k)
     checks.append(CheckResult("2N-periodicity", not per, f"degrees {per}" if per else ""))
-
-    realized = {}  # id -> realization, once per call and only where a verdict is missing
-    ranks = {}  # (id of a realization or of head, vertex) -> rank of its block there
-
-    def real(d):
-        if id(d) not in realized:
-            realized[id(d)] = realize_hom_matrix(alg, d)
-        return realized[id(d)]
-
-    def rank(phi, v):
-        if (id(phi), v) not in ranks:
-            ranks[id(phi), v] = linalg.rank(F, phi.block(v))
-        return ranks[id(phi), v]
-
-    def inexact(img, ker_of):  # the vertices of M where image(img) != kernel(ker_of)
-        M = img.target
-        return [v for v in M.support
-                if not linalg.is_zero_mat(linalg.mat_mul(F, ker_of.block(v), img.block(v)))
-                or rank(img, v) + rank(ker_of, v) != M.dim(v)]
-
-    bad = []
-    for k in range(1, depth):
-        bad += [(k, v) for v in _verdict(alg, "exactness", (cx.diff(k + 1), cx.diff(k)),
-                                          lambda a, b: inexact(real(a), real(b)))]
-    checks.append(CheckResult("exactness in positive degrees", not bad,
-                              f"(degree, vertex) pairs {bad}" if bad else ""))
-
-    head = reps.hom_space(alg.projective(i), reps.simple_rep(n, F, i))[0]  # spans Hom(P_i, S_i)
-    checks.append(CheckResult("cokernel in degree 0 is the simple", not inexact(real(cx.diff(1)), head)))
-
-    def is_image(d, label):
-        return reps.is_isomorphic(reps.image_subrep(real(d))[0], strings.realize_x(n, F, label))
-
-    bad = []
-    label = (i, i)
-    for k in range(1, depth + 1):
-        label = strings.syzygy_label(n, label)
-        if not _verdict(alg, "image", (cx.diff(k),), is_image, label):
-            bad.append(k)
-    checks.append(CheckResult("images are the expected string modules", not bad,
-                              f"degrees {bad}" if bad else ""))
-
-    return checks
-
-
-def verify_syzygies(alg: LineAlgebra) -> list[CheckResult]:
-    """Certify the syzygy formula on the oracle and derive periodicity.
-
-    The first check computes, on the oracle, Omega(realize_x(l)) for every
-    canonical label l and certifies Omega(realize_x(l)) ~ realize_x(l')
-    with l' = syzygy_label(l).  The module expected at l is the input at
-    l', and syzygy_label permutes the labels, so each module is realized
-    at its first read and dropped after its second.  That is exact, as
-    ``realize_x`` is a function of the label and nothing edits a module.
-    Every cover of the call reads one table of head shapes, so each P_v is
-    built once per call (see ``reps.projective_cover``).
-
-    The second check proves Omega^N(S_i) ~ S_{N+1-i} and Omega^2N(S_i) ~ S_i
-    from those certificates without another projective cover.  Let
-    l_0 = (i, i) and l_{k+1} = syzygy_label(l_k).  realize_x(l_0)
-    is simple_rep(i), and Omega is well defined on isomorphism classes
-    (isomorphic modules have isomorphic minimal covers and kernels).  So if
-    l_0, ..., l_{k-1} are all certified, induction on k gives
-    Omega^k(S_i) ~ realize_x(l_k).  The half period at S_i holds if
-    l_0, ..., l_{N-1} are certified and l_N = (N+1-i, N+1-i); the full
-    period if l_0, ..., l_{2N-1} are certified and l_2N = (i, i).
-    Only the labels and the oracle's certificates are read, never the
-    closed-form resolution.
-    """
-    n, F = alg.n, alg.field
-    modules = {}  # label -> realize_x(label), from its first read to its second
-    shapes = {}  # head vertex -> P_v and its walk list, for this call's covers
-
-    def take(label):
-        if label in modules:
-            return modules.pop(label)
-        modules[label] = strings.realize_x(n, F, label)
-        return modules[label]
-
-    certified = set()
-    bad = []
-    for label in strings.canonical_labels(n):
-        omega = reps.syzygy(take(label), shapes)
-        if reps.is_isomorphic(omega, take(strings.syzygy_label(n, label))):
-            certified.add(label)
-        else:
-            bad.append(strings.format_label(label))
-    checks = [CheckResult("syzygies of all canonical strings match their labels",
-                          not bad, ", ".join(bad))]
-
-    bad = []
-    for i in range(1, n + 1):
-        label, proven = (i, i), True
-        for k in range(1, 2 * n + 1):
-            proven = proven and label in certified
-            label = strings.syzygy_label(n, label)
-            if k == n and not (proven and label == (n + 1 - i, n + 1 - i)):
-                bad.append(f"half-period at S_{i}")
-        if not (proven and label == (i, i)):
-            bad.append(f"full period at S_{i}")
-    checks.append(CheckResult("syzygy periodicity", not bad, ", ".join(bad)))
     return checks
 
 

@@ -15,7 +15,8 @@ e >= 1 is the end (up, e) at vertex e, and e <= 0 the end (down, 1 - e)
 at vertex 1 - e.  The end swap sends (a, b) to (1 - b, 1 - a).  Each
 orbit contains exactly one label whose ends lie in 1-N..N with left vertex
 < right vertex, or that is (i, i); that is the canonical form, and (i, i)
-denotes the simple module S_i.  ``format_label`` prints the end notation.
+denotes the simple module S_i.  ``format_label`` prints the end notation,
+and ``certify.realize_x`` builds the module on the oracle.
 
 The syzygy widens a label by one step on each side, (a, b) -> (a-1, b+1);
 iterating from the simple S_i gives the familiar 2N-periodic pattern,
@@ -35,8 +36,6 @@ the plain tuple of its indices, (i, i+2, ..., j).
 """
 
 from __future__ import annotations
-
-from . import reps
 
 
 def normalize_x(n: int, label: tuple) -> tuple:
@@ -96,23 +95,6 @@ def syzygy_label(n: int, label: tuple) -> tuple:
     """Label of the kernel of a projective cover: widen one step each side."""
     a, b = label
     return normalize_x(n, (a - 1, b + 1))
-
-
-def realize_x(n: int, field, label: tuple) -> reps.QuiverRep:
-    """The string module itself, as a representation."""
-    i, j, up = _span(n, label)
-    if i == j:
-        return reps.simple_rep(n, field, i)
-    dims = [0] * n
-    for p in range(i, j + 1):
-        dims[p - 1] = 1
-    arrows = {}
-    for p in range(i, j + 1 - 1):
-        # strand between positions p and p+1 points from head to socle
-        key = ("a", p) if up else ("b", p)
-        arrows[key] = [[field.one]]
-        up = not up
-    return reps.make_rep(n, field, dims, arrows)
 
 
 # ---------------------------------------------------------------- projective sums

@@ -1,13 +1,14 @@
 """Cross-checks that only the tests call: Hom modulo homotopy as a
 linear-algebra computation (against the combinatorial table), the
 oracle's arrow keys and arrow matrices (zero where a module stores none),
-the intertwiner test of an oracle morphism, equality of oracle morphisms,
-equality of row spans, Gauss-Jordan elimination that rewrites whole
-rows, the graded quotient as it was computed before a relator word's
+the realization of one morphism of projectives, a resolution's full
+report, the intertwiner test of an oracle morphism, equality of oracle
+morphisms, equality of row spans, Gauss-Jordan elimination that rewrites
+whole rows, the graded quotient as it was computed before a relator word's
 first arrow was read off the stored products, and the chain-map square
 check as it was decided before it compared cells."""
 
-from extline import linalg
+from extline import certify, linalg, resolutions
 from extline.ext_table import GradedTable
 from extline.homs import ID_SLOT, LineAlgebra
 from extline.linalg import LinearSystem
@@ -62,6 +63,19 @@ def morphisms_equal(phi: RepMorphism, psi: RepMorphism) -> bool:
         phi.block(v) == psi.block(v)
         for v in phi.blocks.keys() | psi.blocks.keys()
     )
+
+
+def realize(alg: LineAlgebra, h) -> RepMorphism:
+    """The oracle morphism of h : P_source -> P_target, which ``certify``
+    realizes as the 1 x 1 matrix of h."""
+    cells = {(0, 0): h} if h else {}
+    return certify.realize_hom_matrix(alg, HomMatrix((h.source,), (h.target,), cells), {})
+
+
+def resolution_report(cx, i: int, sums=None):
+    """Every check of the resolution cx of S_i in the CLI's order: the
+    structural checks of ``resolutions``, then the oracle's of ``certify``."""
+    return resolutions.verify_resolution(cx, i) + certify.verify_exactness(cx, i, sums)
 
 
 def arrow_keys(n: int):

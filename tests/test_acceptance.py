@@ -3,13 +3,13 @@
 Each test prints one PASS line on success; any failure is a hard assert.
 """
 
-from helpers import is_intertwiner
+from helpers import is_intertwiner, resolution_report
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
 from extline.ext_table import ext_table, poincare_series
-from extline.resolutions import build_resolution, corrupted_resolution, verify_resolution
+from extline.resolutions import build_resolution, corrupted_resolution
 from extline import path_algebra as pa
-from extline import reps, strings
+from extline import certify, reps, strings
 
 F2 = field_for_characteristic(2)
 
@@ -41,9 +41,9 @@ def test_criterion_1_poincare_series_against_brute_force():
 def test_criterion_2_syzygy_formula_with_witnesses():
     for n in range(1, 7):
         for lab in strings.canonical_labels(n):
-            realized = strings.realize_x(n, F2, lab)
+            realized = certify.realize_x(n, F2, lab)
             omega = reps.syzygy(realized)
-            expected = strings.realize_x(n, F2, strings.syzygy_label(n, lab))
+            expected = certify.realize_x(n, F2, strings.syzygy_label(n, lab))
             witness = reps.iso_witness(omega, expected)
             assert witness is not None, (n, lab)
             assert witness.is_invertible() and is_intertwiner(witness)
@@ -68,7 +68,7 @@ def test_criterion_4_closed_form_resolutions():
     for n in range(1, 6):
         alg = LineAlgebra(n, F2)
         for i in range(1, n + 1):
-            report = verify_resolution(build_resolution(alg, i, 4 * n), i)
+            report = resolution_report(build_resolution(alg, i, 4 * n), i)
             assert not [(c.name, c.detail) for c in report if not c.ok], (n, i)
     _report(4, "resolutions certified (square-zero, minimal, exact, string images), N <= 5, depth 4N")
 
@@ -106,7 +106,7 @@ def test_criterion_7_structural_constants():
         total = 0
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                d = len(reps.hom_space(alg.projective(i), alg.projective(j)))
+                d = len(reps.hom_space(reps.projective_rep(n, F2, i), reps.projective_rep(n, F2, j)))
                 expected = 2 if i == j else (1 if abs(i - j) == 1 else 0)
                 assert d == expected, (n, i, j)
                 total += d
@@ -126,7 +126,7 @@ def test_criterion_8_negative_controls():
     # a corrupted band sign must break square-zero
     alg = LineAlgebra(3, field_for_characteristic(0))
     bad = corrupted_resolution(alg, 2, 12)
-    report = verify_resolution(bad, 2)
+    report = resolution_report(bad, 2)
     assert any(c.name == "d o d = 0" and not c.ok for c in report)
     # dropping the first boundary relator must strictly inflate dimensions
     full = pa.graded_dimension(2, 4, F2)

@@ -11,6 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import extline
 from extline import yoneda
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -73,3 +74,12 @@ def test_every_counted_prefix_matches_a_traced_callable():
 def test_probe_attributes_exist():
     # the null-homotopy probe reads the certificate's period under this name
     assert hasattr(yoneda.ChainMap, "period_len")
+
+
+def test_every_module_is_a_traced_layer_but_certify():
+    # certify, the bridge to the oracle, is the one module the tracer does
+    # not wrap: its own time shows in its caller's span, and a module added
+    # later must be named here or in LAYERS, not go untraced unseen
+    modules = {path.stem for path in Path(extline.__file__).parent.glob("*.py")} - {"__init__"}
+    assert sorted(modules - set(TRACER.LAYERS)) == ["certify"]
+    assert set(TRACER.LAYERS) <= modules

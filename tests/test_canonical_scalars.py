@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import reference_rref
-from extline import linalg, reps, strings
+from extline import certify, linalg, reps, strings
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
-from extline.resolutions import build_resolution, corrupted_resolution, realize_hom_matrix
+from extline.resolutions import build_resolution, corrupted_resolution
 
 CHARS = [0, 2, 3, 5]
 
@@ -168,8 +168,9 @@ def test_oracle_matrices_hold_residues(n, p):
     for i in range(1, n + 1):
         for cx in (build_resolution(alg, i, 2 * n + 1), corrupted_resolution(alg, i, 2 * n + 1)):
             for k in range(1, 2 * n + 2):
-                assert set(morphism_entries(realize_hom_matrix(alg, cx.diff(k)))) <= set(residues)
-    modules = [strings.realize_x(n, alg.field, label) for label in strings.canonical_labels(n)]
+                phi = certify.realize_hom_matrix(alg, cx.diff(k), {})
+                assert set(morphism_entries(phi)) <= set(residues)
+    modules = [certify.realize_x(n, alg.field, label) for label in strings.canonical_labels(n)]
     for M in modules:
         cover = reps.projective_cover(M)
         entries = (module_entries(cover.cover) + module_entries(cover.kernel)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from extline import path_algebra as pa, reps, resolutions
+from extline import certify, path_algebra as pa, reps, resolutions
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -52,12 +52,12 @@ def flip_a_middle_relator(monkeypatch):
 
 
 def certify_a_corrupted_resolution(monkeypatch):
-    real = resolutions.verify_resolution
+    real = certify.verify_exactness
 
-    def corrupted(cx, i):
-        return real(resolutions.corrupted_resolution(cx.alg, i, cx.depth), i)
+    def corrupted(cx, i, *rest):
+        return real(resolutions.corrupted_resolution(cx.alg, i, cx.depth), i, *rest)
 
-    monkeypatch.setattr(resolutions, "verify_resolution", corrupted)
+    monkeypatch.setattr(certify, "verify_exactness", corrupted)
 
 
 PINNED_STDOUT = {

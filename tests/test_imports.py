@@ -1,6 +1,9 @@
 """Import rules: the package needs nothing outside the standard library,
 the representation oracle in ``reps`` imports no other part of the
-package than ``linalg``, so that it stays an independent route, and the
+package than ``linalg``, and no closed-form module imports ``reps`` or
+``certify``, the one bridge between them, so that the two routes stay
+independent.  ``certify`` reaches ``reps`` and ``linalg`` as modules, so
+that a wrapper put on one of their functions sees its calls.  The
 modules are the API: the package re-exports none of their names."""
 
 import ast
@@ -44,6 +47,30 @@ def test_imports_only_the_standard_library_and_extline(path):
 
 def test_the_oracle_imports_only_linalg():
     assert imported(PACKAGE / "reps.py") <= {"__future__", "extline.linalg"}
+
+
+CLOSED_FORM = ["fields", "linalg", "strings", "homs", "resolutions", "ext_table", "yoneda",
+               "path_algebra"]
+
+
+@pytest.mark.parametrize("module", CLOSED_FORM)
+def test_no_closed_form_module_imports_the_oracle_or_its_bridge(module):
+    assert not imported(PACKAGE / f"{module}.py") & {"extline.reps", "extline.certify"}
+
+
+def from_imports(path):
+    """(module, name) of each ``from .module import name`` in a file, an
+    absolute ``from extline.module`` read as relative."""
+    return {(node.module if node.level else node.module.removeprefix("extline."), alias.name)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.module
+            for alias in node.names}
+
+
+def test_the_bridge_reaches_the_oracle_as_modules():
+    path = PACKAGE / "certify.py"
+    assert {"extline.reps", "extline.linalg"} <= imported(path)
+    assert not [(m, name) for m, name in from_imports(path) if m in ("reps", "linalg")]
 
 
 def test_a_module_is_not_shadowed_by_a_package_attribute():

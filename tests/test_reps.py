@@ -7,7 +7,7 @@ import pytest
 
 from helpers import arrow_keys, arrow_matrix, is_intertwiner, morphisms_equal
 from extline.fields import field_for_characteristic
-from extline import linalg, reps, strings
+from extline import certify, linalg, reps, strings
 
 F2 = field_for_characteristic(2)
 F0 = field_for_characteristic(0)
@@ -51,7 +51,7 @@ def test_head_and_socle_of_projectives():
 
 def test_head_of_string_module():
     lab = strings.normalize_x(3, (1, 3))
-    M = strings.realize_x(3, F2, lab)
+    M = certify.realize_x(3, F2, lab)
     assert reps.head(M) == {1: 1, 3: 1}
     assert reps.socle(M) == {2: 1}
 
@@ -70,7 +70,7 @@ def test_hom_space_between_simples():
 
 def test_head_criterion_via_hom_to_simples():
     lab = strings.normalize_x(4, (1, 3))
-    M = strings.realize_x(4, F2, lab)
+    M = certify.realize_x(4, F2, lab)
     head, _, _ = strings.structure_of(4, lab)
     for l in range(1, 5):
         d = len(reps.hom_space(M, reps.simple_rep(4, F2, l)))
@@ -87,7 +87,7 @@ def test_projective_cover_of_simple():
 def test_projective_cover_is_minimal():
     # kernel sits inside the radical of the cover
     lab = strings.normalize_x(3, (1, 3))
-    M = strings.realize_x(3, F2, lab)
+    M = certify.realize_x(3, F2, lab)
     cov = reps.projective_cover(M)
     assert sorted(cov.cover_vertices) == [1, 3]
     rad = reps.radical_span(cov.cover)
@@ -114,9 +114,9 @@ def test_cover_kernel_of_first_syzygy_n2():
 def test_cover_example_matches_string_label():
     # the kernel of the cover of the (1,3)-string is the lower (1,3)-string
     lab = strings.normalize_x(3, (1, 3))
-    M = strings.realize_x(3, F2, lab)
+    M = certify.realize_x(3, F2, lab)
     cov = reps.projective_cover(M)
-    lower = strings.realize_x(3, F2, (0, -2))
+    lower = certify.realize_x(3, F2, (0, -2))
     assert cov.kernel.dims == lower.dims
     assert reps.is_isomorphic(cov.kernel, lower)
 
@@ -135,7 +135,7 @@ def test_a_shared_table_of_head_shapes_changes_no_cover(char):
     for n in range(1, 7):
         shapes = {}
         for label in strings.canonical_labels(n):
-            M = strings.realize_x(n, F, label)
+            M = certify.realize_x(n, F, label)
             assert _cover_parts(reps.projective_cover(M, shapes)) == \
                 _cover_parts(reps.projective_cover(M)), (n, label)
         for i in range(1, n + 1):
@@ -173,7 +173,7 @@ def test_syzygy_periodicity(n):
 
 def test_cover_dimension_bookkeeping():
     lab = strings.normalize_x(4, (2, 4))
-    M = strings.realize_x(4, F2, lab)
+    M = certify.realize_x(4, F2, lab)
     cov = reps.projective_cover(M)
     for v in range(1, 5):
         assert cov.kernel.dim(v) + M.dim(v) == cov.cover.dim(v)
@@ -182,7 +182,7 @@ def test_cover_dimension_bookkeeping():
 
 def test_operations_return_valid_modules():
     lab = strings.normalize_x(4, (0, 4))
-    M = strings.realize_x(4, F0, lab)
+    M = certify.realize_x(4, F0, lab)
     for rep in (reps.radical(M), reps.syzygy(M), reps.projective_cover(M).cover):
         assert reps.check_relations(rep) == []
 
@@ -195,9 +195,9 @@ def test_is_isomorphic_basics():
 
 def test_iso_witness_is_invertible_intertwiner():
     lab = strings.normalize_x(3, (1, 3))
-    M = strings.realize_x(3, F0, lab)
+    M = certify.realize_x(3, F0, lab)
     om = reps.syzygy(M)
-    expected = strings.realize_x(3, F0, strings.syzygy_label(3, lab))
+    expected = certify.realize_x(3, F0, strings.syzygy_label(3, lab))
     w = reps.iso_witness(om, expected)
     assert w is not None and w.is_invertible() and is_intertwiner(w)
 
@@ -235,7 +235,7 @@ def test_iso_decision_after_change_of_basis(char):
     F = field_for_characteristic(char)
     rng = random.Random(1000 + char)
     for n in range(1, 5):
-        mods = [(lab, strings.realize_x(n, F, lab)) for lab in strings.canonical_labels(n)]
+        mods = [(lab, certify.realize_x(n, F, lab)) for lab in strings.canonical_labels(n)]
         mods += [(("P", i), reps.projective_rep(n, F, i)) for i in range(1, n + 1)]
         for la, A in mods:
             moved = _transport(rng, A)
@@ -254,7 +254,7 @@ def test_cover_surjection_is_onto_with_kernel_inside(char):
     F = field_for_characteristic(char)
     rng = random.Random(2000 + char)
     for n in range(1, 6):
-        mods = [strings.realize_x(n, F, lab) for lab in strings.canonical_labels(n)]
+        mods = [certify.realize_x(n, F, lab) for lab in strings.canonical_labels(n)]
         mods += [reps.projective_rep(n, F, i) for i in range(1, n + 1)]
         for M in mods + [_transport(rng, M) for M in mods]:
             cov = reps.projective_cover(M)
@@ -301,7 +301,7 @@ def test_arrows_and_blocks_outside_the_support_read_as_zero(char):
     F = field_for_characteristic(char)
     n = 5
     mods = [reps.projective_rep(n, F, i) for i in range(1, n + 1)]
-    mods += [strings.realize_x(n, F, lab) for lab in strings.canonical_labels(n)]
+    mods += [certify.realize_x(n, F, lab) for lab in strings.canonical_labels(n)]
     for M in mods:
         assert set(M.arrows) <= set(arrow_keys(n))
         for key, A in M.arrows.items():

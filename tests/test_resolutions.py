@@ -6,10 +6,12 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import resolution_report
+from extline import cli
 from extline.cli import main
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra, format_hom
-from extline import linalg, reps, resolutions, strings
+from extline import certify, linalg, reps, resolutions, strings
 from extline.ext_table import ext_table
 from extline.resolutions import (
     HomMatrix,
@@ -18,8 +20,6 @@ from extline.resolutions import (
     closed_form_differential,
     corrupted_resolution,
     hom_matrix_compose,
-    realize_hom_matrix,
-    verify_resolution,
 )
 
 
@@ -46,7 +46,7 @@ def test_plateau_differential_sign():
 def test_degree_three_differential_kernel_n2():
     alg = algebra(2, char=0)
     cx = build_resolution(alg, 1, 8)
-    phi = realize_hom_matrix(alg, cx.diff(3))
+    phi = certify.realize_hom_matrix(alg, cx.diff(3), {})
     F = alg.field
     ker_dims = [len(linalg.kernel_basis(F, phi.block(v) if phi.target.dim(v) else [],
                                         ncols=phi.source.dim(v))[0]) for v in (1, 2)]
@@ -83,14 +83,14 @@ def test_half_period_term_is_reflected_projective(n):
 def test_verify_resolution_passes(n, char):
     alg = algebra(n, char)
     for i in range(1, n + 1):
-        report = verify_resolution(build_resolution(alg, i, 4 * n), i)
+        report = resolution_report(build_resolution(alg, i, 4 * n), i)
         assert not [(c.name, c.detail) for c in report if not c.ok]
 
 
 @given(st.integers(1, 8), st.sampled_from([0, 2, 3, 5]), st.data())
 def test_verify_resolution_passes_on_drawn_cases(n, char, data):
     i, depth = data.draw(st.integers(1, n)), data.draw(st.integers(2 * n + 2, 6 * n + 1))
-    report = verify_resolution(build_resolution(algebra(n, char), i, depth), i)
+    report = resolution_report(build_resolution(algebra(n, char), i, depth), i)
     assert [c.name for c in report if not c.ok] == []
 
 
@@ -107,7 +107,7 @@ def test_term_multiset_equals_string_head():
 def test_corrupted_sign_breaks_square_zero():
     alg = algebra(3, char=0)
     bad = corrupted_resolution(alg, 2, 12)
-    report = verify_resolution(bad, 2)
+    report = resolution_report(bad, 2)
     names = {c.name for c in report if not c.ok}
     assert "d o d = 0" in names
     detail = [c.detail for c in report if not c.ok and c.name == "d o d = 0"][0]
@@ -117,7 +117,7 @@ def test_corrupted_sign_breaks_square_zero():
 def test_corrupted_entry_detected_in_char_two():
     alg = algebra(3, char=2)
     bad = corrupted_resolution(alg, 2, 12)
-    report = verify_resolution(bad, 2)
+    report = resolution_report(bad, 2)
     assert not all(c.ok for c in report)
 
 
@@ -128,7 +128,7 @@ def test_end_vertex_control_fails_exactness_not_square_zero(n, char, capsys):
     # d o d; the control zeroes the plateau loop d_N on P_{N+1-i} instead,
     # and exactness fails at both ends of that loop, at vertex N+1-i
     for i in (1, n):
-        report = verify_resolution(corrupted_resolution(algebra(n, char), i), i)
+        report = resolution_report(corrupted_resolution(algebra(n, char), i), i)
         failed = {c.name: c.detail for c in report if not c.ok}
         assert "d o d = 0" not in failed
         v = n + 1 - i
@@ -218,27 +218,29 @@ def outcome(report):
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_corruption_does_not_poison_the_shared_memo(char):
-    # the oracle verdicts are memoized on the algebra: a corrupted complex
-    # and a clean one verified on it, in either order, report as they do alone
+    # the oracle verdicts are memoized on the algebra, and the realized sums
+    # in one memo: a corrupted complex and a clean one verified on them, in
+    # either order, report as they do alone
     for makers in ([corrupted_resolution, build_resolution],
                    [build_resolution, corrupted_resolution]):
-        alg = algebra(3, char)
+        alg, sums = algebra(3, char), {}
         for i, make in itertools.product(range(1, 4), makers):
-            shared = outcome(verify_resolution(make(alg, i, 12), i))
-            assert shared == outcome(verify_resolution(make(algebra(3, char), i, 12), i))
+            shared = outcome(resolution_report(make(alg, i, 12), i, sums))
+            assert shared == outcome(resolution_report(make(algebra(3, char), i, 12), i))
             assert all(ok for _, ok, _ in shared) == (make is build_resolution)
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_shared_algebra_reports_as_fresh_ones(char):
-    # the suite verifies every R_i on one algebra; each report must be the
-    # one a fresh algebra gives, at the default depth and at others
+    # the suite verifies every R_i on one algebra and one memo of realized
+    # sums; each report must be the one a fresh algebra gives, at the
+    # default depth and at others
     for n in range(1, 9):
-        alg = algebra(n, char)
+        alg, sums = algebra(n, char), {}
         for depth in (None, 2 * n + 2, 4 * n + 3):
             for i in range(1, n + 1):
-                shared = verify_resolution(build_resolution(alg, i, depth), i)
-                fresh = verify_resolution(build_resolution(algebra(n, char), i, depth), i)
+                shared = resolution_report(build_resolution(alg, i, depth), i, sums)
+                fresh = resolution_report(build_resolution(algebra(n, char), i, depth), i)
                 assert outcome(shared) == outcome(fresh), (n, depth, i)
                 assert all(c.ok for c in shared)
 
@@ -249,15 +251,15 @@ def test_corruption_one_period_on_is_checked_again(char):
     # verdict memoized for d_2 must not stand in for d_8
     alg = algebra(3, char)
     cx = build_resolution(alg, 2, 12)
-    assert all(c.ok for c in verify_resolution(cx, 2))  # memoizes the clean verdicts first
+    assert all(c.ok for c in resolution_report(cx, 2))  # memoizes the clean verdicts first
     d = cx.diff(8)
     assert sorted(d.cells) == [(0, 0), (1, 0)]
     memo = dict(cx.memo)  # a private memo: the shared one stays intact
     memo[8] = HomMatrix(d.source, d.target, {(1, 0): d.entry(1, 0)})
     bad = PeriodicComplex(alg, 2, cx.depth, cx.terms, memo)
-    report = outcome(verify_resolution(bad, 2))
+    report = outcome(resolution_report(bad, 2))
     alone = PeriodicComplex(algebra(3, char), 2, cx.depth, cx.terms, memo)
-    assert report == outcome(verify_resolution(alone, 2))
+    assert report == outcome(resolution_report(alone, 2))
     failed = {name: detail for name, ok, detail in report if not ok}
     assert failed == {
         "d o d = 0": "failing at degrees [8]",
@@ -272,12 +274,12 @@ def test_image_verdicts_are_keyed_by_the_expected_label(char, monkeypatch):
     # R_1's verdicts are memoized first; then Omega(S_1) is expected to be
     # S_2, and the same differentials must fail against the new labels
     alg = algebra(3, char)
-    assert all(c.ok for c in verify_resolution(build_resolution(alg, 1), 1))
+    assert all(c.ok for c in resolution_report(build_resolution(alg, 1), 1))
     real = strings.syzygy_label
     monkeypatch.setattr(strings, "syzygy_label", lambda n, label: (
         (2, 2) if label == (1, 1) else real(n, label)))
-    shared = outcome(verify_resolution(build_resolution(alg, 1), 1))
-    assert shared == outcome(verify_resolution(build_resolution(algebra(3, char), 1), 1))
+    shared = outcome(resolution_report(build_resolution(alg, 1), 1))
+    assert shared == outcome(resolution_report(build_resolution(algebra(3, char), 1), 1))
     (_, ok, detail), = [c for c in shared if c[0] == "images are the expected string modules"]
     assert not ok and detail.startswith("degrees [1, ")
 
@@ -300,7 +302,7 @@ def test_resolution_suite_checks_each_differential_once(monkeypatch, capsys):
     # met before (as d_{N+1} of R_{N+1-i}) and so has no oracle miss: N/2.
     # d o d is computed once per distinct pair (d_{k-1}, d_k) of objects.
     n, realized, images, products = 8, [], [], []
-    record_calls(monkeypatch, resolutions, "realize_hom_matrix", realized)
+    record_calls(monkeypatch, certify, "realize_hom_matrix", realized)
     record_calls(monkeypatch, reps, "image_subrep", images)
     record_calls(monkeypatch, resolutions, "hom_matrix_compose", products)
     assert main(["verify", "--suite", "resolution", "--n", str(n), "--char", "3"]) == 0
@@ -312,6 +314,50 @@ def test_resolution_suite_checks_each_differential_once(monkeypatch, capsys):
              for cx in (build_resolution(alg, i) for i in range(1, n + 1))
              for k in range(2, cx.depth + 1)}
     assert len({(id(a), id(b)) for _, a, b in products}) == len(products) == len(pairs)
+
+
+def reachable(root):
+    """Every object reachable from root through containers and the
+    attributes of the package's objects (closures are not entered)."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+        elif type(obj).__module__.startswith("extline."):
+            slots = getattr(obj, "__slots__", None)
+            stack += ([getattr(obj, a, None) for a in slots] if slots is not None
+                      else list(vars(obj).values()))
+    return list(seen.values())
+
+
+def test_oracle_memos_live_for_one_command(monkeypatch, capsys):
+    # the realized projectives live in a memo of one command, not on the
+    # algebra: two identical commands in one process build the same P_i,
+    # each at most once, and no algebra holds an object of the oracle after
+    n, built, algebras = 6, [], []
+    record_calls(monkeypatch, reps, "projective_rep", built)
+    monkeypatch.setattr(cli, "LineAlgebra",
+                        lambda *args: algebras.append(LineAlgebra(*args)) or algebras[-1])
+    runs = []
+    for _ in range(2):
+        built.clear()
+        assert main(["verify", "--suite", "resolution", "--n", str(n), "--char", "3"]) == 0
+        runs.append(sorted(v for *_, v in built))
+    capsys.readouterr()
+    assert runs[0] == runs[1] and len(runs[0]) <= n
+    assert len(algebras) == 2
+    for alg in algebras:
+        held = reachable(alg)
+        assert any(isinstance(obj, HomMatrix) for obj in held)  # the walk reaches the memos
+        assert not [obj for obj in held if type(obj).__module__ == reps.__name__]
+    algebras[0]._verdicts["planted"] = reps.zero_rep(n, algebras[0].field)  # the check is live
+    assert any(type(obj).__module__ == reps.__name__ for obj in reachable(algebras[0]))
 
 
 def test_resolution_suite_ranks_each_realized_block_once(monkeypatch, capsys):
@@ -332,18 +378,18 @@ def test_equal_copy_of_a_shared_differential_is_decided_again(char, monkeypatch)
     # read as the shared one's do
     alg = algebra(3, char)
     cx = build_resolution(alg, 2, 12)
-    clean = outcome(verify_resolution(cx, 2))
+    clean = outcome(resolution_report(cx, 2))
     d = cx.diff(5)
     memo = dict(cx.memo)  # a private memo: the shared one stays intact
     memo[5] = copy = HomMatrix(d.source, d.target, dict(d.cells))
     assert copy == d and copy is not d
     realized, products = [], []
-    record_calls(monkeypatch, resolutions, "realize_hom_matrix", realized)
+    record_calls(monkeypatch, certify, "realize_hom_matrix", realized)
     record_calls(monkeypatch, resolutions, "hom_matrix_compose", products)
-    report = outcome(verify_resolution(PeriodicComplex(alg, 2, cx.depth, cx.terms, memo), 2))
+    report = outcome(resolution_report(PeriodicComplex(alg, 2, cx.depth, cx.terms, memo), 2))
     assert report == clean and all(ok for _, ok, _ in report)
     assert [(a is copy, b is copy) for _, a, b in products] == [(False, True), (True, False)]
-    assert [A is copy for _, A in realized] == [True, False, False]  # then d_4 and d_6 beside it
+    assert [A is copy for _, A, _ in realized] == [True, False, False]  # then d_4 and d_6 beside it
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -355,11 +401,11 @@ def test_identity_in_a_differential_fails_minimality(char):
     assert d.source == d.target == (3,)
     memo = dict(cx.memo)  # a private memo: the shared one stays intact
     memo[3] = HomMatrix(d.source, d.target, {(0, 0): alg.add(d.entry(0, 0), alg.identity_hom(3))})
-    report = verify_resolution(PeriodicComplex(alg, 1, cx.depth, cx.terms, memo), 1)
+    report = resolution_report(PeriodicComplex(alg, 1, cx.depth, cx.terms, memo), 1)
     (check,) = [c for c in report if c.name == "minimality"]
     assert not check.ok
     assert check.detail == "identity component at degrees [3]"
-    assert all(c.ok for c in verify_resolution(build_resolution(alg, 1, 12), 1))
+    assert all(c.ok for c in resolution_report(build_resolution(alg, 1, 12), 1))
 
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
@@ -372,10 +418,10 @@ def test_dropped_cell_of_d1_fails_the_degree_zero_check(char):
     assert sorted(d.cells) == [(0, 0), (0, 1)]
     memo = dict(cx.memo)  # a private memo: the shared one stays intact
     memo[1] = HomMatrix(d.source, d.target, {(0, 0): d.entry(0, 0)})
-    report = verify_resolution(PeriodicComplex(alg, 2, cx.depth, cx.terms, memo), 2)
+    report = resolution_report(PeriodicComplex(alg, 2, cx.depth, cx.terms, memo), 2)
     (check,) = [c for c in report if c.name == "cokernel in degree 0 is the simple"]
     assert not check.ok
-    assert all(c.ok for c in verify_resolution(build_resolution(alg, 2, 12), 2))
+    assert all(c.ok for c in resolution_report(build_resolution(alg, 2, 12), 2))
 
 
 # ------------------------------------------------------------ syzygy suite
@@ -386,7 +432,7 @@ SYZYGY_CHECKS = ["syzygies of all canonical strings match their labels", "syzygy
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_syzygy_suite_passes(char):
     for n in range(1, 9):
-        report = resolutions.verify_syzygies(algebra(n, char))
+        report = certify.verify_syzygies(algebra(n, char))
         assert [c.name for c in report] == SYZYGY_CHECKS
         assert not [(c.name, c.detail) for c in report if not c.ok], n
 
@@ -396,10 +442,10 @@ def test_syzygy_suite_realizes_each_label_once(char, monkeypatch):
     # the module of syzygy_label(l) is the input module of that label, so
     # one realization per canonical label serves both reads
     realized = []
-    record_calls(monkeypatch, strings, "realize_x", realized)
+    record_calls(monkeypatch, certify, "realize_x", realized)
     for n in range(1, 7):
         realized.clear()
-        resolutions.verify_syzygies(algebra(n, char))
+        certify.verify_syzygies(algebra(n, char))
         assert sorted(label for _, _, label in realized) == sorted(strings.canonical_labels(n))
 
 
@@ -410,7 +456,7 @@ def test_syzygy_suite_builds_each_projective_once(char, monkeypatch):
     record_calls(monkeypatch, reps, "projective_rep", built)
     for n in range(1, 7):
         built.clear()
-        resolutions.verify_syzygies(algebra(n, char))
+        certify.verify_syzygies(algebra(n, char))
         heads = [v for _, _, v in built]
         assert len(heads) <= n and len(set(heads)) == len(heads), (n, heads)
 
@@ -421,7 +467,7 @@ def test_syzygy_suite_eliminates_each_kernel_basis_once(monkeypatch):
     # reduced that basis again, 242 without
     eliminated = []
     record_calls(monkeypatch, linalg, "rref", eliminated)
-    resolutions.verify_syzygies(algebra(6, 3))
+    certify.verify_syzygies(algebra(6, 3))
     assert len(eliminated) <= 242
 
 
@@ -453,14 +499,14 @@ def test_refuted_second_half_label_fails_the_full_period(char, monkeypatch):
     # meets at step N + 1: S_1 keeps its half period but loses its full one
     n, F = 4, field_for_characteristic(char)
     victim = strings.syzygy_label(n, (n, n))
-    V = strings.realize_x(n, F, victim)
+    V = certify.realize_x(n, F, victim)
     real = reps.syzygy
 
     def refuting(M, *rest):  # rest: the suite's table of head shapes, forwarded
         return reps.zero_rep(n, F) if (M.dims, M.arrows) == (V.dims, V.arrows) else real(M, *rest)
 
     monkeypatch.setattr(reps, "syzygy", refuting)
-    first, periodicity = resolutions.verify_syzygies(algebra(n, char))
+    first, periodicity = certify.verify_syzygies(algebra(n, char))
     assert (first.ok, first.detail) == (False, "X[(up,3)|(down,4)]")
     assert (periodicity.ok, periodicity.detail) == (
         False, "full period at S_1, half-period at S_4, full period at S_4")

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from helpers import morphisms_equal
+from helpers import morphisms_equal, realize
 from extline import strings
+from extline.certify import realize_hom_matrix
 from extline.fields import field_for_characteristic
 from extline.homs import HomElement, LineAlgebra
 from extline.resolutions import (
@@ -22,7 +23,6 @@ from extline.resolutions import (
     hom_matrix_compose,
     hom_matrix_scale,
     is_identity,
-    realize_hom_matrix,
 )
 from extline.yoneda import (
     ChainMap,
@@ -114,8 +114,9 @@ def no_zero_cells(alg, M):
 def test_realized_composite_matches_oracle(data):
     alg, A, B, _ = data
     AB = hom_matrix_compose(alg, A, B)
-    oracle = realize_hom_matrix(alg, A).compose(realize_hom_matrix(alg, B))
-    assert morphisms_equal(realize_hom_matrix(alg, AB), oracle)
+    sums = {}  # one memo of realized sums, shared as in a command
+    oracle = realize_hom_matrix(alg, A, sums).compose(realize_hom_matrix(alg, B, sums))
+    assert morphisms_equal(realize_hom_matrix(alg, AB, sums), oracle)
 
 
 @given(composable_triple())
@@ -195,7 +196,7 @@ def test_element_equality_is_equality_of_morphisms(n, char, data):
                   alg.scale(F.zero, g), alg.zero_hom(s, t)]
     for a in candidates:
         for b in candidates:
-            assert (a == b) == morphisms_equal(alg.realize(a), alg.realize(b)), (a, b)
+            assert (a == b) == morphisms_equal(realize(alg, a), realize(alg, b)), (a, b)
 
 
 @given(st.integers(1, 5), st.data())

@@ -4,7 +4,7 @@ normalization, structure readout, syzygy shift, oracle agreement."""
 import pytest
 
 from extline.fields import field_for_characteristic
-from extline import reps, strings
+from extline import certify, reps, strings
 from extline.strings import normalize_p, normalize_x
 
 F2 = field_for_characteristic(2)
@@ -148,10 +148,10 @@ def test_label_periodicity():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_realized_syzygy_matches_label(n):
     for lab in strings.canonical_labels(n):
-        M = strings.realize_x(n, F2, lab)
+        M = certify.realize_x(n, F2, lab)
         assert reps.check_relations(M) == []
         om = reps.syzygy(M)
-        expected = strings.realize_x(n, F2, strings.syzygy_label(n, lab))
+        expected = certify.realize_x(n, F2, strings.syzygy_label(n, lab))
         assert reps.is_isomorphic(om, expected), lab
 
 
@@ -159,7 +159,7 @@ def test_realize_x_structure_agrees_with_oracle():
     for n in (2, 3, 4):
         for lab in strings.canonical_labels(n):
             head, soc, dim = strings.structure_of(n, lab)
-            M = strings.realize_x(n, F2, lab)
+            M = certify.realize_x(n, F2, lab)
             assert reps.head(M) == head
             assert reps.socle(M) == soc
             assert M.total_dim == dim
