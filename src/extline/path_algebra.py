@@ -44,7 +44,6 @@ from .resolutions import (
 )
 from .yoneda import (
     ChainMap,
-    ExtClass,
     cached_generator,
     chain_add,
     chain_equal_strict,
@@ -331,6 +330,15 @@ def word_head(alg: LineAlgebra, bottoms: dict, arrows):
         M = G if M is None else hom_matrix_compose(alg, M, G)
         bottoms[arrows[t:]] = degree, M
     return head_class(alg.field, M, arrow_target(n, arrows[-1]))
+
+
+@dataclass
+class ExtClass:
+    i: int
+    j: int
+    k: int
+    chain_map: ChainMap
+    nonzero: bool
 
 
 def evaluate_word(alg: LineAlgebra, arrows) -> ExtClass:

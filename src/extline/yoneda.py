@@ -17,18 +17,19 @@ Both are instances of one equation,
 with sign -1 and f = 0 for a chain map and sign +1 for a homotopy s of a
 chain map f = d o s + s o d.  ``_solve_family`` turns one period of
 unknowns and these equations into a finite linear system over the ground
-field; ``_first_failure`` re-checks a family degreewise with morphism
-arithmetic only, independently of that system.  The re-check stops at
-the last distinct equation, ``ChainMap.window`` = periodic_start +
-period + 1 (with f given, from the larger of the two periodic starts).
-Past it each equation is the one a period earlier, operand for operand:
-the family's components fold at periodic_start + period; the algebra
-keeps one differential object per pair of terms and the terms are
-2N-periodic, so d_k is d_{k+2N} (k >= 1); and f, whose period divides
-the family's, folds at its own periodic start.  A solved family also
-reads its degree periodic_start + period from the stored degree
-periodic_start, so the solver stops one degree earlier; the re-check
-cannot, since an arbitrary family makes that degree on its own.
+field; at run time it solves only for null-homotopies (sign -1 with pins
+is the tests' reference lift).  ``_first_failure`` re-checks a family
+degreewise with morphism arithmetic only, independently of that system.
+The re-check stops at the last distinct equation, ``ChainMap.window`` =
+periodic_start + period + 1 (with f given, from the larger of the two
+periodic starts).  Past it each equation is the one a period earlier,
+operand for operand: the family's components fold at periodic_start +
+period; the algebra keeps one differential object per pair of terms and
+the terms are 2N-periodic, so d_k is d_{k+2N} (k >= 1); and f, whose
+period divides the family's, folds at its own periodic start.  A solved
+family also reads its degree periodic_start + period from the stored
+degree periodic_start, so the solver stops one degree earlier; the
+re-check cannot, since an arbitrary family makes that degree on its own.
 
 Null-homotopy is decided exactly, in two stages.  Because the
 resolutions are minimal (all differentials land in radicals), the
@@ -62,7 +63,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .homs import ID_SLOT, LineAlgebra
+from .homs import LineAlgebra
 from .linalg import LinearSystem
 from .resolutions import (
     HomMatrix,
@@ -77,7 +78,6 @@ from .resolutions import (
     hom_matrix_scale,
     nonzero_cells,
 )
-from .ext_table import ext_dim_via_x as _ext_dim_via_x
 
 
 class ChainMapError(AssertionError):
@@ -263,10 +263,6 @@ def chain_add(f: ChainMap, g: ChainMap, c) -> ChainMap:
     return ChainMap(f.source, f.target, f.shift, ps, maker)
 
 
-def chain_sub(f: ChainMap, g: ChainMap) -> ChainMap:
-    return chain_add(f, g, c=f.source.alg.field.from_int(-1))
-
-
 def chain_scale(c, f: ChainMap) -> ChainMap:
     alg = f.source.alg
 
@@ -319,10 +315,11 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
     is read back by whole periods; d_k is d_{k+period} (module
     docstring), and f folds at its own periodic start, which is at most
     W - 1 - period.  The same holds for every later degree, so no further
-    row changes the solution.  Returns (family,
-    system, index): family is the ChainMap of the particular solution,
-    None when the system is inconsistent; index maps (m, row, col, slot)
-    to the unknown.
+    row changes the solution.  Returns (family, system, index): family is
+    the ChainMap of the particular solution, None when the system is
+    inconsistent; index maps (m, row, col, slot) to the unknown.  Only
+    ``_periodic_homotopy`` calls it at run time (sign +1, f given, no
+    pins); sign -1 with pins is the tests' reference lift of a cocycle.
     """
     alg = source.alg
     F = alg.field
@@ -445,69 +442,3 @@ def null_homotopy(f: ChainMap):
 def verify_homotopy(f: ChainMap, htpy: ChainMap) -> bool:
     """Independent degreewise check that f = d o s + s o d."""
     return htpy.shift == f.shift - 1 and _first_failure(htpy, 1, f) is None
-
-
-def class_difference_scalar(f: ChainMap, g: ChainMap):
-    """A scalar c with f - c*g null-homotopic, or None.
-
-    Classes are compared through their induced cocycles, which determine
-    them faithfully on the minimal resolutions.
-    """
-    alg = f.source.alg
-    F = alg.field
-    if (f.shift != g.shift or f.source.base_vertex != g.source.base_vertex
-            or f.target.base_vertex != g.target.base_vertex):
-        return None
-    hf = chain_head_class(f)
-    hg = chain_head_class(g)
-    c = None
-    for a, b in zip(hf, hg):
-        if F.is_zero(b):
-            if not F.is_zero(a):
-                return None
-            continue
-        ratio = F.mul(a, F.inv(b))
-        if c is None:
-            c = ratio
-        elif not F.is_zero(F.sub(c, ratio)):
-            return None
-    return F.zero if c is None else c
-
-
-# --------------------------------------------------------------- lifting
-
-
-@dataclass
-class ExtClass:
-    i: int
-    j: int
-    k: int
-    chain_map: ChainMap
-    nonzero: bool
-
-
-def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
-    """A chain map R_i -> R_j[k] whose degree-k component maps the P_j
-    summand by the identity onto P_j (its head readout is 1); certified
-    non-null-homotopic."""
-    if _ext_dim_via_x(alg.n, i, j, k) == 0:
-        raise ValueError(f"Ext^{k}(S_{i}, S_{j}) = 0: requested class is zero")
-    source = build_resolution(alg, i)
-    target = build_resolution(alg, j)
-    if k == 0 and i == j:
-        cls = identity_chain_map(alg, i)
-        return ExtClass(i, j, 0, cls, True)
-
-    # chain-map squares d o phi_m = phi_{m-1} o d, and the head pin: the
-    # unique P_j summand of term_k maps by the identity onto term_0(R_j) = P_j
-    pin = ((k, 0, source.term(k).index(j), ID_SLOT), alg.field.one)
-    chain, _, _ = _solve_family(source, target, k, k + 1, source.period, -1, pins=[pin])
-    if chain is None:
-        raise ChainMapError(
-            f"no eventually periodic lift found for Ext^{k}(S_{i}, S_{j})"
-        )
-    chain.verify()
-    if null_homotopy(chain) is not None:
-        raise ChainMapError("lifted representative is null-homotopic")
-    return ExtClass(i, j, k, chain, True)
-

@@ -1,18 +1,24 @@
 """Cross-checks that only the tests call: Hom modulo homotopy as a
-linear-algebra computation (against the combinatorial table), the
-oracle's arrow keys and arrow matrices (zero where a module stores none),
-the realization of one morphism of projectives, a resolution's full
-report, the intertwiner test of an oracle morphism, equality of oracle
-morphisms, equality of row spans, Gauss-Jordan elimination that rewrites
-whole rows, the graded quotient as it was computed before a relator word's
-first arrow was read off the stored products, and the chain-map square
-check as it was decided before it compared cells."""
+linear-algebra computation (against the combinatorial table), the lift of
+a cocycle by the periodic solver (the reference that the closed-form
+generators are compared against), the scalar ratio of two head readouts,
+the oracle's arrow keys and arrow matrices (zero where a module stores
+none), the realization of one morphism of projectives, a resolution's
+full report, the intertwiner test of an oracle morphism, equality of
+oracle morphisms, equality of row spans, Gauss-Jordan elimination that
+rewrites whole rows, the graded quotient as it was computed before a
+relator word's first arrow was read off the stored products, and the
+chain-map square check as it was decided before it compared cells.
 
-from extline import certify, linalg, resolutions
-from extline.ext_table import GradedTable
+The solver is reached as ``yoneda._solve_family``, through the module,
+so that a test which records the solver's calls also sees these."""
+
+from extline import certify, linalg, resolutions, yoneda
+from extline.ext_table import GradedTable, ext_dim_via_x
 from extline.homs import ID_SLOT, LineAlgebra
 from extline.linalg import LinearSystem
 from extline.path_algebra import (
+    ExtClass,
     all_arrows,
     arrow_degree,
     arrow_source,
@@ -22,7 +28,7 @@ from extline.path_algebra import (
 )
 from extline.reps import QuiverRep, RepMorphism, arrow_endpoints
 from extline.resolutions import HomMatrix, build_resolution, hom_matrix_add, hom_matrix_compose
-from extline.yoneda import _solve_family, _window
+from extline.yoneda import ChainMapError, chain_head_class, identity_chain_map, null_homotopy
 
 
 def span_equal(field, rows_a, rows_b) -> bool:
@@ -110,7 +116,7 @@ def reference_first_failure(u, sign: int, f=None):
     decided on whole matrices: hom_matrix_compose, then hom_matrix_add,
     then == against an empty matrix or f_m."""
     alg = u.source.alg
-    for m in range(u.shift + 1, _window(u, f) + 1):
+    for m in range(u.shift + 1, yoneda._window(u, f) + 1):
         have = hom_matrix_compose(alg, u.target.diff(m - u.shift), u.component(m))
         want = f.component(m) if f else HomMatrix(have.source, have.target, {})
         prev = u.component(m - 1)
@@ -138,7 +144,7 @@ def ext_class_dimension(alg: LineAlgebra, i: int, j: int, k: int) -> int:
     source = build_resolution(alg, i)
     target = build_resolution(alg, j)
     # ansatz: components repeat from k+1 on
-    _, system, index = _solve_family(source, target, k, k + 1, source.period, -1)
+    _, system, index = yoneda._solve_family(source, target, k, k + 1, source.period, -1)
     head_vars = [
         index[(k, 0, c, ID_SLOT)]
         for c, s in enumerate(source.term(k))
@@ -148,6 +154,42 @@ def ext_class_dimension(alg: LineAlgebra, i: int, j: int, k: int) -> int:
     for vec in system.nullspace_basis():
         readout.add_equation({pos: vec[v] for pos, v in enumerate(head_vars)}, alg.field.zero)
     return readout.rank
+
+
+def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
+    """A chain map R_i -> R_j[k] whose degree-k component maps the P_j
+    summand by the identity onto P_j (its head readout is 1); certified
+    non-null-homotopic."""
+    if ext_dim_via_x(alg.n, i, j, k) == 0:
+        raise ValueError(f"Ext^{k}(S_{i}, S_{j}) = 0: requested class is zero")
+    source = build_resolution(alg, i)
+    target = build_resolution(alg, j)
+    if k == 0 and i == j:
+        return ExtClass(i, j, 0, identity_chain_map(alg, i), True)
+
+    # chain-map squares d o phi_m = phi_{m-1} o d, and the head pin: the
+    # unique P_j summand of term_k maps by the identity onto term_0(R_j) = P_j
+    pin = ((k, 0, source.term(k).index(j), ID_SLOT), alg.field.one)
+    chain, _, _ = yoneda._solve_family(source, target, k, k + 1, source.period, -1, pins=[pin])
+    if chain is None:
+        raise ChainMapError(f"no eventually periodic lift found for Ext^{k}(S_{i}, S_{j})")
+    chain.verify()
+    if null_homotopy(chain) is not None:
+        raise ChainMapError("lifted representative is null-homotopic")
+    return ExtClass(i, j, k, chain, True)
+
+
+def head_ratio(f, g):
+    """The scalar c with f - c*g null-homotopic, or None: a ratio of head
+    readouts, each of which has at most one entry (a canonical sum has
+    distinct indices, so the target's base projective occurs at most once)."""
+    F = f.source.alg.field
+    hf, hg = chain_head_class(f), chain_head_class(g)
+    assert len(hf) <= 1 and len(hg) <= 1, (hf, hg)
+    a, b = (hf or [F.zero])[0], (hg or [F.zero])[0]
+    if F.is_zero(b):
+        return F.zero if F.is_zero(a) else None
+    return F.mul(a, F.inv(b))
 
 
 def reference_graded_dimension(n: int, max_degree: int, field, relators=None) -> GradedTable:

@@ -64,7 +64,7 @@ PINNED_STDOUT = {
     "ext_table_demo.py": "48c3642f1471bee0d037cb26046ee635a8ecc7ffa90500bfdf740b349aaa6037",
     "path_algebra_demo.py": "e68bdcf72643702dfe449df2bedd8aa7bf2742a4e3f7bd5995f136d0fc9f2b65",
     "resolution_demo.py": "8755ed2808bdcb563cc60ef3374fbae16900d072c6557e9f85fb4411a3c321e3",
-    "yoneda_demo.py": "232764a803a195ef1eddeae92ac5f67ffeb6a581491cd55f2824f3b231c8b7f8",
+    "yoneda_demo.py": "c686f675f2c01c54b63e8224d8504bc6fcab3decec8df130eebbe662e21a9e36",
 }
 
 DEMO_FAULTS = [

@@ -2,7 +2,9 @@
 the representation oracle in ``reps`` imports no other part of the
 package than ``linalg``, and no closed-form module imports ``reps`` or
 ``certify``, the one bridge between them, so that the two routes stay
-independent.  ``certify`` reaches ``reps`` and ``linalg`` as modules, so
+independent, and the chain-level ``yoneda`` imports nothing of
+``ext_table``, whose closed form its Hom modulo homotopy is checked
+against.  ``certify`` reaches ``reps`` and ``linalg`` as modules, so
 that a wrapper put on one of their functions sees its calls.  The
 modules are the API: the package re-exports none of their names."""
 
@@ -71,6 +73,12 @@ def test_the_bridge_reaches_the_oracle_as_modules():
     path = PACKAGE / "certify.py"
     assert {"extline.reps", "extline.linalg"} <= imported(path)
     assert not [(m, name) for m, name in from_imports(path) if m in ("reps", "linalg")]
+
+
+def test_the_chain_level_route_is_blind_to_the_head_criterion():
+    # tests/helpers.ext_class_dimension checks the solver's Hom modulo
+    # homotopy against ext_table's closed form, so yoneda must not read it
+    assert "extline.ext_table" not in imported(PACKAGE / "yoneda.py")
 
 
 def test_a_module_is_not_shadowed_by_a_package_attribute():

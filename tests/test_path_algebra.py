@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import reference_graded_dimension
+from helpers import head_ratio, reference_graded_dimension
 from extline.fields import field_for_characteristic
 from extline.homs import LineAlgebra
 from extline.ext_table import ext_dim_via_x, ext_table
@@ -173,11 +173,9 @@ def test_evaluate_boundary_relator_words_to_zero():
 
 def test_evaluate_respects_commutation_relator():
     alg = algebra(4, char=0)
-    from extline.yoneda import class_difference_scalar
-
     a = pa.evaluate_word(alg, (("xstar", 1), ("x", 1)))
     b = pa.evaluate_word(alg, (("x", 2), ("xstar", 2)))
-    c = class_difference_scalar(a.chain_map, b.chain_map)
+    c = head_ratio(a.chain_map, b.chain_map)
     assert c == alg.field.one
 
 
@@ -264,7 +262,7 @@ def test_memory_does_not_grow_with_the_degree():
 
 
 def test_evaluation_reverses_concatenation_into_composition():
-    from extline.yoneda import cached_generator, chain_equal_strict, class_difference_scalar, compose
+    from extline.yoneda import cached_generator, chain_equal_strict, compose
 
     alg = algebra(4, char=0)
 
@@ -282,7 +280,7 @@ def test_evaluation_reverses_concatenation_into_composition():
     rhs = compose(raw(v), raw(u))
     assert chain_equal_strict(lhs, rhs)
     cls = pa.evaluate_word(alg, uv)
-    c = class_difference_scalar(cls.chain_map, lhs)
+    c = head_ratio(cls.chain_map, lhs)
     assert cls.nonzero and c is not None and not alg.field.is_zero(c)
 
 
