@@ -298,7 +298,6 @@ def _add_common(p, need_ij=False):
     p.add_argument("--n", type=int, required=True, help="number of simple modules")
     p.add_argument("--char", type=int, default=2,
                    help="field characteristic, 0 or a prime (default 2)")
-    p.add_argument("--max-deg", type=int, default=None, help="top degree (default 4N)")
     p.add_argument("--format", choices=["json", "table", "latex"], default="table")
     p.add_argument("--out", default=None, help="write output to this file")
     if need_ij:
@@ -344,10 +343,13 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("yoneda-product", help="evaluate a word in the generators")
-    p.set_defaults(func="cmd_yoneda_product")
+    p.set_defaults(func="cmd_yoneda_product", max_deg=None)
     _add_common(p)
     p.add_argument("--word", required=True,
                    help="arrows in path order, e.g. 'x1 x2' or 'y1 x2*'")
+    for name, p in sub.choices.items():  # a word's degree is its own top degree
+        if name != "yoneda-product":
+            p.add_argument("--max-deg", type=int, default=None, help="top degree (default 4N)")
     return parser
 
 
@@ -363,7 +365,7 @@ def validate(parser, args):
     except ValueError as exc:
         parser.error(f"--char: {exc}")
     if args.max_deg is None:
-        if args.command != "verify":
+        if args.command not in ("verify", "yoneda-product"):
             args.max_deg = 4 * args.n
     elif args.max_deg < 0:
         parser.error("--max-deg must be nonnegative")

@@ -408,7 +408,7 @@ def relator_homotopy(alg: LineAlgebra, rel: Relator) -> ChainMap:
         return hom_matrix_scale(alg, F.from_int(a * sign),
                                 common_factor_matrix(alg, R.term(m), R.term(m - 1)))
 
-    return ChainMap(R, R, 1, 1, maker)
+    return ChainMap(R, R, 1, 0, maker)
 
 
 def relator_holds(alg: LineAlgebra, rel: Relator) -> bool:

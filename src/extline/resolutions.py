@@ -193,6 +193,12 @@ def closed_form_differential(alg: LineAlgebra, i: int, j: int) -> HomMatrix:
     return HomMatrix(src, tgt, cells)
 
 
+def fold_degree(k: int, top: int, period: int) -> int:
+    """The degree that k reads when degrees past top repeat with period: k up to top, else
+    the one of (top - period, top]; hot readers test k > top first to save the call."""
+    return k if k <= top else top - (top - k) % period
+
+
 @dataclass
 class PeriodicComplex:
     """A non-negatively graded complex of projective sums, eventually
@@ -220,8 +226,8 @@ class PeriodicComplex:
     def term(self, k: int) -> tuple:
         if k < 0:
             raise IndexError("negative degree")
-        if k > self.depth:  # one step into depth - period < k <= depth
-            k = self.depth - (self.depth - k) % self.period
+        if k > self.depth:
+            k = fold_degree(k, self.depth, self.period)
         return self.terms[k]
 
     def diff(self, k: int) -> HomMatrix:
@@ -229,7 +235,7 @@ class PeriodicComplex:
         if k < 1:
             raise IndexError("differentials start in degree 1")
         if k > self.depth:
-            k = self.depth - (self.depth - k) % self.period
+            k = fold_degree(k, self.depth, self.period)
         d = self.memo.get(k)
         if d is None:
             table, i = self.alg._differentials, self.base_vertex

@@ -4,11 +4,18 @@ certificates, and the degree-1 and degree-N generator families.
 One family type carries all of it.  A ``ChainMap`` of shift r assigns to
 each degree k >= max(r, 0) a morphism matrix
 u_k : term_k(source) -> term_{k-r}(target), given by a maker of its
-components: each is built on first read, memoized, and read off
-periodically, with its ``period``, past one full period beyond the
-periodic start.  A chain map (squares commute on the nose, no auxiliary
-signs) has period 2N; a null-homotopy certificate of a shift-r map is a
-family of shift r-1 whose period is a multiple of 2N.
+components: each is built on first read and memoized.  Every family
+states where it repeats in one way: ``periodic_start`` is the last degree
+before the repeating block, u_{k+period} = u_k for every k >
+periodic_start, so the maker is asked only up to periodic_start + period
+and later degrees fold back by whole periods.  Each producer declares its
+exact start: the generators, the identity and the relator homotopies
+repeat from their shift, a composite or sum from where its operands all
+do, and a solved family from one period before the end of its stored
+degrees (a certificate from where its right-hand side repeats).  A chain
+map (squares commute on the nose, no auxiliary signs) has period 2N; a
+null-homotopy certificate of a shift-r map is a family of shift r-1
+whose period is a multiple of 2N.
 
 Both are instances of one equation,
 
@@ -20,16 +27,13 @@ unknowns and these equations into a finite linear system over the ground
 field; at run time it solves only for null-homotopies (sign -1 with pins
 is the tests' reference lift).  ``_first_failure`` re-checks a family
 degreewise with morphism arithmetic only, independently of that system.
-The re-check stops at the last distinct equation, ``ChainMap.window`` =
-periodic_start + period + 1 (with f given, from the larger of the two
-periodic starts).  Past it each equation is the one a period earlier,
-operand for operand: the family's components fold at periodic_start +
-period; the algebra keeps one differential object per pair of terms and
+Both stop at the last distinct equation, ``_window``: periodic_start +
+period + 1, or max(periodic_start + 1, f's periodic_start) + period
+against a given f.  Past it each equation is the one a period earlier,
+operand for operand: u_m and u_{m-1} fold (m - 1 > periodic_start +
+period); the algebra keeps one differential object per pair of terms and
 the terms are 2N-periodic, so d_k is d_{k+2N} (k >= 1); and f, whose
-period divides the family's, folds at its own periodic start.  A solved
-family also reads its degree periodic_start + period from the stored
-degree periodic_start, so the solver stops one degree earlier; the
-re-check cannot, since an arbitrary family makes that degree on its own.
+period divides the family's, folds too (m > f's periodic_start + period).
 
 Null-homotopy is decided exactly, in two stages.  Because the
 resolutions are minimal (all differentials land in radicals), the
@@ -73,6 +77,7 @@ from .resolutions import (
     build_resolution,
     common_factor_matrix,
     compose_cells,
+    fold_degree,
     hom_matrix_add,
     hom_matrix_compose,
     hom_matrix_scale,
@@ -86,11 +91,14 @@ class ChainMapError(AssertionError):
 
 @dataclass
 class ChainMap:
+    """u_k : term_k(source) -> term_{k-shift}(target) for k >= max(shift, 0), and
+    u_{k+period} = u_k for k > periodic_start, the last degree before the repeating block."""
+
     source: PeriodicComplex
     target: PeriodicComplex
     shift: int
     periodic_start: int
-    maker: Callable  # degree -> HomMatrix, called once per degree read
+    maker: Callable  # degree -> HomMatrix, called once per degree up to periodic_start + period
     period: int | None = None  # eventual period, a multiple of 2N (default 2N)
     components: dict = field(default_factory=dict)  # degree -> HomMatrix built so far
 
@@ -102,20 +110,14 @@ class ChainMap:
         # perfbench/tracer.py reads a certificate's period under this name
         return self.period
 
-    @property
-    def window(self) -> int:
-        """The last degree whose equation is not the one a period earlier."""
-        return self.periodic_start + self.period + 1
-
     def component(self, k: int):
         """The degree-k component (None below degree max(shift, 0));
-        degrees past top = periodic_start + period fold back by whole
-        periods, in one step, into top - period < k <= top."""
+        degrees past periodic_start + period fold back by whole periods."""
         if k < 0 or k < self.shift:
             return None
         top = self.periodic_start + self.period
         if k > top:
-            k = top - (top - k) % self.period
+            k = fold_degree(k, top, self.period)
         M = self.components.get(k)
         if M is None:
             M = self.components[k] = self.maker(k)
@@ -133,12 +135,12 @@ class ChainMap:
 
 
 def _window(u: ChainMap, f: ChainMap | None) -> int:
-    """The last distinct equation of u against f (None means zero)."""
+    """The last equation of u against f (None: zero) not the one a period earlier."""
     if f is None:
-        return u.window
+        return u.periodic_start + u.period + 1
     if u.period % f.period:
         raise ChainMapError("the right-hand side's period does not divide the family's")
-    return max(u.periodic_start, f.periodic_start) + u.period + 1
+    return max(u.periodic_start + 1, f.periodic_start) + u.period
 
 
 def _first_failure(u: ChainMap, sign: int, f: ChainMap | None = None):
@@ -146,11 +148,12 @@ def _first_failure(u: ChainMap, sign: int, f: ChainMap | None = None):
     d o u_m + sign * u_{m-1} o d != f_m (f None means zero), or None.
 
     Morphism-matrix arithmetic only: an independent re-check of families
-    that ``_solve_family`` found.  It compares the cells of the two sides
-    (the complexes fix both shapes), so a side that is an operand's own
-    cells, as with a full identity, is read where it lies.  Each later
-    degree states the equation of the degree a period earlier with the
-    same operands (module docstring), so this decides every degree."""
+    that ``_solve_family`` found, over its window.  It compares the cells
+    of the two sides (the complexes fix both shapes), so a side that is an
+    operand's own cells, as with a full identity, is read where it lies.
+    Past the window each equation is the one a period earlier, operand for
+    operand, since u and f repeat past their declared periodic starts
+    (module docstring): this decides every degree."""
     alg = u.source.alg
     for m in range(u.shift + 1, _window(u, f) + 1):
         have = compose_cells(alg, u.target.diff(m - u.shift), u.component(m))
@@ -193,7 +196,7 @@ def _step_generator(alg, i, name, src, tgt, half_turn_hom, full_turn_hom) -> Cha
         return HomMatrix(source.term(k), target.term(k - 1),
                          {(0, 0): alg.scale(alg.field.from_int(sign), hom)})
 
-    return ChainMap(source, target, 1, 1, maker).verify()
+    return ChainMap(source, target, 1, 0, maker).verify()
 
 
 def generator_x(alg: LineAlgebra, i: int) -> ChainMap:
@@ -222,7 +225,7 @@ def generator_y(alg: LineAlgebra, i: int) -> ChainMap:
             )
         return common_factor_matrix(alg, src, tgt)
 
-    return ChainMap(source, target, n, n, maker).verify()
+    return ChainMap(source, target, n, n - 1, maker).verify()
 
 
 def cached_generator(alg: LineAlgebra, kind: str, i: int) -> ChainMap:
@@ -239,7 +242,7 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
         raise ChainMapError("endpoint mismatch in composition")
     alg = f.source.alg
     shift = f.shift + g.shift
-    ps = max(g.periodic_start, f.periodic_start + g.shift, shift)
+    ps = max(g.periodic_start, f.periodic_start + g.shift)
 
     def maker(k):
         return hom_matrix_compose(alg, f.component(k - g.shift), g.component(k))
@@ -278,13 +281,13 @@ def identity_chain_map(alg: LineAlgebra, i: int) -> ChainMap:
     def maker(k):
         return common_factor_matrix(alg, source.term(k), source.term(k))
 
-    return ChainMap(source, source, 0, 1, maker).verify()
+    return ChainMap(source, source, 0, -1, maker).verify()
 
 
 def chain_equal_strict(f: ChainMap, g: ChainMap) -> bool:
-    """Degreewise equality over a window covering both periodic tails."""
+    """Degreewise equality, decided up to f's window against g (g's period divides f's)."""
     return f.shift == g.shift and all(
-        f.component(k) == g.component(k) for k in range(f.shift, max(f.window, g.window) + 1))
+        f.component(k) == g.component(k) for k in range(f.shift, _window(f, g) + 1))
 
 
 # ------------------------------------------------------------- homotopies
@@ -293,9 +296,9 @@ def chain_equal_strict(f: ChainMap, g: ChainMap) -> bool:
 def _solve_family(source, target, shift, periodic_start, period, sign,
                   f=None, pins=()):
     """The eventually periodic family of morphism matrices
-    u_m : term_m(source) -> term_{m-shift}(target) (shift >= -1), stored
-    for max(shift, 0) <= m < periodic_start + period and read back as
-    u_m = u_{m-period} beyond, with
+    u_m : term_m(source) -> term_{m-shift}(target) (shift >= -1), read
+    as the returned ChainMap reads it: stored for max(shift, 0) <= m <=
+    periodic_start + period, and u_m = u_{m-period} beyond, with
 
         d o u_m + sign * u_{m-1} o d = f_m     (shift < m <= window)
 
@@ -308,31 +311,21 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
     unknown's column is its basis morphism pushed through the nonzero
     entries of one differential column (d o u) and one differential row
     (u o d).  Equations are keyed and ordered by (row, col, slot) within a
-    degree, and stop one degree before the family's window W against f.
-    The rows of degree W repeat those of W - period exactly: u_W and
-    u_{W-1} read the unknowns of the stored degrees of W - period and
-    W - 1 - period, since every degree past periodic_start + period - 1
-    is read back by whole periods; d_k is d_{k+period} (module
-    docstring), and f folds at its own periodic start, which is at most
-    W - 1 - period.  The same holds for every later degree, so no further
-    row changes the solution.  Returns (family, system, index): family is
-    the ChainMap of the particular solution, None when the system is
-    inconsistent; index maps (m, row, col, slot) to the unknown.  Only
-    ``_periodic_homotopy`` calls it at run time (sign +1, f given, no
-    pins); sign -1 with pins is the tests' reference lift of a cocycle.
+    degree, and run to the family's window against f, the last one that
+    ``_first_failure`` checks too: each later row repeats the row a period
+    earlier (module docstring), so none changes the solution.  Returns
+    (family, system, index): family is the ChainMap of the particular
+    solution, None when the system is inconsistent; index maps
+    (m, row, col, slot) to the unknown.  Only ``_periodic_homotopy`` calls
+    it at run time (sign +1, f given, no pins); sign -1 with pins is the
+    tests' reference lift of a cocycle.
     """
     alg = source.alg
     F = alg.field
     sgn = F.from_int(sign)
-    lo, hi = max(shift, 0), periodic_start + period - 1
+    lo, hi = max(shift, 0), periodic_start + period
 
-    def stored(m):
-        while m > hi:
-            m -= period
-        return m
-
-    def read(m):  # reads sol, the solution assigned below
-        m = stored(m)
+    def read(m):  # reads sol, the solution assigned below; m <= hi
         cells = {}
         for r, c, elem, v in unknowns[m]:
             _accumulate(alg, cells, (r, c), alg.scale(sol[v], elem))
@@ -350,7 +343,7 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
                     cells.append((r, c, elem, len(index) - 1))
 
     system = LinearSystem(F, len(index))
-    for m in range(shift + 1, _window(family, f)):
+    for m in range(shift + 1, _window(family, f) + 1):
         rows = {}  # (row, col, slot) -> {unknown: coefficient}
 
         def put(r, c, elem, v, scale):
@@ -361,14 +354,14 @@ def _solve_family(source, target, shift, periodic_start, period, sign,
         columns = {}  # column of d -> [(row, cell)], rows increasing
         for (r2, a), entry in sorted(target.diff(m - shift).cells.items()):
             columns.setdefault(a, []).append((r2, entry))
-        for r, c, elem, v in unknowns[stored(m)]:
+        for r, c, elem, v in unknowns[fold_degree(m, hi, period)]:
             for r2, entry in columns.get(r, ()):
                 put(r2, c, alg.compose(entry, elem), v, F.one)
         if m - 1 >= lo:  # u_{m-1} o d takes part
             nonzero_rows = {}  # row of d -> [(column, cell)], columns increasing
             for (c, c2), entry in sorted(source.diff(m).cells.items()):
                 nonzero_rows.setdefault(c, []).append((c2, entry))
-            for r, c, elem, v in unknowns[stored(m - 1)]:
+            for r, c, elem, v in unknowns[fold_degree(m - 1, hi, period)]:
                 for c2, entry in nonzero_rows.get(c, ()):
                     put(r, c2, alg.compose(elem, entry), v, sgn)
         values = {}  # (row, col, slot) -> nonzero scalar of f_m
@@ -409,9 +402,8 @@ def class_is_zero(f: ChainMap) -> bool:
 
 
 def _periodic_homotopy(f: ChainMap, period_multiple: int):
-    """Solve for a homotopy with eventual period 2N * period_multiple."""
-    start = max(f.periodic_start, f.shift - 1, 1)
-    htpy, _, _ = _solve_family(f.source, f.target, f.shift - 1, start,
+    """Solve for a homotopy of eventual period 2N * period_multiple, repeating where f does."""
+    htpy, _, _ = _solve_family(f.source, f.target, f.shift - 1, f.periodic_start,
                                f.period * period_multiple, 1, f=f)
     if htpy is not None and not verify_homotopy(f, htpy):
         raise ChainMapError("homotopy certificate failed re-verification")

@@ -144,7 +144,7 @@ def ext_class_dimension(alg: LineAlgebra, i: int, j: int, k: int) -> int:
     source = build_resolution(alg, i)
     target = build_resolution(alg, j)
     # ansatz: components repeat from k+1 on
-    _, system, index = yoneda._solve_family(source, target, k, k + 1, source.period, -1)
+    _, system, index = yoneda._solve_family(source, target, k, k, source.period, -1)
     head_vars = [
         index[(k, 0, c, ID_SLOT)]
         for c, s in enumerate(source.term(k))
@@ -170,7 +170,7 @@ def lift_cocycle(alg: LineAlgebra, i: int, j: int, k: int) -> ExtClass:
     # chain-map squares d o phi_m = phi_{m-1} o d, and the head pin: the
     # unique P_j summand of term_k maps by the identity onto term_0(R_j) = P_j
     pin = ((k, 0, source.term(k).index(j), ID_SLOT), alg.field.one)
-    chain, _, _ = yoneda._solve_family(source, target, k, k + 1, source.period, -1, pins=[pin])
+    chain, _, _ = yoneda._solve_family(source, target, k, k, source.period, -1, pins=[pin])
     if chain is None:
         raise ChainMapError(f"no eventually periodic lift found for Ext^{k}(S_{i}, S_{j})")
     chain.verify()

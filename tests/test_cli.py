@@ -172,6 +172,9 @@ def test_usage_errors_exit_two():
         r = run_cli(["yoneda-product", "--n", "3", "--word", word])
         expected = "error: word is not composable at {} -> {}\n".format(*word.split())
         assert r.returncode == 2 and r.stderr == expected, word
+    # a word's degree is its own, so yoneda-product takes no --max-deg
+    r = run_cli(["yoneda-product", "--n", "3", "--word", "x1 x2", "--max-deg", "5"])
+    assert r.returncode == 2 and "unrecognized arguments: --max-deg 5" in r.stderr
     # (2^31 - 1)^2 is composite with no small factor; 2^89 - 1 is a prime
     # above the range where primality is decided exactly
     for char in (6, 1, -3, (2**31 - 1) ** 2, 2**89 - 1):

@@ -179,6 +179,10 @@ def test_right_hand_side_must_fold_with_the_certificate():
     wide = ChainMap(f.source, f.target, f.shift, f.periodic_start, f.component, 2 * f.period)
     with pytest.raises(ChainMapError, match="period"):
         verify_homotopy(wide, htpy)
+    # strict equality reads the same window, so f against wide is refused too
+    assert chain_equal_strict(wide, f)
+    with pytest.raises(ChainMapError, match="period"):
+        chain_equal_strict(f, wide)
 
 
 def _drift_map(alg, kind, i, start):
@@ -237,25 +241,13 @@ def _zero_words(alg, count):
 
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_equations_past_the_window_repeat_one_period_earlier(n, char, monkeypatch):
-    # the premise of the one-period window, on the families the program
-    # builds: every operand of an equation past it is the very object of
-    # the equation one period earlier.  A family that _solve_family returns
-    # (certificates and lifts) reads its degree periodic_start + period
-    # back from periodic_start, so its equation at the window repeats too,
-    # with equal components: the premise for the solver stopping one short
+def test_equations_past_the_window_repeat_one_period_earlier(n, char):
+    # the premise of the one-period window, which the solver and the
+    # re-check share, on the families the program builds, solved
+    # certificates and lifts included: every operand of an equation past
+    # it is the very object of the equation one period earlier
     from extline.path_algebra import evaluate_relator, standard_relators
 
-    solved = []
-    original = yoneda._solve_family
-
-    def recording(*args, f=None, **kwargs):
-        out = original(*args, f=f, **kwargs)
-        if out[0] is not None:
-            solved.append((out[0], f))
-        return out
-
-    monkeypatch.setattr(yoneda, "_solve_family", recording)
     alg = algebra(n, char)
     pairs = [(cached_generator(alg, kind, i), None)
              for kind, top in (("x", n - 1), ("xstar", n - 1), ("y", n))
@@ -272,14 +264,45 @@ def test_equations_past_the_window_repeat_one_period_earlier(n, char, monkeypatc
             assert u.target.diff(m - u.shift) is u.target.diff(m - u.shift - p)
             assert u.source.diff(m) is u.source.diff(m - p)
             assert f is None or f.component(m) is f.component(m - p)
-    assert len(solved) >= 3
-    for u, f in solved:
-        m, p = yoneda._window(u, f), u.period
-        assert u.component(m) == u.component(m - p)
-        assert u.component(m - 1) == u.component(m - 1 - p)
-        assert u.target.diff(m - u.shift) is u.target.diff(m - u.shift - p)
-        assert u.source.diff(m) is u.source.diff(m - p)
-        assert f is None or f.component(m) is f.component(m - p)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_declared_starts_hold(n, char):
+    # each producer declares where its family repeats: the maker itself,
+    # past the fold, repeats the degree a period earlier.  A solved family
+    # has no maker past its stored degrees, which run exactly one period
+    # past the declared start
+    from extline.path_algebra import evaluate_relator, relator_homotopy, standard_relators
+
+    alg = algebra(n, char)
+    families = [cached_generator(alg, kind, i)
+                for kind, top in (("x", n - 1), ("xstar", n - 1), ("y", n))
+                for i in range(1, top + 1)]
+    families += [identity_chain_map(alg, i) for i in range(1, n + 1)]
+    relators = [evaluate_relator(alg, rel) for rel in standard_relators(n)]
+    families += [relator_homotopy(alg, rel) for rel, f in zip(standard_relators(n), relators)
+                 if f.shift == 2 and f.source.base_vertex == f.target.base_vertex]
+    families.append(compose(cached_generator(alg, "y", n), cached_generator(alg, "y", 1)))
+    if n >= 2:
+        x, xs = cached_generator(alg, "x", 1), cached_generator(alg, "xstar", 1)
+        families += [compose(xs, x), chain_add(compose(xs, x), compose(xs, x), alg.field.one)]
+    for u in families:
+        top, p = u.periodic_start + u.period, u.period
+        for k in range(top + 1, top + p + 1):
+            assert u.maker(k) == u.maker(k - p), (u.shift, u.source.base_vertex, k)
+    multiples = (1, char) if char else (1,)
+    solved = 0
+    for f in relators:
+        for multiple in multiples:
+            h, _, index = yoneda._solve_family(f.source, f.target, f.shift - 1, f.periodic_start,
+                                               f.period * multiple, 1, f=f)
+            assert h is not None and verify_homotopy(f, h)
+            stored = {m for m, _, _, _ in index}
+            top = h.periodic_start + h.period
+            assert min(stored) == max(h.shift, 0) and max(stored) == top, (f.shift, multiple)
+            solved += 1
+    assert solved == len(relators) * len(multiples)
 
 
 @pytest.mark.parametrize("char", [0, 3])
@@ -290,15 +313,12 @@ def test_changed_homotopy_component_fails_verification(char):
     assert h is not None and verify_homotopy(f, h)
     ps, p = h.periodic_start, h.period
     changed = 0
-    for k in range(max(h.shift, 0), ps + p):  # the stored degrees
+    for k in range(max(h.shift, 0), ps + p + 1):  # the stored degrees
         M = h.component(k)
         if not M.cells:
             continue
-        zero = HomMatrix(M.source, M.target, {})
         bad = ChainMap(h.source, h.target, h.shift, ps, h.component, p)
-        bad.components[k] = zero
-        if k == ps:  # degree ps + p is read back from the stored degree ps
-            bad.components[ps + p] = zero
+        bad.components[k] = HomMatrix(M.source, M.target, {})
         assert not verify_homotopy(f, bad), k
         changed += 1
     assert changed
@@ -526,23 +546,21 @@ def test_one_period_decides_every_equation(char):
             assert yoneda._solve_family(*args, f=bad)[0] is None, d
     ps, p = htpy.periodic_start, htpy.period
     zeroed = 0
-    for k in range(max(htpy.shift, 0), ps + p):  # the certificate's stored degrees
+    for k in range(max(htpy.shift, 0), ps + p + 1):  # the certificate's stored degrees
         M = htpy.component(k)
         if not M.cells:
             continue
         bad = ChainMap(htpy.source, htpy.target, htpy.shift, ps, htpy.component, p)
         bad.components[k] = HomMatrix(M.source, M.target, {})
-        if k == ps:  # degree ps + p is read back from the stored degree ps
-            bad.components[ps + p] = bad.components[k]
         assert yoneda._first_failure(bad, 1, f) == max(k, htpy.shift + 1)
         zeroed += 1
     assert zeroed
 
 
 def test_generator_check_covers_one_period(monkeypatch):
-    # a generator's squares repeat from one period past the periodic start,
-    # so the re-check composes only up to there, not over its whole window
-    # (it composes cell dicts, with compose_cells)
+    # a generator repeats from its shift, so its squares repeat from one
+    # period past it, and the re-check composes two cell dicts (with
+    # compose_cells) for each degree up to its window and none beyond
     calls = []
     original = yoneda.compose_cells
 
@@ -554,7 +572,7 @@ def test_generator_check_covers_one_period(monkeypatch):
     for i in range(1, 8):
         calls.clear()
         x = generator_x(algebra(8, 3), i)
-        assert calls and len(calls) <= 2 * (x.periodic_start + x.period + 2 - x.shift), i
+        assert len(calls) == 2 * (yoneda._window(x, None) - x.shift) == 32, i
 
 
 def test_generator_check_composes_only_special_components(monkeypatch):
