@@ -3,8 +3,9 @@ serialized as JSON, aligned text, or LaTeX.
 
 Subcommands: ext-table, poincare, resolve, verify, gamma-dims,
 yoneda-product.  Exit codes (also in --help): 0 every check passed, 1 a
-check failed, 2 usage error, 3 internal error.  Exits 2 and 3 explain
-themselves on stderr, never with a traceback.
+check failed, 2 usage error, 3 internal error, 141 (128 + SIGPIPE) stdout
+closed by its reader.  Exits 2 and 3 explain themselves on stderr, never
+with a traceback; exit 141 prints nothing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -314,7 +316,7 @@ def build_parser():
         prog="extline",
         description="Exact Ext-algebra computations for the Brauer line algebra.",
         epilog="exit codes: 0 every check passed; 1 a check failed; 2 usage error; "
-               "3 internal error",
+               "3 internal error; 141 stdout closed by its reader",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -379,14 +381,29 @@ def validate(parser, args):
 def main(argv=None) -> int:
     """Run one command.  An exception ends it with one stderr line: exit 1
     for a chain map that failed its verification, exit 3 for any other,
-    which is a fault of the run and not a verdict."""
+    which is a fault of the run and not a verdict.  A reader that closes
+    stdout early (``| head``) is neither: the run stops writing and exits
+    141, 128 + SIGPIPE as a shell reports a process that signal ended,
+    with nothing on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     validate(parser, args)
     try:
         # the cached parser names each handler rather than holding it, so that
         # a wrapper put on it later (a tracer, a test) still runs
-        return globals()[args.func](args)
+        code = globals()[args.func](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the flush at interpreter exit would meet the closed pipe again: point stdout at devnull
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # a stream with no descriptor
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
     except Exception as exc:
         text = " ".join(str(exc).split())
         if isinstance(exc, ChainMapError):

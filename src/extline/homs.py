@@ -27,11 +27,15 @@ as its endpoints and a tuple of scalars in basis order, its slots:
     (F(i),)            when j = i+1,
     (FStar(j),)        when j = i-1,
 
-and the empty tuple is zero for any endpoints.  A basis morphism is no
-object of its own: (source, target, slot) names it, and ``format_hom``
-and the realization in ``certify`` read it off that triple.  Composition
-is slot arithmetic over the shapes of the three endpoints.  Other modules
-name slots only through the accessors of ``HomElement`` and ``ID_SLOT``.
+and the empty tuple is zero for any endpoints.  (source, target, slot)
+names a basis morphism, and ``format_hom`` and the realization in
+``certify`` read it off that triple.  The algebra hands out one shared
+``HomElement`` per basis morphism (``basis``, ``identity_hom``,
+``loop_hom``, ``f_hom``, ``fstar_hom``), made on first request and never
+edited, so a cell comparison between two of them is one identity test.
+Composition is slot arithmetic over the shapes of the three endpoints.
+Other modules name slots only through the accessors of ``HomElement``
+and ``ID_SLOT``.
 """
 
 from __future__ import annotations
@@ -98,12 +102,12 @@ class CompositionError(ValueError):
 class LineAlgebra:
     """The algebra of the line with N simples over an exact field.
 
-    N and the field are fixed at construction.  The five memos below fill
-    on first use (``resolutions``, ``certify`` and ``yoneda`` write them);
-    each value is a pure function of its key, N and the field (a
-    ``_verdicts`` key names differentials, which are never edited), so
-    sharing an algebra changes what is computed again, never a result.
-    The algebra holds no object of the representation oracle.
+    N and the field are fixed at construction.  The six memos below fill
+    on first use (``resolutions``, ``certify`` and ``yoneda`` write all
+    but ``_bases``); each value is a pure function of its key, N and the
+    field (a ``_verdicts`` key names differentials, which are never
+    edited), so sharing an algebra changes what is computed again, never
+    a result.  The algebra holds no object of the representation oracle.
     """
 
     def __init__(self, n: int, field):
@@ -116,19 +120,28 @@ class LineAlgebra:
         self._common_factors = {}  # (source indices, target indices) -> the one partial identity
         self._verdicts = {}  # (check, ids of differentials, extras) -> (differentials, verdict)
         self._generator_cache = {}  # (kind, i) -> the verified generator chain map
+        self._bases = {}  # (i, j) -> the shared basis morphisms of Hom(P_i, P_j), in slot order
 
     # ---------------------------------------------------------- structure
     def hom_dimension(self, i: int, j: int) -> int:
+        return len(self.basis(i, j))
+
+    def basis(self, i: int, j: int) -> tuple:
+        """The basis of Hom(P_i, P_j) as morphisms, in slot order: the
+        algebra's one object per basis morphism, made on first request
+        and never edited."""
+        b = self._bases.get((i, j))
+        return b if b is not None else self._new_basis(i, j)
+
+    def _new_basis(self, i: int, j: int) -> tuple:
         self._check_vertex(i)
         self._check_vertex(j)
-        return max(0, 2 - abs(i - j))
-
-    def basis(self, i: int, j: int):
-        """The basis of Hom(P_i, P_j) as morphisms, in slot order."""
         one, zero = self.field.one, self.field.zero
-        d = self.hom_dimension(i, j)
-        return [HomElement(i, j, tuple(one if k == s else zero for k in range(d)))
-                for s in range(d)]
+        d = max(0, 2 - abs(i - j))
+        b = self._bases[(i, j)] = tuple(
+            HomElement(i, j, tuple(one if k == s else zero for k in range(d)))
+            for s in range(d))
+        return b
 
     def _check_vertex(self, i):
         if not 1 <= i <= self.n:
@@ -138,23 +151,22 @@ class LineAlgebra:
     def zero_hom(self, source: int, target: int) -> HomElement:
         return HomElement(source, target)
 
+    # the named basis morphisms, read as ``basis`` reads them (their Homs are never zero)
     def identity_hom(self, i: int) -> HomElement:
-        self._check_vertex(i)
-        return HomElement(i, i, (self.field.one, self.field.zero))
+        return (self._bases.get((i, i)) or self._new_basis(i, i))[ID_SLOT]
 
     def loop_hom(self, i: int) -> HomElement:
-        self._check_vertex(i)
-        return HomElement(i, i, (self.field.zero, self.field.one))
+        return (self._bases.get((i, i)) or self._new_basis(i, i))[1 - ID_SLOT]
 
     def f_hom(self, i: int) -> HomElement:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"no step map at {i}")
-        return HomElement(i, i + 1, (self.field.one,))
+        return (self._bases.get((i, i + 1)) or self._new_basis(i, i + 1))[0]
 
     def fstar_hom(self, i: int) -> HomElement:
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"no co-step map at {i}")
-        return HomElement(i + 1, i, (self.field.one,))
+        return (self._bases.get((i + 1, i)) or self._new_basis(i + 1, i))[0]
 
     def compose(self, g: HomElement, h: HomElement) -> HomElement:
         """Function composition g o h (h acts first)."""

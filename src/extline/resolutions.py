@@ -59,10 +59,12 @@ class HomMatrix:
     identities at (pairing[c], c): at most one per row and per column.
     ``common_factor_matrix`` sets it (canonical terms have distinct
     indices) with its inverse, ``inverse_pairing`` (row -> column), and
-    ``hom_matrix_compose`` then re-keys the other operand's cells, or
-    returns that operand itself if this one is a full identity (see
-    ``is_identity``).  Both are facts about the cells, so ``==`` ignores
-    them.  A compose result may thus be an operand: never edit cells.
+    ``identity``, which says the matrix is a full identity: paired,
+    square, and every column paired.  ``hom_matrix_compose`` then re-keys
+    the other operand's cells, or returns that operand itself if this one
+    is a full identity.  All three are facts about the cells, so ``==``
+    ignores them.  A compose result may thus be an operand: never edit
+    cells.
     """
 
     source: tuple
@@ -70,6 +72,7 @@ class HomMatrix:
     cells: dict  # (row, col) -> nonzero HomElement
     pairing: dict | None = field(default=None, compare=False)  # column -> row
     inverse_pairing: dict | None = field(default=None, compare=False)  # row -> column
+    identity: bool = field(default=False, compare=False)  # a full identity
 
     def entry(self, r: int, c: int) -> HomElement:
         e = self.cells.get((r, c))
@@ -92,20 +95,15 @@ def nonzero_cells(cells: dict) -> dict:
     return {rc: e for rc, e in cells.items() if e.slots}
 
 
-def is_identity(M: HomMatrix) -> bool:
-    """M is a full identity: paired, square, and every column paired."""
-    return M.pairing is not None and M.source == M.target and len(M.pairing) == len(M.source)
-
-
 def compose_cells(alg: LineAlgebra, A: HomMatrix, B: HomMatrix) -> dict:
     """The cells of A o B (B acts first).  Id o a = a o Id = a, so a full
     identity returns the other operand's own cells (never edit them), and
     a paired operand (see ``HomMatrix``) only moves the other one's cells."""
     if B.target != A.source:
         raise ValueError("shape mismatch composing morphism matrices")
-    if is_identity(B):
+    if B.identity:
         return A.cells
-    if is_identity(A):
+    if A.identity:
         return B.cells
     if B.pairing is not None:  # column m of A becomes column col[m]
         col = B.inverse_pairing
@@ -160,7 +158,8 @@ def hom_matrix_scale(alg: LineAlgebra, c, A: HomMatrix) -> HomMatrix:
 
 def common_factor_matrix(alg: LineAlgebra, source: tuple, target: tuple) -> HomMatrix:
     """Identity on the summands the two canonical sums share, zero elsewhere;
-    one paired object per pair of index tuples, kept in ``alg._common_factors``."""
+    one paired object per pair of index tuples, kept in ``alg._common_factors``,
+    that records whether it is a full identity."""
     key = (source, target)
     M = alg._common_factors.get(key)
     if M is None:
@@ -169,27 +168,28 @@ def common_factor_matrix(alg: LineAlgebra, source: tuple, target: tuple) -> HomM
         M = alg._common_factors[key] = HomMatrix(
             source, target,
             {(r, c): alg.identity_hom(source[c]) for c, r in pairing.items()},
-            pairing, {r: c for c, r in pairing.items()})
+            pairing, {r: c for c, r in pairing.items()},
+            source == target and len(pairing) == len(source))
     return M
 
 
-def closed_form_differential(alg: LineAlgebra, i: int, j: int) -> HomMatrix:
-    """The differential with source the canonical sum of (i, j) and target
-    that of (i+1, j-1), given by the uniform band/plateau pattern."""
-    n = alg.n
-    src = strings.normalize_p(n, i, j)
-    tgt = strings.normalize_p(n, i + 1, j - 1)
+def closed_form_differential(alg: LineAlgebra, src: tuple, tgt: tuple) -> HomMatrix:
+    """The differential between two consecutive canonical terms, given by
+    their index tuples (the canonical sums of (i, j) and (i+1, j-1), see
+    ``strings.normalize_p``), in the uniform band/plateau pattern."""
     if src == tgt and len(src) == 1:
         v, = src
         sign = alg.field.from_int(alg.loop_sign(v))  # (-1)^v, with the boundary convention at v = N
         return HomMatrix(src, tgt, {(0, 0): alg.scale(sign, alg.loop_hom(v))})
-    cells = {}
+    cols = {s: c for c, s in enumerate(src)}  # canonical: distinct and increasing
+    cells = {}  # row by row, columns increasing
     for r, t in enumerate(tgt):
-        for c, s in enumerate(src):
-            if t == s + 1:
-                cells[(r, c)] = alg.f_hom(s)
-            elif t == s - 1:
-                cells[(r, c)] = alg.fstar_hom(t)
+        c = cols.get(t - 1)
+        if c is not None:
+            cells[(r, c)] = alg.f_hom(t - 1)
+        c = cols.get(t + 1)
+        if c is not None:
+            cells[(r, c)] = alg.fstar_hom(t)
     return HomMatrix(src, tgt, cells)
 
 
@@ -206,12 +206,13 @@ class PeriodicComplex:
 
     Terms are listed eagerly; the complexes of one vertex share them and
     one ``memo`` (degree -> HomMatrix) of differentials built on request.
-    closed_form_differential(alg, i-k, i+k) reads only term(k) and
-    term(k-1), so a memo miss looks it up in ``alg._differentials`` under
-    the pair of index tuples and builds it only for a new pair: d_k and
-    d_{k+2N}, and R_i and R_{N+1-i} on shared terms, share one object.
-    The key is the whole input, so no periodicity is assumed; and the
-    2N-periodicity of the terms proves that of the differentials."""
+    A memo miss looks d_k up in ``alg._differentials`` under the pair
+    (term(k), term(k-1)) of index tuples and builds it, as
+    closed_form_differential(alg, term(k), term(k-1)), only for a new
+    pair: d_k and d_{k+2N}, and R_i and R_{N+1-i} on shared terms, share
+    one object.  The key is the whole input, so no periodicity is
+    assumed; and the 2N-periodicity of the terms proves that of the
+    differentials."""
 
     alg: LineAlgebra
     base_vertex: int
@@ -238,10 +239,10 @@ class PeriodicComplex:
             k = fold_degree(k, self.depth, self.period)
         d = self.memo.get(k)
         if d is None:
-            table, i = self.alg._differentials, self.base_vertex
+            table = self.alg._differentials
             key = (self.term(k), self.term(k - 1))
             if key not in table:
-                table[key] = closed_form_differential(self.alg, i - k, i + k)
+                table[key] = closed_form_differential(self.alg, *key)
             d = self.memo[k] = table[key]
         return d
 

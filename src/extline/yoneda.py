@@ -155,10 +155,11 @@ def _first_failure(u: ChainMap, sign: int, f: ChainMap | None = None):
     operand, since u and f repeat past their declared periodic starts
     (module docstring): this decides every degree."""
     alg = u.source.alg
+    prev = u.component(u.shift)  # u_{m-1}, carried from one degree to the next
     for m in range(u.shift + 1, _window(u, f) + 1):
-        have = compose_cells(alg, u.target.diff(m - u.shift), u.component(m))
+        cur = u.component(m)
+        have = compose_cells(alg, u.target.diff(m - u.shift), cur)
         want = f.component(m).cells if f else {}
-        prev = u.component(m - 1)
         if prev is not None:  # sign * u_{m-1} o d, moved to the side where it adds
             term = compose_cells(alg, prev, u.source.diff(m))
             if sign > 0:
@@ -167,6 +168,7 @@ def _first_failure(u: ChainMap, sign: int, f: ChainMap | None = None):
                 want = add_cells(alg, want, term)
         if have is not want and have != want:
             return m
+        prev = cur
     return None
 
 

@@ -221,7 +221,32 @@ def test_help_lists_the_exit_codes():
     r = run_cli(["--help"])
     assert r.returncode == 0
     assert " ".join(r.stdout.split()).endswith(
-        "exit codes: 0 every check passed; 1 a check failed; 2 usage error; 3 internal error")
+        "exit codes: 0 every check passed; 1 a check failed; 2 usage error; 3 internal error; "
+        "141 stdout closed by its reader")
+
+
+def test_a_closed_stdout_pipe_exits_141_in_silence():
+    # the JSON table at N = 20 is about 300 kB, far past a pipe's buffer, so
+    # the run must meet the closed pipe; neither main nor the flush at
+    # interpreter exit may print anything about it
+    proc = subprocess.Popen([sys.executable, "-m", "extline.cli", "ext-table", "--n", "20",
+                             "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141 and err == b""
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_broken_pipe_in_process_exits_141(capsys):
+    # a stream with no file descriptor: main still stops, and says nothing
+    with contextlib.redirect_stdout(ClosedPipe()):
+        assert main(["ext-table", "--n", "3", "--format", "json"]) == 141
+    assert capsys.readouterr() == ("", "")
 
 
 def test_the_parser_is_built_once():

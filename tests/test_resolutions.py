@@ -29,7 +29,7 @@ def algebra(n, char=2):
 
 def test_band_differential_smallest_case():
     alg = algebra(3)
-    d = closed_form_differential(alg, 1, 3)
+    d = closed_form_differential(alg, (1, 3), (2,))  # the sums of (1, 3) and (2, 2)
     assert d.source == (1, 3)
     assert d.target == (2,)
     assert [format_hom(alg, e) for e in d.entries[0]] == ["F(1)", "FStar(2)"]
@@ -37,9 +37,9 @@ def test_band_differential_smallest_case():
 
 def test_plateau_differential_sign():
     alg = algebra(4, char=0)
-    d = closed_form_differential(alg, 2, 2)
+    d = closed_form_differential(alg, (2,), (2,))  # the sums of (2, 2) and (3, 1)
     assert format_hom(alg, d.entries[0][0]) == "Loop(2)"  # (+1)^2
-    d = closed_form_differential(alg, 3, 3)
+    d = closed_form_differential(alg, (3,), (3,))
     assert format_hom(alg, d.entries[0][0]) == "-Loop(3)"
 
 
@@ -162,6 +162,11 @@ def test_reads_past_the_depth_fold_back_one_period(char):
                     assert cx.term(k) == cx.term(k - p) == strings.normalize_p(n, i - k, i + k)
 
 
+def interval_terms(n, i, k):
+    """The canonical terms of degrees k and k-1 of R_i, from their intervals."""
+    return strings.normalize_p(n, i - k, i + k), strings.normalize_p(n, i - k + 1, i + k - 1)
+
+
 @pytest.mark.parametrize("char", [0, 2, 3, 5])
 def test_lazy_differentials_equal_closed_form(char):
     # complexes of one vertex share their memo whatever their depth, reads
@@ -178,7 +183,7 @@ def test_lazy_differentials_equal_closed_form(char):
             for cx in (shallow, deep):
                 for k in range(1, cx.depth + 4 * n + 1):
                     d = cx.diff(k)
-                    assert d == closed_form_differential(alg, i - k, i + k), (
+                    assert d == closed_form_differential(alg, *interval_terms(n, i, k)), (
                         n, i, k, cx.depth)
                     terms = (cx.term(k), cx.term(k - 1))
                     assert by_terms.setdefault(terms, d) is d, (n, i, k, cx.depth)
@@ -192,7 +197,7 @@ def test_lazy_differentials_equal_closed_form(char):
             for j in range(1, n + 1):
                 cx = build_resolution(alg, j)
                 for k in range(1, cx.depth + 1):
-                    assert cx.diff(k) == closed_form_differential(alg, j - k, j + k), (
+                    assert cx.diff(k) == closed_form_differential(alg, *interval_terms(n, j, k)), (
                         n, i, j, k)
 
 
@@ -200,16 +205,17 @@ def test_ext_table_builds_no_differentials(monkeypatch):
     built = []
     original = resolutions.closed_form_differential
 
-    def counting(alg, i, j):
-        built.append((i, j))
-        return original(alg, i, j)
+    def counting(alg, source, target):
+        built.append((source, target))
+        return original(alg, source, target)
 
     monkeypatch.setattr(resolutions, "closed_form_differential", counting)
     ext_table(10)
     assert built == []
-    # the guard is live: reading a differential does reach the counter
+    # the guard is live: reading a differential does reach the counter, once,
+    # with d_1 of R_1 keyed by its terms, the sums of (0, 2) and (1, 1)
     build_resolution(algebra(3), 1).diff(1)
-    assert built == [(0, 2)]
+    assert built == [((2,), (1,))]
 
 
 def outcome(report):

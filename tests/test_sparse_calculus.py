@@ -4,6 +4,8 @@ Hypothesis runs derandomized (``conftest.py``), so every run draws the
 same examples.
 """
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import assume, given, strategies as st
 
 from helpers import morphisms_equal, realize
 from extline import strings
+from extline.cli import main
 from extline.certify import realize_hom_matrix
 from extline.fields import field_for_characteristic
 from extline.homs import HomElement, LineAlgebra
@@ -22,7 +25,6 @@ from extline.resolutions import (
     hom_matrix_add,
     hom_matrix_compose,
     hom_matrix_scale,
-    is_identity,
 )
 from extline.yoneda import (
     ChainMap,
@@ -364,7 +366,7 @@ def around_a_term(draw, full):
 @given(around_a_term(full=True))
 def test_a_full_identity_is_a_unit_of_composition(data):
     alg, I, A, B = data
-    assert is_identity(I) and not is_identity(unpaired(I))
+    assert I.identity and not unpaired(I).identity
     assert hom_matrix_compose(alg, A, I) is A
     assert hom_matrix_compose(alg, I, B) is B
     assert hom_matrix_compose(alg, I, I) is I
@@ -375,7 +377,7 @@ def test_a_full_identity_is_a_unit_of_composition(data):
 @given(around_a_term(full=False))
 def test_a_partial_identity_re_keys_as_the_generic_product(data):
     alg, P, A, B = data
-    assert not is_identity(P)
+    assert not P.identity
     assert P.inverse_pairing == {r: c for c, r in P.pairing.items()}
     assert hom_matrix_compose(alg, A, P) == hom_matrix_compose(alg, A, unpaired(P))
     assert hom_matrix_compose(alg, P, B) == hom_matrix_compose(alg, unpaired(P), B)
@@ -449,7 +451,7 @@ def test_common_factor_matrix_is_shared_and_paired(char):
                 assert sorted(M.cells) == sorted((r, c) for c, r in M.pairing.items())
                 assert len(set(M.pairing.values())) == len(M.pairing)
                 assert M.inverse_pairing == {r: c for c, r in M.pairing.items()}
-                assert is_identity(M) == (s == t)
+                assert M.identity == (s == t)
 
 
 @pytest.mark.parametrize("char", CHARS)
@@ -466,3 +468,58 @@ def test_unpaired_component_with_a_dropped_cell_fails_verify(char):
                                    lambda k, d=d, bad=bad: bad if k == d else u.component(k))
                 with pytest.raises(ChainMapError):
                     damaged.verify()
+
+
+def old_is_identity(M):
+    """The full-identity predicate the stored flag replaces."""
+    return M.pairing is not None and M.source == M.target and len(M.pairing) == len(M.source)
+
+
+def test_shared_basis_morphisms_stay_intact_and_identity_flags_agree(monkeypatch):
+    # every command over every field, then the algebras and matrices they
+    # made: each basis morphism handed out still holds its slots, the named
+    # ones are those objects, and every matrix's flag is the old predicate
+    algebras, matrices = [], []
+    init_alg, init_matrix = LineAlgebra.__init__, HomMatrix.__init__
+
+    def recording_alg(self, *args, **kwargs):
+        init_alg(self, *args, **kwargs)
+        algebras.append(self)
+
+    def recording_matrix(self, *args, **kwargs):
+        init_matrix(self, *args, **kwargs)
+        matrices.append(self)
+
+    monkeypatch.setattr(LineAlgebra, "__init__", recording_alg)
+    monkeypatch.setattr(HomMatrix, "__init__", recording_matrix)
+    words = {3: ["x1 x2", "x1 x1* y1", "y1 y3 x1"], 4: ["x1 x2 x3", "x3* x2* y2", "y1 y4 y1 y4"]}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for char in CHARS:
+            for n in range(1, 7):
+                assert main(["verify", "--suite", "all", "--n", str(n), "--char", str(char),
+                             "--format", "json"]) == 0, (n, char)
+            for n, ws in words.items():
+                for word in ws:
+                    assert main(["yoneda-product", "--n", str(n), "--char", str(char),
+                                 "--word", word, "--format", "json"]) == 0, (n, char, word)
+
+    handed_out = 0
+    for alg in algebras:
+        F = alg.field
+        for (i, j), basis in alg._bases.items():
+            assert basis is alg.basis(i, j)
+            assert [(b.source, b.target) for b in basis] == [(i, j)] * max(0, 2 - abs(i - j))
+            assert [b.slots for b in basis] == [tuple(F.one if k == s else F.zero for k in range(len(basis)))
+                                                for s in range(len(basis))], (alg.n, i, j)
+            handed_out += len(basis)
+        for i in range(1, alg.n + 1):
+            if (i, i) in alg._bases:
+                assert alg.identity_hom(i) is alg._bases[(i, i)][0]
+                assert alg.loop_hom(i) is alg._bases[(i, i)][1]
+            if (i, i + 1) in alg._bases:
+                assert alg.f_hom(i) is alg._bases[(i, i + 1)][0]
+            if (i + 1, i) in alg._bases:
+                assert alg.fstar_hom(i) is alg._bases[(i + 1, i)][0]
+    flags = [M.identity for M in matrices]
+    assert flags == [old_is_identity(M) for M in matrices]
+    assert handed_out and any(flags) and not all(flags)  # the checks are live
